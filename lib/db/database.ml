@@ -30,12 +30,18 @@ type verdict_state = {
   verdicts : bool Oid.Tbl.t;
 }
 
+(* A class's global extent and its cardinality. Every mutation goes
+   through [extent_add] / [extent_remove], which move [size] only when
+   the set really changed, so [size] is the O(1) statistic the query
+   planner reads. [check] asserts [size = Oid.Set.cardinal members]. *)
+type extent = { mutable members : Oid.Set.t; mutable size : int }
+
 type t = {
   heap : Heap.t;
   graph : Schema_graph.t;
   model : Slicing.t;
   stats : Stats.t;
-  extents : Oid.Set.t ref Oid.Tbl.t;
+  extents : extent Oid.Tbl.t;
   base_member : Oid.Set.t ref Oid.Tbl.t;  (* object -> base classes *)
   mutable deriv_order : cid list option;  (* cache *)
   mutable listeners : (event -> unit) list;
@@ -146,20 +152,40 @@ let warn_nonconvergence t o =
     t.nonconvergence_hook o
   end
 
-let extent_ref t cid =
+let extent_rec t cid =
   match Oid.Tbl.find_opt t.extents cid with
-  | Some r -> r
+  | Some e -> e
   | None ->
-    let r = ref Oid.Set.empty in
-    Oid.Tbl.replace t.extents cid r;
-    r
+    let e = { members = Oid.Set.empty; size = 0 } in
+    Oid.Tbl.replace t.extents cid e;
+    e
 
-let extent t cid = !(extent_ref t cid)
+(* [Set.add] and [Set.remove] return their argument physically unchanged
+   when the element was already present / absent. *)
+let extent_add t cid o =
+  let e = extent_rec t cid in
+  let s = Oid.Set.add o e.members in
+  if s != e.members then begin
+    e.members <- s;
+    e.size <- e.size + 1
+  end
+
+let extent_remove t cid o =
+  match Oid.Tbl.find_opt t.extents cid with
+  | None -> ()
+  | Some e ->
+    let s = Oid.Set.remove o e.members in
+    if s != e.members then begin
+      e.members <- s;
+      e.size <- e.size - 1
+    end
+
+let extent t cid = (extent_rec t cid).members
 let extent_list t cid = Oid.Set.elements (extent t cid)
-let extent_size t cid = Oid.Set.cardinal (extent t cid)
+let extent_size t cid = (extent_rec t cid).size
 
 let note_new_class t cid =
-  ignore (extent_ref t cid);
+  ignore (extent_rec t cid);
   t.deriv_order <- None;
   t.deps <- None
 
@@ -516,13 +542,11 @@ let membership_round t ~pred_fn ~base_closure ~order =
   Oid.Set.remove (root t) !m
 
 let remove_from_extents t o =
-  Oid.Tbl.iter (fun _ r -> r := Oid.Set.remove o !r) t.extents
+  Oid.Tbl.iter (fun cid _ -> extent_remove t cid o) t.extents
 
 let sync_extents t o membership =
   remove_from_extents t o;
-  Oid.Set.iter
-    (fun cid -> extent_ref t cid := Oid.Set.add o !(extent_ref t cid))
-    membership
+  Oid.Set.iter (fun cid -> extent_add t cid o) membership
 
 (* Synchronize the object model mid-fixpoint and keep the property
    resolution memo honest: a membership change invalidates it. *)
@@ -626,15 +650,8 @@ let run_incremental_fixpoint t vs o =
   (* extent deltas: add/remove per changed class, never a full sweep *)
   let added = Oid.Set.diff final before in
   let removed = Oid.Set.diff before final in
-  Oid.Set.iter
-    (fun c -> extent_ref t c := Oid.Set.add o !(extent_ref t c))
-    added;
-  Oid.Set.iter
-    (fun c ->
-      match Oid.Tbl.find_opt t.extents c with
-      | Some r -> r := Oid.Set.remove o !r
-      | None -> ())
-    removed;
+  Oid.Set.iter (fun c -> extent_add t c o) added;
+  Oid.Set.iter (fun c -> extent_remove t c o) removed;
   notify t (Reclassified o);
   if not (Oid.Set.is_empty added && Oid.Set.is_empty removed) then
     notify t
@@ -863,9 +880,7 @@ let create_object ?(init = []) t cid =
   (* seed the extent index with the full initial membership (the creation
      class and its ancestors, already materialized by the object model) so
      delta maintenance starts from a consistent membership/extent pair *)
-  List.iter
-    (fun c -> extent_ref t c := Oid.Set.add o !(extent_ref t c))
-    (member_classes t o);
+  List.iter (fun c -> extent_add t c o) (member_classes t o);
   (* creation is announced before the init writes, so listeners never
      observe Attr_set for an object they were not told exists *)
   notify t (Object_created o);
@@ -878,13 +893,7 @@ let create_object ?(init = []) t cid =
 
 let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
-  else
-    List.iter
-      (fun c ->
-        match Oid.Tbl.find_opt t.extents c with
-        | Some r -> r := Oid.Set.remove o !r
-        | None -> ())
-      (member_classes t o);
+  else List.iter (fun c -> extent_remove t c o) (member_classes t o);
   Oid.Tbl.remove t.base_member o;
   Oid.Tbl.remove t.verdict_cache o;
   Oid.Tbl.remove t.resolve_cache o;
@@ -957,9 +966,7 @@ let restore ~heap ~graph ~bases =
   (* extents re-derived from the restored membership facts *)
   List.iter
     (fun o ->
-      List.iter
-        (fun cid -> extent_ref t cid := Oid.Set.add o !(extent_ref t cid))
-        (member_classes t o))
+      List.iter (fun cid -> extent_add t cid o) (member_classes t o))
     (objects t);
   t
 
@@ -992,6 +999,15 @@ let check t =
               (Oid.to_string o) (name_of cid))
         (member_classes t o))
     (objects t);
+  (* maintained cardinalities: the planner trusts them without a walk *)
+  List.iter
+    (fun (k : Klass.t) ->
+      match Oid.Tbl.find_opt t.extents k.cid with
+      | Some e when e.size <> Oid.Set.cardinal e.members ->
+        add "extent of %s counts %d members but holds %d" k.name e.size
+          (Oid.Set.cardinal e.members)
+      | Some _ | None -> ())
+    (Schema_graph.classes t.graph);
   (* is-a extent subset invariant *)
   List.iter
     (fun (k : Klass.t) ->

@@ -122,6 +122,8 @@ val extent : t -> cid -> Tse_store.Oid.Set.t
 
 val extent_list : t -> cid -> Tse_store.Oid.t list
 val extent_size : t -> cid -> int
+(** Cardinality of {!extent}: a count maintained with the extent, O(1).
+    {!check} asserts it equals [Oid.Set.cardinal (extent t cid)]. *)
 
 (** {2 Properties} *)
 
@@ -206,7 +208,8 @@ val derivation_order : t -> cid list
 (** {2 Consistency oracle} *)
 
 val check : t -> string list
-(** Cross-validates: extent index vs object-model membership; derivation
+(** Cross-validates: extent index vs object-model membership; each
+    extent's maintained count vs its cardinality; derivation
     formulas vs actual virtual-class extents; the is-a extent-subset
     invariant; plus {!Tse_schema.Invariants.check} on the schema. Empty
     means consistent. *)

@@ -71,10 +71,9 @@ let bound_of_cmp op v =
   | Expr.Eq | Expr.Ne -> `None
 
 (* Candidate paths at one level, with their estimated candidate counts. *)
-let level_candidates indexes (cls, depth, conjs) =
+let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
   let avg_bucket attr =
-    match (Indexes.entry_count indexes cls attr, Indexes.key_cardinality indexes cls attr)
-    with
+    match (Indexes.entry_count indexes cls attr, key_cardinality cls attr) with
     | Some n, Some k -> (n + Stdlib.max 1 k - 1) / Stdlib.max 1 k
     | _ -> Stdlib.max_int
   in
@@ -163,10 +162,21 @@ let level_candidates indexes (cls, depth, conjs) =
   in
   eqs @ ranges
 
-let choose_access db indexes cid compiled =
-  let scan_cost = Oid.Set.cardinal (Database.extent db cid) in
+(* Every statistic weighed here is a maintained count read in O(1): the
+   scan cost is the queried extent's size, and the index entry and
+   distinct-key counts are kept by the index structures themselves.
+   [scan_cost] and [key_cardinality] override them (see [choose]). *)
+let choose_access ?scan_cost ?key_cardinality db indexes cid compiled =
+  let scan_cost =
+    Option.value scan_cost ~default:(Database.extent_size db cid)
+  in
+  let key_cardinality =
+    Option.value key_cardinality ~default:(Indexes.key_cardinality indexes)
+  in
   let candidates =
-    List.concat_map (level_candidates indexes) (levels compiled cid)
+    List.concat_map
+      (level_candidates ~key_cardinality indexes)
+      (levels compiled cid)
   in
   let best =
     List.fold_left
@@ -190,6 +200,10 @@ let plan_of_access residual = function
       }
   | A_range { a_attr; _ } -> Range_scan { attr = a_attr; residual }
   | A_scan -> Extent_scan
+
+let depth_of_access = function
+  | A_eq { a_depth; _ } | A_range { a_depth; _ } -> a_depth
+  | A_scan -> 0
 
 (* Residual evaluation: the un-consumed query conjuncts, in compiled cost
    order, under whole-chain error absorption (Database.holds contract).
@@ -230,11 +244,12 @@ let compiled_for db indexes cid pred =
    memo to bypass and pre-warms the schema-reachability caches.  The
    plan-cache entry was compiled before we get here, so in-region
    lookups never hit a compile-on-miss branch.  Small candidate sets
-   (or a single-domain pool) stay on the sequential path. *)
+   (or a single-domain pool) stay on the sequential path.  Callers pass
+   the candidate count [n] they already hold, so the sequential path
+   never walks the set an extra time. *)
 let m_par_scans = Metrics.counter "query.parallel_scans"
 
-let par_filter db pred set =
-  let n = Oid.Set.cardinal set in
+let par_filter db ~n pred set =
   let pool = Pool.global () in
   if Pool.size pool <= 1 || n < Pool.threshold () then Oid.Set.filter pred set
   else begin
@@ -251,8 +266,7 @@ let par_filter db pred set =
     |> List.concat |> Oid.Set.of_list
   end
 
-let par_count db pred set =
-  let n = Oid.Set.cardinal set in
+let par_count db ~n pred set =
   let pool = Pool.global () in
   if Pool.size pool <= 1 || n < Pool.threshold () then
     Oid.Set.fold (fun o acc -> if pred o then acc + 1 else acc) set 0
@@ -269,16 +283,20 @@ let par_count db pred set =
     |> List.fold_left ( + ) 0
   end
 
-let plan db indexes cid pred =
+let choose ?scan_cost ?key_cardinality db indexes cid pred =
   let compiled, _ = compiled_for db indexes cid pred in
-  let access = choose_access db indexes cid compiled in
+  let access =
+    choose_access ?scan_cost ?key_cardinality db indexes cid compiled
+  in
   let residual =
     match access with
     | A_eq { a_consumed; _ } | A_range { a_consumed; _ } ->
       residual_conjuncts compiled a_consumed <> []
     | A_scan -> false
   in
-  plan_of_access residual access
+  (plan_of_access residual access, depth_of_access access)
+
+let plan db indexes cid pred = fst (choose db indexes cid pred)
 
 (* One instrumented core: every select goes through here so the explain
    numbers and the registry counters describe the execution that really
@@ -288,9 +306,11 @@ let select_explain db indexes cid pred =
   Trace.with_span "query.select" @@ fun () ->
   let compiled, cache_hit = compiled_for db indexes cid pred in
   let scan () =
-    let extent = Database.extent db cid in
-    let result = par_filter db compiled.Compile.cp_pred extent in
-    (Extent_scan, None, None, 0, Oid.Set.cardinal extent, result)
+    let n = Database.extent_size db cid in
+    let result =
+      par_filter db ~n compiled.Compile.cp_pred (Database.extent db cid)
+    in
+    (Extent_scan, None, None, 0, n, result)
   in
   let probe access candidates =
     match candidates with
@@ -311,16 +331,17 @@ let select_explain db indexes cid pred =
         if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
         else bucket
       in
+      let n = Oid.Set.cardinal candidates in
       let residual = residual_conjuncts compiled consumed in
       let result =
         if residual = [] then candidates
-        else par_filter db (residual_eval residual) candidates
+        else par_filter db ~n (residual_eval residual) candidates
       in
       ( plan_of_access (residual <> []) access,
         Some attr,
         Indexes.key_cardinality indexes cls attr,
         depth,
-        Oid.Set.cardinal candidates,
+        n,
         result )
   in
   let access = choose_access db indexes cid compiled in
@@ -361,11 +382,10 @@ let explain db indexes cid pred = fst (select_explain db indexes cid pred)
    over the candidates (the full extent, or an index probe's bucket). *)
 let count db indexes cid pred =
   let compiled, _ = compiled_for db indexes cid pred in
-  let fold_count pred set = par_count db pred set in
   let scan () =
-    let extent = Database.extent db cid in
-    Metrics.add m_rows_scanned (Oid.Set.cardinal extent);
-    fold_count compiled.Compile.cp_pred extent
+    let n = Database.extent_size db cid in
+    Metrics.add m_rows_scanned n;
+    par_count db ~n compiled.Compile.cp_pred (Database.extent db cid)
   in
   let probe consumed depth = function
     | None -> scan ()
@@ -374,10 +394,11 @@ let count db indexes cid pred =
         if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
         else bucket
       in
-      Metrics.add m_rows_scanned (Oid.Set.cardinal candidates);
+      let n = Oid.Set.cardinal candidates in
+      Metrics.add m_rows_scanned n;
       let residual = residual_conjuncts compiled consumed in
-      if residual = [] then Oid.Set.cardinal candidates
-      else fold_count (residual_eval residual) candidates
+      if residual = [] then n
+      else par_count db ~n (residual_eval residual) candidates
   in
   match choose_access db indexes cid compiled with
   | A_scan -> scan ()

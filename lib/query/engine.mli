@@ -26,6 +26,21 @@ type plan =
 val plan : Tse_db.Database.t -> Indexes.t -> cid -> Tse_schema.Expr.t -> plan
 (** The plan the engine would choose right now (warms the plan cache). *)
 
+val choose :
+  ?scan_cost:int ->
+  ?key_cardinality:(cid -> string -> int option) ->
+  Tse_db.Database.t ->
+  Indexes.t ->
+  cid ->
+  Tse_schema.Expr.t ->
+  plan * int
+(** {!plan} together with the pushdown depth of its index probe (0 for
+    an extent scan). The planner weighs maintained counts, each read in
+    O(1): the queried class's {!Tse_db.Database.extent_size} as the scan
+    cost, and each index's entry and {!Indexes.key_cardinality} counts.
+    [scan_cost] and [key_cardinality] replace those statistics, so a
+    reference planner can run on counts obtained by walking the sets. *)
+
 val select :
   Tse_db.Database.t ->
   Indexes.t ->

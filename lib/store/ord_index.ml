@@ -23,12 +23,15 @@ end)
 
 type bound = Value.t * bool (* value, inclusive? *)
 
+(* [entries] and [distinct] are maintained counts ((value, oid) pairs
+   and bound keys), so the planner reads both in O(1). *)
 type t = {
   mutable keys : Oid.Set.t Key_map.t;
   mutable entries : int;
+  mutable distinct : int;
 }
 
-let create () = { keys = Key_map.empty; entries = 0 }
+let create () = { keys = Key_map.empty; entries = 0; distinct = 0 }
 
 let add t v oid =
   match Key_map.find_opt v t.keys with
@@ -39,7 +42,8 @@ let add t v oid =
     end
   | None ->
     t.keys <- Key_map.add v (Oid.Set.singleton oid) t.keys;
-    t.entries <- t.entries + 1
+    t.entries <- t.entries + 1;
+    t.distinct <- t.distinct + 1
 
 let remove t v oid =
   match Key_map.find_opt v t.keys with
@@ -47,9 +51,11 @@ let remove t v oid =
   | Some set ->
     if Oid.Set.mem oid set then begin
       let set = Oid.Set.remove oid set in
-      t.keys <-
-        (if Oid.Set.is_empty set then Key_map.remove v t.keys
-         else Key_map.add v set t.keys);
+      if Oid.Set.is_empty set then begin
+        t.keys <- Key_map.remove v t.keys;
+        t.distinct <- t.distinct - 1
+      end
+      else t.keys <- Key_map.add v set t.keys;
       t.entries <- t.entries - 1
     end
 
@@ -112,11 +118,12 @@ let range t ~lo ~hi =
     collect Oid.Set.empty seq
 
 let cardinal t = t.entries
-let distinct_keys t = Key_map.cardinal t.keys
+let distinct_keys t = t.distinct
 
 let clear t =
   t.keys <- Key_map.empty;
-  t.entries <- 0
+  t.entries <- 0;
+  t.distinct <- 0
 
 let overhead_bytes t =
   (* same accounting as the hash index, plus the tree nodes *)

@@ -27,9 +27,12 @@ val range : t -> lo:bound option -> hi:bound option -> Oid.Set.t
     membership test into [false]). *)
 
 val cardinal : t -> int
-(** Number of (value, oid) entries. *)
+(** Number of (value, oid) entries; a maintained count, O(1). *)
 
 val distinct_keys : t -> int
+(** Number of distinct keys ([3] and [3.0] are one key); a maintained
+    count, O(1). *)
+
 val clear : t -> unit
 
 val overhead_bytes : t -> int

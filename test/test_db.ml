@@ -424,6 +424,83 @@ let test_event_exactly_once () =
   check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
+(* The planner reads [extent_size] as a maintained count, never a walk.
+   Every path that mutates an extent must keep that count exact; [check]
+   compares each class's count with its extent's cardinality, so it runs
+   after each path below. *)
+let test_extent_counts_maintained () =
+  let u = uni () in
+  let db = u.db in
+  Database.set_full_reclassify db false;
+  ignore (Tse_workload.University.populate u ~n:12);
+  let senior =
+    Tse_algebra.Ops.select db ~name:"Senior" ~src:u.person
+      Expr.(attr "age" >= int 60)
+  in
+  let consistent what =
+    Alcotest.(check (list string)) what [] (Database.check db)
+  in
+  let size what cid n = check Alcotest.int what n (Database.extent_size db cid) in
+  let persons = Database.extent_size db u.person in
+  let seniors = Database.extent_size db senior in
+  (* create *)
+  let p =
+    Database.create_object db u.student
+      ~init:[ ("name", Value.String "p"); ("age", Value.Int 30) ]
+  in
+  consistent "create";
+  size "create: one more person" u.person (persons + 1);
+  (* writes that move the object into and out of a select *)
+  Database.set_attr db p "age" (Value.Int 70);
+  consistent "write into a select";
+  size "joined Senior" senior (seniors + 1);
+  Database.set_attr db p "age" (Value.Int 71);
+  consistent "write inside a select";
+  Database.set_attr db p "age" (Value.Int 20);
+  consistent "write out of a select";
+  size "left Senior" senior seniors;
+  (* base-membership edits move extents through the same delta step *)
+  Database.add_base_membership db p u.staff;
+  consistent "add base membership";
+  Database.remove_base_membership db p u.staff;
+  consistent "remove base membership";
+  (* destroy, incremental path *)
+  Database.set_attr db p "age" (Value.Int 65);
+  Database.destroy_object db p;
+  consistent "destroy (incremental)";
+  size "destroyed person gone" u.person persons;
+  size "destroyed senior gone" senior seniors;
+  (* the oracle path rebuilds memberships with a full per-class sweep *)
+  Database.set_full_reclassify db true;
+  consistent "set_full_reclassify on";
+  let q =
+    Database.create_object db u.ta
+      ~init:[ ("name", Value.String "q"); ("age", Value.Int 30) ]
+  in
+  consistent "create (oracle)";
+  Database.set_attr db q "age" (Value.Int 80);
+  consistent "write into a select (oracle)";
+  size "oracle: joined Senior" senior (seniors + 1);
+  Database.destroy_object db q;
+  consistent "destroy (oracle)";
+  size "oracle: destroyed person gone" u.person persons;
+  Database.set_full_reclassify db false;
+  consistent "set_full_reclassify off";
+  Database.reclassify_all db;
+  consistent "reclassify_all";
+  (* restore re-derives every extent from the snapshot's memberships *)
+  let db', _ =
+    Tse_views.Catalog.of_string (Tse_views.Catalog.to_string db)
+  in
+  Alcotest.(check (list string)) "restore" [] (Database.check db');
+  List.iter
+    (fun (k : Klass.t) ->
+      check Alcotest.int
+        ("restored count of " ^ k.name)
+        (Database.extent_size db k.cid)
+        (Database.extent_size db' k.cid))
+    (Schema_graph.classes (Database.graph db))
+
 let suite =
   [
     Alcotest.test_case "create + extent closure" `Quick test_create_and_extents;
@@ -454,4 +531,6 @@ let suite =
       test_membership_delta_events;
     Alcotest.test_case "events fire exactly once per change" `Quick
       test_event_exactly_once;
+    Alcotest.test_case "extent counts maintained on every path" `Quick
+      test_extent_counts_maintained;
   ]

@@ -461,6 +461,132 @@ let prop_compiled_matches_interpreted =
         (List.init 8 Fun.id);
       true)
 
+(* --- counted statistics choose the walked-statistics plans ---------------
+
+   The planner reads the maintained extent and distinct-key counts. A
+   reference planner fed statistics obtained by walking the sets (the
+   extent's [Oid.Set.cardinal], the distinct values actually indexed) must
+   pick the same plan and pushdown depth as every executed query, while
+   writes keep moving objects across a two-level select chain. The sizes
+   keep index estimates and extent sizes close, so a count off by one
+   can flip a plan. *)
+
+let prop_counted_stats_match_walked =
+  QCheck.Test.make ~name:"counted statistics pick the walked-statistics plans"
+    ~count:30
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rint n = Value.Int (Random.State.int st n) in
+      let db = Database.create () in
+      let graph = Database.graph db in
+      let stored = Prop.stored ~origin:(Oid.of_int 0) in
+      let item =
+        Schema_graph.register_base graph ~name:"Item"
+          ~props:
+            [
+              stored "k" Value.TInt;
+              stored "score" Value.TInt;
+              stored "flag" Value.TInt;
+              stored "grp" Value.TInt;
+            ]
+          ~supers:[]
+      in
+      Database.note_new_class db item;
+      let fresh () =
+        Database.create_object db item
+          ~init:
+            [
+              ("k", rint 8);
+              ("score", rint 40);
+              ("flag", rint 100);
+              ("grp", rint 100);
+            ]
+      in
+      let objs = ref (List.init 40 (fun _ -> fresh ())) in
+      let hot =
+        Tse_algebra.Ops.select db ~name:"Hot" ~src:item
+          Expr.(attr "flag" >= int 50)
+      in
+      let hotg =
+        Tse_algebra.Ops.select db ~name:"HotG" ~src:hot
+          Expr.(attr "grp" < int 50)
+      in
+      let idx = Indexes.create db in
+      Indexes.ensure idx item "k";
+      Indexes.ensure ~kind:Indexes.Ordered idx item "score";
+      Indexes.ensure idx hot "grp";
+      let walked_keys cls attr =
+        Option.map
+          (fun _ ->
+            Database.extent db cls |> Oid.Set.elements
+            |> List.map (fun o -> Database.get_prop db o attr)
+            |> List.sort_uniq Value.compare |> List.length)
+          (Indexes.kind_of idx cls attr)
+      in
+      let leaf () =
+        let c = Random.State.int st 50 in
+        match Random.State.int st 9 with
+        | 0 -> Expr.(attr "k" === int (c mod 9))
+        | 1 -> Expr.(attr "score" >= int c)
+        | 2 -> Expr.(attr "score" < int c)
+        | 3 -> Expr.(attr "score" > int c)
+        | 4 -> Expr.(attr "score" === int c)
+        | 5 -> Expr.(attr "grp" < int (2 * c))
+        | 6 -> Expr.(attr "grp" === int (2 * c))
+        | 7 -> Expr.(attr "flag" >= int (2 * c))
+        | _ -> Expr.(attr "k" <> int (c mod 9))
+      in
+      let query () =
+        let cls = [| item; hot; hotg |].(Random.State.int st 3) in
+        let pred =
+          List.fold_left
+            (fun acc _ -> Expr.(acc && leaf ()))
+            (leaf ())
+            (List.init (Random.State.int st 3) Fun.id)
+        in
+        let ex, got = Engine.select_explain db idx cls pred in
+        let plan, depth =
+          Engine.choose
+            ~scan_cost:(Oid.Set.cardinal (Database.extent db cls))
+            ~key_cardinality:walked_keys db idx cls pred
+        in
+        if ex.Engine.ex_plan <> plan || ex.Engine.pushdown_depth <> depth then
+          QCheck.Test.fail_reportf
+            "%a on %s: ran %a at depth %d, walked statistics pick %a at \
+             depth %d"
+            Expr.pp pred
+            (Schema_graph.name_of graph cls)
+            Engine.pp_plan ex.Engine.ex_plan ex.Engine.pushdown_depth
+            Engine.pp_plan plan depth;
+        let oracle =
+          Oid.Set.filter (fun o -> Database.holds db o pred)
+            (Database.extent db cls)
+        in
+        if not (Oid.Set.equal got oracle) then
+          QCheck.Test.fail_reportf "%a on %s: wrong answer" Expr.pp pred
+            (Schema_graph.name_of graph cls)
+      in
+      let write () =
+        let pick () = List.nth !objs (Random.State.int st (List.length !objs)) in
+        match Random.State.int st 6 with
+        | 0 -> Database.set_attr db (pick ()) "flag" (rint 100)
+        | 1 -> Database.set_attr db (pick ()) "grp" (rint 100)
+        | 2 -> Database.set_attr db (pick ()) "score" (rint 40)
+        | 3 -> Database.set_attr db (pick ()) "k" (rint 8)
+        | 4 -> objs := fresh () :: !objs
+        | _ ->
+          let o = pick () in
+          Database.destroy_object db o;
+          objs := List.filter (fun o' -> not (Oid.equal o o')) !objs
+      in
+      for _ = 1 to 40 do
+        write ();
+        query ();
+        query ()
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "index build + lookup" `Quick test_index_build_and_lookup;
@@ -487,4 +613,5 @@ let suite =
     Alcotest.test_case "count == select cardinality" `Quick
       test_count_agrees_with_select;
     QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
+    Qcheck_det.to_alcotest prop_counted_stats_match_walked;
   ]

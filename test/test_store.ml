@@ -303,6 +303,57 @@ let prop_value_compare_total =
     (QCheck.pair value_arb value_arb) (fun (a, b) ->
       Value.equal a b = (Value.compare a b = 0))
 
+(* [distinct_keys] is a maintained count; numeric keys share one domain,
+   so [Int 3] and [Float 3.0] are one key, and [Null] is a key too. *)
+let test_ord_index_distinct_keys () =
+  let idx = Ord_index.create () in
+  let o = Oid.of_int in
+  let counts what ~keys ~entries =
+    check Alcotest.int (what ^ ": distinct keys") keys
+      (Ord_index.distinct_keys idx);
+    check Alcotest.int (what ^ ": entries") entries (Ord_index.cardinal idx)
+  in
+  counts "empty" ~keys:0 ~entries:0;
+  Ord_index.add idx (Value.Int 3) (o 1);
+  counts "add" ~keys:1 ~entries:1;
+  Ord_index.add idx (Value.Float 3.0) (o 2);
+  counts "3.0 shares the key of 3" ~keys:1 ~entries:2;
+  Ord_index.add idx (Value.Int 3) (o 1);
+  counts "duplicate add" ~keys:1 ~entries:2;
+  Ord_index.add idx Value.Null (o 3);
+  Ord_index.add idx Value.Null (o 4);
+  counts "null keys" ~keys:2 ~entries:4;
+  Ord_index.add idx (Value.Int 5) (o 1);
+  counts "second numeric key" ~keys:3 ~entries:5;
+  Ord_index.remove idx (Value.Int 5) (o 2);
+  counts "remove an absent oid" ~keys:3 ~entries:5;
+  Ord_index.remove idx (Value.Int 7) (o 1);
+  counts "remove under an absent key" ~keys:3 ~entries:5;
+  Ord_index.remove idx (Value.Float 3.0) (o 1);
+  counts "remove one of two oids" ~keys:3 ~entries:4;
+  Ord_index.remove idx (Value.Int 3) (o 2);
+  counts "remove the last oid of a key" ~keys:2 ~entries:3;
+  Ord_index.remove idx Value.Null (o 3);
+  Ord_index.remove idx Value.Null (o 4);
+  counts "remove the last null" ~keys:1 ~entries:1;
+  Ord_index.clear idx;
+  counts "clear" ~keys:0 ~entries:0;
+  Ord_index.add idx (Value.Int 3) (o 1);
+  counts "add after clear" ~keys:1 ~entries:1;
+  let built =
+    Ord_index.of_seq
+      (List.to_seq
+         [
+           (Value.Int 3, o 1);
+           (Value.Float 3.0, o 2);
+           (Value.Null, o 3);
+           (Value.Null, o 3);
+           (Value.String "a", o 4);
+         ])
+  in
+  check Alcotest.int "of_seq: distinct keys" 3 (Ord_index.distinct_keys built);
+  check Alcotest.int "of_seq: entries" 4 (Ord_index.cardinal built)
+
 let suite =
   [
     Alcotest.test_case "oid generator" `Quick test_oid_gen;
@@ -321,6 +372,8 @@ let suite =
     Alcotest.test_case "txn rollback survives a faulting undo" `Quick
       test_txn_rollback_exception;
     Alcotest.test_case "hash index" `Quick test_index;
+    Alcotest.test_case "ordered index distinct-key count" `Quick
+      test_ord_index_distinct_keys;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot file save/load" `Quick test_snapshot_file;
     Alcotest.test_case "snapshot malformed input" `Quick test_snapshot_malformed;
