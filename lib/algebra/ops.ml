@@ -35,7 +35,7 @@ let register db ~name derivation props =
   in
   Classification.integrate db cid
 
-let select db ~name ~src pred =
+let check_select db ~src pred =
   check_src db src;
   let graph = Database.graph db in
   List.iter
@@ -48,7 +48,10 @@ let select db ~name ~src pred =
     (fun cname ->
       if Schema_graph.find_by_name graph cname = None then
         error "select predicate references unknown class %s" cname)
-    (Expr.referenced_classes pred);
+    (Expr.referenced_classes pred)
+
+let select db ~name ~src pred =
+  check_select db ~src pred;
   register db ~name (Klass.Select (src, pred)) []
 
 let hide db ~name ~props ~src =

@@ -19,6 +19,12 @@ val select :
 (** [(select from <src> where <predicate>)]: same type, restricted
     extent; classified below the source. *)
 
+val check_select : Tse_db.Database.t -> src:cid -> Tse_schema.Expr.t -> unit
+(** The checks {!select} makes before deriving anything: the source
+    exists, and the predicate reads only properties of the source and
+    names only existing classes.
+    @raise Error when one fails. *)
+
 val hide :
   Tse_db.Database.t -> name:string -> props:string list -> src:cid -> cid
 (** [(hide <props> from <src>)]: same extent, more general type;

@@ -30,7 +30,7 @@ let bump t o = Oid.Tbl.replace t.versions o (version t o + 1)
 
 let create db =
   let t = { db; versions = Oid.Tbl.create 256 } in
-  Database.add_listener db (fun event ->
+  Database.add_listener db ~owner:t (fun t event ->
       match event with
       | Database.Object_created o
       | Database.Object_destroyed o

@@ -25,7 +25,9 @@ type conflict = {
 }
 
 val create : Tse_db.Database.t -> t
-(** Registers the version-tracking listener. *)
+(** Registers the version-tracking listener, held weakly by the
+    database: a dropped manager stops tracking at the next major
+    collection. *)
 
 val begin_session : t -> session
 

@@ -31,7 +31,12 @@ module Trace = Tse_obs.Trace
    is durably neutralized with Evo_done ok=false and the database is
    reopened from disk — the aborted evolution's partial in-memory
    effects never reach the log, so the result is a clean pre-evolution
-   state. *)
+   state.
+
+   Before any of this, the first change is prechecked ([Tsem.precheck]:
+   admission and the translator's preconditions, which mutate nothing).
+   A change that fails there is answered with [Error] at once: nothing
+   is logged and the handle is kept. *)
 
 type t = {
   mutable d : Durable.t;
@@ -150,36 +155,46 @@ let define_view_by_names t ~name ?complete_closure names =
 let evolve_many t ~view changes =
   match changes with
   | [] -> Ok (Tsem.current t.tsem view)
-  | _ -> (
-    (* cheap precondition: an unknown view must not burn a begin/commit
-       pair only to be aborted at the forced reopen *)
+  | first :: rest -> (
     match History.current (Tsem.history t.tsem) view with
     | None -> Error (Printf.sprintf "no view named %s" view)
     | Some _ -> (
-      let payload = Change_codec.encode changes in
-      let eid = Durable.log_evolve_begin t.d ~view payload in
-      Durable.log_evolve_commit t.d ~eid ~view;
-      (* decision is durable: from here the evolution either completes in
-         this process or is rolled forward by the next open *)
-      match Tsem.evolve_many t.tsem ~view changes with
-      | new_view ->
-        stage_views t.d t.tsem;
-        Durable.commit_evolve_done t.d ~eid;
-        Ok new_view
+      (* the first change's preconditions are checked before anything is
+         logged: a rejection here costs no WAL record, no fsync and no
+         reopen. The precheck mutates nothing, so the handle, its
+         database and any pending traffic stay as they were. *)
+      match Tsem.precheck t.tsem ~view first with
+      | exception Change.Rejected msg -> Error msg
       | exception (Failpoint.Crash _ as e) -> raise e
-      | exception e ->
-        let msg =
-          match e with
-          | Change.Rejected m -> m
-          | e -> Printexc.to_string e
-        in
-        (* the half-applied change list poisoned the in-memory state:
-           recover from disk. The committed intent is retried there on
-           clean state; a deterministic rejection fails again and is
-           durably aborted, leaving the pre-evolution state. *)
-        Durable.abandon t.d;
-        reopen t;
-        Error msg))
+      | exception e -> Error (Printexc.to_string e)
+      | checked -> (
+        let payload = Change_codec.encode changes in
+        let eid = Durable.log_evolve_begin t.d ~view payload in
+        Durable.log_evolve_commit t.d ~eid ~view;
+        (* decision is durable: from here the evolution either completes
+           in this process or is rolled forward by the next open *)
+        match
+          ignore (Tsem.evolve_checked t.tsem checked);
+          Tsem.evolve_many t.tsem ~view rest
+        with
+        | new_view ->
+          stage_views t.d t.tsem;
+          Durable.commit_evolve_done t.d ~eid;
+          Ok new_view
+        | exception (Failpoint.Crash _ as e) -> raise e
+        | exception e ->
+          let msg =
+            match e with
+            | Change.Rejected m -> m
+            | e -> Printexc.to_string e
+          in
+          (* the half-applied change list poisoned the in-memory state:
+             recover from disk. The committed intent is retried there on
+             clean state; a deterministic rejection fails again and is
+             durably aborted, leaving the pre-evolution state. *)
+          Durable.abandon t.d;
+          reopen t;
+          Error msg)))
 
 let evolve t ~view change = evolve_many t ~view [ change ]
 

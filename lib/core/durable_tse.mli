@@ -53,12 +53,25 @@ val define_view_by_names :
 
 val evolve_many :
   t -> view:string -> Change.t list -> (Tse_views.View_schema.t, string) result
-(** Evolve a view by a change list, atomically: log intent + decision
-    (each fsynced), apply in memory, then commit the effects together
-    with the completion marker. [Error msg] means the list was rejected;
-    the database has been re-opened from disk and is in the
-    pre-evolution state (the whole list is all-or-nothing, unlike
-    {!Tsem.evolve_many} which applies a prefix).
+(** Evolve a view by a change list, atomically: precheck the first
+    change, log intent + decision (each fsynced), apply in memory, then
+    commit the effects together with the completion marker. [Error msg]
+    means the list was rejected and the database is in the pre-evolution
+    state (the whole list is all-or-nothing, unlike {!Tsem.evolve_many}
+    which applies a prefix). How it got there depends on where the
+    rejection came from:
+
+    - the first change failed {!Tsem.precheck} (an unknown class or
+      property name, a self edge, an existing or cyclic edge, a name
+      already in the view, an admission-gate error): nothing was logged
+      or applied. The handle, its {!db} value (physically the same) and
+      every structure built on it — {!Tse_concurrency.Occ},
+      {!Tse_query.Indexes} — stay valid;
+    - a later change of the list was rejected, the translation failed
+      mid-way, or an unexpected exception escaped: the intent was
+      already logged, so the handle re-opens from disk, where the intent
+      is retried and durably aborted. {!db} then returns a new database
+      value, and structures built on the old one must be rebuilt.
 
     A {!Tse_store.Failpoint.Crash} escapes untouched — the harness that
     armed it must {!abandon} the handle and {!open_dir} again, exactly

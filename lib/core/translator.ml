@@ -97,8 +97,6 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let cls = resolve view cls_name in
-  if Type_info.has_prop graph cls prop_name then
-    rejected "%s already defined for %s" prop_name cls_name;
   let c' =
     Ops.refine db ~name:(Ops.primed_name db (Schema_graph.name_of graph cls))
       ~props:[ mk_prop () ] ~src:cls
@@ -133,29 +131,10 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
 (* 6.2 / 6.4: delete_attribute, delete_method                           *)
 (* ------------------------------------------------------------------ *)
 
-let delete_property db view ~cls_name ~prop_name ~want_stored =
+let delete_property db view ~cls_name ~prop_name =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let cls = resolve view cls_name in
-  let view_set = View_schema.class_set view in
-  (match Type_info.find graph cls prop_name with
-  | None -> rejected "%s is not defined for %s" prop_name cls_name
-  | Some (Type_info.Conflict _) -> ()
-  | Some (Type_info.Single p) ->
-    if want_stored && not (Prop.is_stored p) then
-      rejected "%s is a method; use delete_method" prop_name;
-    if (not want_stored) && Prop.is_stored p then
-      rejected "%s is an attribute; use delete_attribute" prop_name);
-  (* only local properties may be deleted (full-inheritance invariant) —
-     where "local" is either a genuinely local (possibly overriding)
-     definition, or view-relative local: the class is the uppermost one in
-     the view exposing the property (Section 6.2.1) *)
-  if
-    (not (Klass.has_local_prop (Schema_graph.find_exn graph cls) prop_name))
-    && not (Type_info.is_uppermost_in graph ~view:view_set cls prop_name)
-  then
-    rejected "%s is inherited within the view; delete it at its uppermost class"
-      prop_name;
   (* the property identity being deleted at [cls] *)
   let deleted_uid =
     match Type_info.find graph cls prop_name with
@@ -226,11 +205,6 @@ let add_edge db view ~sup_name ~sub_name =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let csup = resolve view sup_name and csub = resolve view sub_name in
-  if Oid.equal csup csub then rejected "add_edge: %s-%s is a self edge" sup_name sub_name;
-  if Schema_graph.is_strict_ancestor graph ~anc:csup ~desc:csub then
-    rejected "add_edge: %s is already a superclass of %s" sup_name sub_name;
-  if Schema_graph.is_strict_ancestor graph ~anc:csub ~desc:csup then
-    rejected "add_edge: %s-%s would create a cycle" sup_name sub_name;
   let sup_props = Tse_classifier.Classification.intended_type db (Klass.Hide ([], csup)) in
   (* phase 1: the new subclass side inherits C_sup's properties; same-named
      local properties override (footnote 15) *)
@@ -404,22 +378,7 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let csup = resolve view sup_name and csub = resolve view sub_name in
-  let view_edges = Generation.edges graph view in
-  if
-    not
-      (List.exists
-         (fun (s, b) -> Oid.equal s csup && Oid.equal b csub)
-         view_edges)
-  then rejected "delete_edge: %s is not a direct superclass of %s in the view" sup_name sub_name;
-  let upper =
-    Option.map
-      (fun name ->
-        let c = resolve view name in
-        if not (Schema_graph.is_strict_ancestor graph ~anc:c ~desc:csup) then
-          rejected "delete_edge: %s must be a superclass of %s" name sup_name;
-        c)
-      connected_to
-  in
+  let upper = Option.map (resolve view) connected_to in
   (* phase A: superclasses of C_sup lose C_sub's instances, except those
      still visible through other paths (the commonSub correction) *)
   let avoiding = deleted_edge_avoiding graph ~esup:csup ~esub:csub in
@@ -545,8 +504,6 @@ let rec replay db ~subst ~basename cid =
 
 let add_class db view ~cls_name ~connected_to =
   let graph = Database.graph db in
-  if View_schema.cid_of view cls_name <> None then
-    rejected "add_class: %s already in view" cls_name;
   let global_name = Ops.fresh_name db cls_name in
   let cadd =
     match connected_to with
@@ -603,7 +560,108 @@ let delete_class _db view ~cls_name =
   View_schema.remove_class view' cid;
   view'
 
+(* ------------------------------------------------------------------ *)
+(* Preconditions                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let not_in_view view what name =
+  if View_schema.cid_of view name <> None then
+    rejected "%s: %s already in view" what name
+
+let check_deletable graph view ~cls ~prop_name ~want_stored =
+  let cid = resolve view cls in
+  (match Type_info.find graph cid prop_name with
+  | None -> rejected "%s is not defined for %s" prop_name cls
+  | Some (Type_info.Conflict _) -> ()
+  | Some (Type_info.Single p) ->
+    if want_stored && not (Prop.is_stored p) then
+      rejected "%s is a method; use delete_method" prop_name;
+    if (not want_stored) && Prop.is_stored p then
+      rejected "%s is an attribute; use delete_attribute" prop_name);
+  (* only local properties may be deleted (full-inheritance invariant) —
+     where "local" is either a genuinely local (possibly overriding)
+     definition, or view-relative local: the class is the uppermost one in
+     the view exposing the property (Section 6.2.1) *)
+  if
+    (not (Klass.has_local_prop (Schema_graph.find_exn graph cid) prop_name))
+    && not
+         (Type_info.is_uppermost_in graph ~view:(View_schema.class_set view)
+            cid prop_name)
+  then
+    rejected "%s is inherited within the view; delete it at its uppermost class"
+      prop_name
+
+(* Every check a change can fail before the translator touches anything
+   (Section 6's semantics subsections). Reads the schema and the view
+   only, so a caller may run it ahead of logging the change. *)
+let rec validate db view change =
+  let graph = Database.graph db in
+  match change with
+  | Change.Add_attribute { cls; def = { attr_name = prop_name; _ } }
+  | Change.Add_method { cls; method_name = prop_name; _ } ->
+    if Type_info.has_prop graph (resolve view cls) prop_name then
+      rejected "%s already defined for %s" prop_name cls
+  | Change.Delete_attribute { cls; attr_name } ->
+    check_deletable graph view ~cls ~prop_name:attr_name ~want_stored:true
+  | Change.Delete_method { cls; method_name } ->
+    check_deletable graph view ~cls ~prop_name:method_name ~want_stored:false
+  | Change.Add_edge { sup; sub } ->
+    let csup = resolve view sup and csub = resolve view sub in
+    if Oid.equal csup csub then rejected "add_edge: %s-%s is a self edge" sup sub;
+    if Schema_graph.is_strict_ancestor graph ~anc:csup ~desc:csub then
+      rejected "add_edge: %s is already a superclass of %s" sup sub;
+    if Schema_graph.is_strict_ancestor graph ~anc:csub ~desc:csup then
+      rejected "add_edge: %s-%s would create a cycle" sup sub
+  | Change.Delete_edge { sup; sub; connected_to } ->
+    let csup = resolve view sup and csub = resolve view sub in
+    if
+      not
+        (List.exists
+           (fun (s, b) -> Oid.equal s csup && Oid.equal b csub)
+           (Generation.edges graph view))
+    then
+      rejected "delete_edge: %s is not a direct superclass of %s in the view"
+        sup sub;
+    Option.iter
+      (fun name ->
+        if
+          not
+            (Schema_graph.is_strict_ancestor graph ~anc:(resolve view name)
+               ~desc:csup)
+        then rejected "delete_edge: %s must be a superclass of %s" name sup)
+      connected_to
+  | Change.Add_class { cls; connected_to } ->
+    not_in_view view "add_class" cls;
+    Option.iter (fun sup -> ignore (resolve view sup)) connected_to
+  | Change.Delete_class { cls } | Change.Delete_class_2 { cls } ->
+    ignore (resolve view cls)
+  | Change.Rename_class { old_name; new_name } ->
+    ignore (resolve view old_name);
+    if View_schema.cid_of view new_name <> None then
+      rejected "rename_class: %s already names a class in the view" new_name
+  | Change.Partition_class { cls; predicate; into_true; into_false } ->
+    let cid = resolve view cls in
+    List.iter (not_in_view view "partition_class") [ into_true; into_false ];
+    (try Ops.check_select db ~src:cid predicate
+     with Ops.Error m -> rejected "partition_class: %s" m)
+  | Change.Coalesce_classes { a; b; as_name } -> (
+    let ca = resolve view a and cb = resolve view b in
+    if Oid.equal ca cb then rejected "coalesce_classes: same class";
+    match View_schema.cid_of view as_name with
+    | Some c when not (Oid.equal c ca || Oid.equal c cb) ->
+      rejected "coalesce_classes: %s already in view" as_name
+    | Some _ | None -> ())
+  | Change.Insert_class { cls; sup; sub } ->
+    let csup = resolve view sup in
+    let csub = resolve view sub in
+    validate db view (Change.Add_class { cls; connected_to = Some sup });
+    (* the class add_class creates lies strictly below [sup], so the
+       add_edge step would find [sub] above it *)
+    if Schema_graph.is_ancestor_or_self graph ~anc:csub ~desc:csup then
+      rejected "add_edge: %s-%s would create a cycle" cls sub
+
 let rec apply db view change =
+  validate db view change;
   match change with
   | Change.Add_attribute { cls; def } ->
     add_property db view ~cls_name:cls ~prop_name:def.attr_name
@@ -614,10 +672,9 @@ let rec apply db view change =
     add_property db view ~cls_name:cls ~prop_name:method_name ~mk_prop:(fun () ->
         Prop.method_ ~origin:(Oid.of_int 0) method_name body)
   | Change.Delete_attribute { cls; attr_name } ->
-    delete_property db view ~cls_name:cls ~prop_name:attr_name ~want_stored:true
+    delete_property db view ~cls_name:cls ~prop_name:attr_name
   | Change.Delete_method { cls; method_name } ->
     delete_property db view ~cls_name:cls ~prop_name:method_name
-      ~want_stored:false
   | Change.Add_edge { sup; sub } -> add_edge db view ~sup_name:sup ~sub_name:sub
   | Change.Delete_edge { sup; sub; connected_to } ->
     delete_edge db view ~sup_name:sup ~sub_name:sub ~connected_to
@@ -626,8 +683,6 @@ let rec apply db view change =
   | Change.Delete_class { cls } -> delete_class db view ~cls_name:cls
   | Change.Rename_class { old_name; new_name } ->
     let cid = resolve view old_name in
-    if View_schema.cid_of view new_name <> None then
-      rejected "rename_class: %s already names a class in the view" new_name;
     let view' = View_schema.copy view in
     View_schema.rename view' cid new_name;
     view'
@@ -636,14 +691,8 @@ let rec apply db view change =
        complementary select classes below the original *)
     let graph = Database.graph db in
     let cid = resolve view cls in
-    List.iter
-      (fun n ->
-        if View_schema.cid_of view n <> None then
-          rejected "partition_class: %s already in view" n)
-      [ into_true; into_false ];
     let ctrue =
-      try Ops.select db ~name:(Ops.fresh_name db into_true) ~src:cid predicate
-      with Ops.Error m -> rejected "partition_class: %s" m
+      Ops.select db ~name:(Ops.fresh_name db into_true) ~src:cid predicate
     in
     let cfalse =
       Ops.select db
@@ -657,11 +706,6 @@ let rec apply db view change =
   | Change.Coalesce_classes { a; b; as_name } ->
     let graph = Database.graph db in
     let ca = resolve view a and cb = resolve view b in
-    if Oid.equal ca cb then rejected "coalesce_classes: same class";
-    (match View_schema.cid_of view as_name with
-    | Some c when not (Oid.equal c ca || Oid.equal c cb) ->
-      rejected "coalesce_classes: %s already in view" as_name
-    | Some _ | None -> ());
     let fused =
       try Ops.union db ~name:(Ops.fresh_name db as_name) ca cb
       with Ops.Error m -> rejected "coalesce_classes: %s" m
@@ -673,8 +717,6 @@ let rec apply db view change =
     view'
   | Change.Insert_class { cls; sup; sub } ->
     (* Section 6.9.1: add_class + add_edge *)
-    ignore (resolve view sup);
-    ignore (resolve view sub);
     let view = apply db view (Change.Add_class { cls; connected_to = Some sup }) in
     apply db view (Change.Add_edge { sup = cls; sub })
   | Change.Delete_class_2 { cls } ->

@@ -35,7 +35,28 @@ val evolve : t -> view:string -> Change.t -> Tse_views.View_schema.t
 (** The transparent schema change: translate, classify, regenerate,
     register — the user's view is replaced by the new version; every older
     version (and every other view) remains intact and operational.
+    Equivalent to [evolve_checked t (precheck t ~view change)].
     @raise Change.Rejected when the change's preconditions fail. *)
+
+type checked
+(** A change that passed {!precheck} against the current schema. *)
+
+val precheck : t -> view:string -> Change.t -> checked
+(** The admission gate ({!Admission.admit}, the E1xx diagnostics) and
+    {!Translator.validate}, against the view's current version. Mutates
+    nothing — no class, edge, OID or view version — so a rejection here
+    leaves the database exactly as it was. Admission runs here and only
+    here: {!evolve_checked} does not repeat it.
+    @raise Change.Rejected when a precondition fails.
+    @raise Invalid_argument for an unknown view. *)
+
+val evolve_checked : t -> checked -> Tse_views.View_schema.t
+(** Translate, classify, regenerate and register a prechecked change.
+    The change can still be rejected mid-translation (a later step of
+    insert_class or delete_class_2), after the schema has been touched.
+    @raise Change.Rejected in that case.
+    @raise Invalid_argument when the schema or the view changed since
+    the {!precheck}. *)
 
 val evolve_many : t -> view:string -> Change.t list -> Tse_views.View_schema.t
 

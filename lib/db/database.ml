@@ -44,7 +44,7 @@ type t = {
   extents : extent Oid.Tbl.t;
   base_member : Oid.Set.t ref Oid.Tbl.t;  (* object -> base classes *)
   mutable deriv_order : cid list option;  (* cache *)
-  mutable listeners : (event -> unit) list;
+  mutable listeners : listener list;
   (* --- incremental reclassification engine --- *)
   mutable deps : Deps.t option;  (* cache, keyed on graph version *)
   mutable deps_version : int;
@@ -70,6 +70,12 @@ and event =
   | Reclassified of Oid.t
   | Membership_delta of Oid.t * cid list * cid list
   | Bases_changed of Oid.t
+
+(* A callback and the owner it maintains. The owner is held weakly, so a
+   derived structure the program dropped stops being notified once the
+   GC reclaims it; the callback receives the owner on each call instead
+   of capturing it, which would keep it alive. *)
+and listener = Listener : 'a Weak.t * ('a -> event -> unit) -> listener
 
 let default_nonconvergence_hook o =
   Tse_obs.Log.warn "db"
@@ -124,8 +130,30 @@ let create () =
     shared_read = false;
   }
 
-let add_listener t f = t.listeners <- t.listeners @ [ f ]
-let notify t event = List.iter (fun f -> f event) t.listeners
+let add_listener t ~owner f =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some owner);
+  t.listeners <- t.listeners @ [ Listener (w, f) ]
+
+let listener_alive (Listener (w, _)) = Weak.check w 0
+
+(* Calls every live listener; true when some owner was reclaimed. *)
+let rec dispatch event dead = function
+  | [] -> dead
+  | Listener (w, f) :: rest -> (
+    match Weak.get w 0 with
+    | Some owner ->
+      f owner event;
+      dispatch event dead rest
+    | None -> dispatch event true rest)
+
+let notify t event =
+  (* filter the current list, not the one dispatched: a callback may
+     have registered a listener *)
+  if dispatch event false t.listeners then
+    t.listeners <- List.filter listener_alive t.listeners
+
+let listener_count t = List.length (List.filter listener_alive t.listeners)
 
 let graph t = t.graph
 let heap t = t.heap

@@ -192,7 +192,17 @@ type event =
       (** the object's explicit base-class membership set changed (fires
           on creation and on add/remove of a base membership) *)
 
-val add_listener : t -> (event -> unit) -> unit
+val add_listener : t -> owner:'a -> ('a -> event -> unit) -> unit
+(** [add_listener db ~owner f] calls [f owner ev] for every event [ev]
+    for as long as [owner] is alive. The database holds [owner] only
+    weakly: once the program drops it and the GC reclaims it, [f] is no
+    longer called and its entry is pruned at the next event. [owner]
+    must be a heap block (a record, not an int), and [f] must not
+    capture it — a closure over the owner would keep it alive for the
+    life of the database. Listeners run in registration order. *)
+
+val listener_count : t -> int
+(** Listeners whose owner has not been reclaimed. *)
 
 (** {2 Registration hooks} *)
 

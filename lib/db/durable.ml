@@ -202,7 +202,7 @@ let parse_snapshot text =
 let attach t =
   let heap = Database.heap t.database in
   Heap.set_logger heap (Some (fun op -> t.pending <- op :: t.pending));
-  Database.add_listener t.database (fun event ->
+  Database.add_listener t.database ~owner:t (fun t event ->
       match event with
       | Database.Bases_changed o | Database.Object_destroyed o ->
         Oid.Tbl.replace t.dirty_bases o ()

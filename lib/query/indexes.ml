@@ -4,7 +4,10 @@ module Index = Tse_store.Index
 module Ord_index = Tse_store.Ord_index
 module Prop = Tse_schema.Prop
 module Type_info = Tse_schema.Type_info
+module Klass = Tse_schema.Klass
+module Schema_graph = Tse_schema.Schema_graph
 module Database = Tse_db.Database
+module Metrics = Tse_obs.Metrics
 
 type cid = Tse_schema.Klass.cid
 type kind = Hash | Ordered
@@ -37,8 +40,11 @@ let backing_remove e v o =
   | B_hash i -> Index.remove i v o
   | B_ord i -> Ord_index.remove i v o
 
+let m_refreshes = Metrics.counter "query.index_refreshes"
+
 (* (Re)index one object in one entry according to its current state. *)
 let refresh_object e db o =
+  Metrics.incr m_refreshes;
   let was = Oid.Tbl.find_opt e.current o in
   let now =
     if
@@ -64,16 +70,34 @@ let refresh_object e db o =
     Oid.Tbl.replace e.current o v
   | Some _ | None -> ()
 
+(* Can a membership delta move [e]'s view of the object? Only if the
+   object entered or left [e]'s class (the extent test), or entered or
+   left a class declaring [e]'s attribute locally: attribute resolution
+   picks among the object's member classes with a local definition, so
+   no other class changes what [e_attr] resolves to. *)
+let delta_touches graph e added removed =
+  let touches c =
+    Oid.equal c e.e_cid
+    ||
+    match Schema_graph.find graph c with
+    | Some k -> Klass.has_local_prop k e.e_attr
+    | None -> true
+  in
+  List.exists touches added || List.exists touches removed
+
 let on_event t event =
   let handle o = List.iter (fun e -> refresh_object e t.db o) t.entries in
   match event with
   | Database.Object_created o
   | Database.Object_destroyed o
-  | Database.Bases_changed o
-  (* a membership change moves the object across extents and can change
-     what an indexed attribute name resolves to: refresh everything *)
-  | Database.Membership_delta (o, _, _) ->
+  | Database.Bases_changed o ->
     handle o
+  | Database.Membership_delta (o, added, removed) ->
+    let graph = Database.graph t.db in
+    List.iter
+      (fun e ->
+        if delta_touches graph e added removed then refresh_object e t.db o)
+      t.entries
   | Database.Attr_set (o, attr, _) ->
     (* a stored-attribute write can only move entries indexing that name *)
     List.iter
@@ -86,7 +110,7 @@ let on_event t event =
 
 let create db =
   let t = { db; entries = []; plans = Compile.create_cache () } in
-  Database.add_listener db (fun ev -> on_event t ev);
+  Database.add_listener db ~owner:t on_event;
   t
 
 let plan_cache t = t.plans

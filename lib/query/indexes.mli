@@ -20,7 +20,15 @@ type kind = Hash | Ordered
 type t
 
 val create : Tse_db.Database.t -> t
-(** Registers the maintenance listener on the database. *)
+(** Registers the maintenance listener on the database. The database
+    holds the index set weakly: once the program drops it, its
+    maintenance stops at the next major collection.
+
+    A membership change refreshes an index only when the object entered
+    or left the indexed class, or a class that declares the indexed
+    attribute locally — the only memberships that decide the extent test
+    and what the attribute resolves to. The [query.index_refreshes]
+    counter counts per-object refreshes, builds included. *)
 
 val ensure : ?kind:kind -> t -> cid -> string -> unit
 (** Build (or rebuild) the index on the class's attribute from the

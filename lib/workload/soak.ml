@@ -139,8 +139,10 @@ let build_base ~classes ~objects db =
 
 (* Generated against the oracle's current view (identical to the durable
    one by the twin invariant). Most changes are accepted; a deliberate
-   minority reference stale names and get rejected, exercising the
-   durable abort path. *)
+   minority reference stale names and get rejected. Alone, such a change
+   fails the precheck and is answered without logging; second in a
+   two-change unit (see [gen_changes]) it is rejected after the intent is
+   logged, exercising the durable abort path. *)
 let gen_change rng oracle step =
   let view = Tsem.current oracle view_name in
   let members = view.View_schema.members in
@@ -215,11 +217,12 @@ let gen_change rng oracle step =
         })
 
 let gen_changes rng oracle step =
-  let first = gen_change rng oracle step in
-  (* occasionally a two-change unit, proving list atomicity *)
+  let change = gen_change rng oracle step in
+  (* occasionally a two-change unit, proving list atomicity: the
+     generated change goes second, so a rejection of it lands after the
+     first change was logged and applied *)
   if Random.State.int rng 5 = 0 then
     [
-      first;
       Change.Add_attribute
         {
           cls = List.nth (List.map snd (Tsem.current oracle view_name).View_schema.members) 0;
@@ -228,8 +231,9 @@ let gen_changes rng oracle step =
               (Printf.sprintf "y%d" step)
               Value.TInt;
         };
+      change;
     ]
-  else [ first ]
+  else [ change ]
 
 (* ---------------- runtime state ---------------- *)
 
@@ -416,11 +420,21 @@ let run cfg =
     reader_traffic st;
     Durable_tse.commit st.t;
     Durable_tse.sync st.t;
-    (* 2. decide whether this step crashes mid-evolution *)
+    (* 2. decide whether this step crashes mid-evolution. A unit whose
+       first change fails the precheck is answered before any record or
+       evolve phase, so no crash site could fire: inject only into units
+       that will be logged. *)
+    let changes = gen_changes rng oracle step in
+    let logged =
+      match Tsem.precheck oracle ~view:view_name (List.hd changes) with
+      | _ -> true
+      | exception Change.Rejected _ -> false
+    in
     let remaining_steps = cfg.steps - step in
     let remaining_crashes = cfg.crashes - !crashes_done in
     let inject =
-      remaining_crashes > 0
+      logged
+      && remaining_crashes > 0
       && (remaining_steps <= remaining_crashes
          || Random.State.float rng 1.0
             < (1.4 *. float_of_int cfg.crashes /. float_of_int cfg.steps))
@@ -436,7 +450,6 @@ let run cfg =
       else None
     in
     (* 3. one evolution attempt *)
-    let changes = gen_changes rng oracle step in
     let pre_version = (Tsem.current oracle view_name).View_schema.version in
     (match Durable_tse.evolve_many st.t ~view:view_name changes with
     | Ok v ->
@@ -455,8 +468,9 @@ let run cfg =
     | Error _msg ->
       Option.iter (fun _ -> Failpoint.reset ()) site;
       incr rejected;
-      (* rejection forced a reopen inside evolve_many; the OCC manager
-         watches a dead database value now *)
+      (* a rejection past the precheck reopened the database inside
+         evolve_many, and the OCC manager may watch a dead database
+         value now *)
       reattach st;
       post_recovery_checks st (Printf.sprintf "step %d (rejected)" step)
     | exception Failpoint.Crash where ->

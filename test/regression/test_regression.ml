@@ -169,6 +169,44 @@ let sweep n () =
     (Printf.sprintf "disagreements over %d seeds" n)
     0 (List.length !bad)
 
+(* Listener leak. Index sets used to be held by the database they
+   maintain for its whole life, so every set a program created and
+   dropped — one per rejected evolution in the benchmark, which rebuilt
+   its Occ and Indexes after each rejection — kept refreshing its
+   entries on every write. The database now holds each listener's owner
+   weakly: after a major collection only the live set maintains. *)
+let listener_leak () =
+  let db = Database.create () in
+  let graph = Database.graph db in
+  let c =
+    Schema_graph.register_base graph ~name:"C"
+      ~props:[ Prop.stored ~origin:(Oid.of_int 0) "a" Value.TInt ]
+      ~supers:[]
+  in
+  Database.note_new_class db c;
+  let objs =
+    List.init 10 (fun i -> Database.create_object db c ~init:[ ("a", Value.Int i) ])
+  in
+  let dropped () =
+    let idx = Tse_query.Indexes.create db in
+    Tse_query.Indexes.ensure idx c "a"
+  in
+  for _ = 1 to 20 do
+    dropped ()
+  done;
+  let live = Tse_query.Indexes.create db in
+  Tse_query.Indexes.ensure live c "a";
+  Gc.full_major ();
+  let refreshes () = Tse_obs.Metrics.find_counter "query.index_refreshes" in
+  let r0 = refreshes () in
+  Database.set_attr db (List.hd objs) "a" (Value.Int 99);
+  Alcotest.(check int) "one write, one refresh: the live index's" (r0 + 1)
+    (refreshes ());
+  Alcotest.(check int) "dropped listeners pruned" 1 (Database.listener_count db);
+  Alcotest.(check bool) "live index maintained" true
+    (Oid.Set.mem (List.hd objs)
+       (Option.get (Tse_query.Indexes.lookup live c "a" (Value.Int 99))))
+
 let () =
   let corpus =
     [
@@ -192,4 +230,9 @@ let () =
     | Some _ | None -> []
   in
   Alcotest.run "tse-regression"
-    [ ("proposition-b-corpus", corpus @ sweep_cases) ]
+    [
+      ("proposition-b-corpus", corpus @ sweep_cases);
+      ( "listener-leak",
+        [ Alcotest.test_case "dropped index sets stop maintaining" `Quick
+            listener_leak ] );
+    ]

@@ -286,7 +286,7 @@ let test_create_event_order () =
   let u = uni () in
   let db = u.db in
   let log = ref [] in
-  Database.add_listener db (fun ev -> log := ev :: !log);
+  Database.add_listener db ~owner:log (fun log ev -> log := ev :: !log);
   let o =
     Database.create_object db u.person
       ~init:[ ("name", Value.String "n"); ("age", Value.Int 3) ]
@@ -319,7 +319,7 @@ let test_membership_delta_events () =
       Expr.(attr "age" >= int 65)
   in
   let deltas = ref [] in
-  Database.add_listener db (fun ev ->
+  Database.add_listener db ~owner:deltas (fun deltas ev ->
       match ev with
       | Database.Membership_delta (o, a, r) -> deltas := (o, a, r) :: !deltas
       | _ -> ());
@@ -365,7 +365,8 @@ let test_event_exactly_once () =
       Expr.(attr "age" >= int 65)
   in
   let events = ref [] in
-  Database.add_listener db (fun ev -> events := ev :: !events);
+  Database.add_listener db ~owner:events (fun events ev ->
+      events := ev :: !events);
   let count p = List.length (List.filter p (List.rev !events)) in
   let n_created () =
     count (function Database.Object_created _ -> true | _ -> false)
@@ -423,6 +424,41 @@ let test_event_exactly_once () =
   Database.remove_base_membership db p u.staff;
   check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
+
+(* Listeners belong to an owner the database holds weakly. *)
+type counter = { mutable calls : int }
+
+let test_listener_dropped_owner () =
+  let u = uni () in
+  let db = u.db in
+  let calls = ref 0 in
+  let holder = ref (Some { calls = 0 }) in
+  (* registered out of line, so no stack slot keeps the owner *)
+  let register () =
+    Database.add_listener db ~owner:(Option.get !holder) (fun owner _ ->
+        owner.calls <- owner.calls + 1;
+        incr calls)
+  in
+  register ();
+  let n0 = Database.listener_count db in
+  ignore (Database.create_object db u.person ~init:[]);
+  Alcotest.(check bool) "called while the owner lives" true (!calls > 0);
+  holder := None;
+  Gc.full_major ();
+  let before = !calls in
+  ignore (Database.create_object db u.person ~init:[]);
+  check Alcotest.int "not called once the owner is collected" before !calls;
+  check Alcotest.int "entry pruned" (n0 - 1) (Database.listener_count db)
+
+let test_listener_reachable_owner () =
+  let u = uni () in
+  let db = u.db in
+  let owner = { calls = 0 } in
+  Database.add_listener db ~owner (fun owner _ -> owner.calls <- owner.calls + 1);
+  Gc.compact ();
+  Gc.full_major ();
+  ignore (Database.create_object db u.person ~init:[]);
+  Alcotest.(check bool) "still called after compaction" true (owner.calls > 0)
 
 (* The planner reads [extent_size] as a maintained count, never a walk.
    Every path that mutates an extent must keep that count exact; [check]
@@ -531,6 +567,10 @@ let suite =
       test_membership_delta_events;
     Alcotest.test_case "events fire exactly once per change" `Quick
       test_event_exactly_once;
+    Alcotest.test_case "dropped listener owner stops being called" `Quick
+      test_listener_dropped_owner;
+    Alcotest.test_case "reachable listener owner survives compaction" `Quick
+      test_listener_reachable_owner;
     Alcotest.test_case "extent counts maintained on every path" `Quick
       test_extent_counts_maintained;
   ]

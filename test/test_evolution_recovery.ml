@@ -18,6 +18,9 @@ module Tsem = Tse_core.Tsem
 module Durable_tse = Tse_core.Durable_tse
 module Verify = Tse_core.Verify
 module View_schema = Tse_views.View_schema
+module Occ = Tse_concurrency.Occ
+module Indexes = Tse_query.Indexes
+module Metrics = Tse_obs.Metrics
 
 let check = Alcotest.check
 
@@ -353,6 +356,141 @@ let test_live_rejection_is_all_or_nothing () =
   | Error msg -> Alcotest.failf "evolve after rejection failed: %s" msg);
   Durable_tse.close t
 
+(* ---------------- rejection before logging ---------------- *)
+
+(* Rejected by the precheck: a stale attribute, a self edge, a cycle,
+   and a method body the admission gate refuses (E1xx). *)
+let prechecked_rejections =
+  [
+    Change.Delete_attribute { cls = "Student"; attr_name = "nope" };
+    Change.Add_edge { sup = "Person"; sub = "Person" };
+    Change.Add_edge { sup = "Student"; sub = "Person" };
+    Change.Add_method
+      { cls = "Person"; method_name = "m"; body = Tse_schema.Expr.attr "nope" };
+  ]
+
+let with_enforced_admission f =
+  let module Admission = Tse_core.Admission in
+  let saved = Admission.policy () in
+  Admission.set_policy Admission.Enforce;
+  Fun.protect ~finally:(fun () -> Admission.set_policy saved) f
+
+let wal_counts t =
+  let s = Durable.wal_stats (Durable_tse.durable t) in
+  (s.Wal.bytes_framed, s.Wal.fsyncs)
+
+(* A change the precheck rejects writes no WAL byte, takes no fsync and
+   keeps the handle: the same database value, in the pre-evolution
+   state, before and after a close/reopen. *)
+let test_precheck_rejection_logs_nothing () =
+  with_enforced_admission @@ fun () ->
+  let dir, t = setup () in
+  let pre_fp = twin_fingerprint [] in
+  let db = Durable_tse.db t in
+  let bytes0, fsyncs0 = wal_counts t in
+  List.iter
+    (fun c ->
+      match Durable_tse.evolve t ~view c with
+      | Ok _ -> Alcotest.failf "%s: expected a rejection" (Change.to_string c)
+      | Error _ -> ())
+    prechecked_rejections;
+  let bytes1, fsyncs1 = wal_counts t in
+  check Alcotest.int "no WAL bytes" bytes0 bytes1;
+  check Alcotest.int "no fsync" fsyncs0 fsyncs1;
+  check Alcotest.bool "same database value" true (Durable_tse.db t == db);
+  check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t);
+  Durable_tse.close t;
+  let t2, report = Durable_tse.open_dir ~dir () in
+  check Alcotest.(list int) "nothing to abort" [] report.Durable_tse.aborted;
+  check Alcotest.string "reopened = twin that never tried" pre_fp
+    (tse_fingerprint t2);
+  Durable_tse.close t2
+
+(* Derived structures built on the database before a prechecked
+   rejection keep serving it afterwards: no rebuild needed. *)
+let test_rejection_keeps_derived_structures () =
+  let _dir, t = setup () in
+  let db = Durable_tse.db t in
+  let person =
+    (Schema_graph.find_by_name_exn (Database.graph db) "Person").Tse_schema.Klass.cid
+  in
+  let occ = Occ.create db in
+  let idx = Indexes.create db in
+  Indexes.ensure idx person "age";
+  with_enforced_admission (fun () ->
+      List.iter
+        (fun c -> ignore (Durable_tse.evolve t ~view c))
+        prechecked_rejections);
+  check Alcotest.bool "same database value" true (Durable_tse.db t == db);
+  let ann =
+    List.find
+      (fun o -> Value.equal (Database.get_prop db o "age") (Value.Int 30))
+      (Database.objects db)
+  in
+  (* a reader that saw ann conflicts with a later write: the OCC
+     listener still tracks versions *)
+  let reader = Occ.begin_session occ in
+  ignore (Occ.read reader ann "age");
+  let writer = Occ.begin_session occ in
+  Occ.write writer ann "age" (Value.Int 31);
+  check Alcotest.bool "writer commits" true (Result.is_ok (Occ.commit writer));
+  Occ.write reader ann "name" (Value.String "x");
+  check Alcotest.bool "stale reader conflicts" true
+    (Result.is_error (Occ.commit reader));
+  (* the index followed the committed write *)
+  let hits v = Option.get (Indexes.lookup idx person "age" (Value.Int v)) in
+  check Alcotest.bool "new key indexed" true (Oid.Set.mem ann (hits 31));
+  check Alcotest.bool "old key dropped" false (Oid.Set.mem ann (hits 30));
+  Durable_tse.commit t;
+  Durable_tse.close t
+
+(* A change rejected after the first of a list is past the precheck:
+   the intent is logged, so the reopen path restores the pre-evolution
+   state (the list is all-or-nothing). *)
+let test_later_rejection_reopens () =
+  let dir, t = setup () in
+  let pre_fp = twin_fingerprint [] in
+  let db = Durable_tse.db t in
+  let wal_size () = (Unix.stat (Filename.concat dir "wal")).Unix.st_size in
+  let size0 = wal_size () in
+  (match
+     Durable_tse.evolve_many t ~view
+       [
+         List.hd changes1;
+         Change.Delete_attribute { cls = "Student"; attr_name = "nope" };
+       ]
+   with
+  | Ok _ -> Alcotest.fail "expected a rejection"
+  | Error _ -> ());
+  check Alcotest.bool "intent and abort were logged" true (wal_size () > size0);
+  check Alcotest.bool "database reopened" false (Durable_tse.db t == db);
+  check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t);
+  Durable_tse.close t
+
+(* The admission gate runs once per change on the durable path: a
+   prechecked change is not admitted a second time when it is applied. *)
+let test_durable_gate_checks_once () =
+  with_enforced_admission @@ fun () ->
+  let _dir, t = setup () in
+  let checks () = Metrics.find_counter "analysis.gate_checks" in
+  let attempt changes =
+    let c0 = checks () in
+    ignore (Durable_tse.evolve_many t ~view changes);
+    check Alcotest.int
+      (String.concat "; " (List.map Change.to_string changes))
+      (c0 + List.length changes) (checks ())
+  in
+  attempt changes1;
+  List.iter (fun c -> attempt [ c ]) prechecked_rejections;
+  attempt
+    [
+      Change.Add_attribute
+        { cls = "Person"; def = Change.attr ~default:(Value.Int 0) "z1" Value.TInt };
+      Change.Add_attribute
+        { cls = "Person"; def = Change.attr ~default:(Value.Int 0) "z2" Value.TInt };
+    ];
+  Durable_tse.close t
+
 (* ---------------- random corruption property ---------------- *)
 
 (* Any single corrupted byte in an evolution-bearing log must leave the
@@ -416,5 +554,13 @@ let suite =
       test_rollforward_abort_rejected_change;
     Alcotest.test_case "live rejection is all-or-nothing" `Quick
       test_live_rejection_is_all_or_nothing;
+    Alcotest.test_case "precheck rejection logs nothing, keeps the handle"
+      `Quick test_precheck_rejection_logs_nothing;
+    Alcotest.test_case "rejection keeps Occ and Indexes serving" `Quick
+      test_rejection_keeps_derived_structures;
+    Alcotest.test_case "later rejection in a list takes the reopen path"
+      `Quick test_later_rejection_reopens;
+    Alcotest.test_case "durable path admits each change once" `Quick
+      test_durable_gate_checks_once;
   ]
   @ [ Qcheck_det.to_alcotest prop_evolution_wal_corruption ]

@@ -14,6 +14,7 @@ let () =
       ("tse", Test_tse.suite);
       ("baselines", Test_baselines.suite);
       ("property", Test_property.suite);
+      ("precheck", Test_precheck.suite);
       ("catalog", Test_catalog.suite);
       ("surface", Test_surface.suite);
       ("integration", Test_integration.suite);

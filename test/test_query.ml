@@ -587,6 +587,153 @@ let prop_counted_stats_match_walked =
       done;
       true)
 
+(* --- maintenance: several sets, delta filter, random histories ------------ *)
+
+(* Every (value, object) a freshly built index would hold is in [idx],
+   and [idx] holds no more entries than that. *)
+let agrees_with_fresh db idx (cid, attr) =
+  let fresh = Indexes.create db in
+  Indexes.ensure fresh cid attr;
+  let holds o v =
+    match Indexes.lookup idx cid attr v with
+    | Some s -> Oid.Set.mem o s
+    | None -> false
+  in
+  Indexes.entry_count idx cid attr = Indexes.entry_count fresh cid attr
+  && Oid.Set.for_all
+       (fun o ->
+         match Database.get_prop db o attr with
+         | v -> holds o v
+         | exception _ -> true)
+       (Database.extent db cid)
+
+let test_two_index_sets_maintained () =
+  let u, a = fixture () in
+  let b = Indexes.create u.db in
+  Indexes.ensure a u.person "age";
+  Indexes.ensure ~kind:Indexes.Ordered b u.person "age";
+  let o = Database.create_object u.db u.person ~init:[ ("age", Value.Int 777) ] in
+  Database.set_attr u.db o "age" (Value.Int 778);
+  List.iter
+    (fun idx ->
+      check Alcotest.bool "both sets follow the write" true
+        (Oid.Set.mem o (Option.get (Indexes.lookup idx u.person "age" (Value.Int 778))));
+      check Alcotest.bool "both sets agree with a fresh build" true
+        (agrees_with_fresh u.db idx (u.person, "age")))
+    [ a; b ]
+
+(* The object stays in the indexed class and joins a class that declares
+   the indexed attribute locally: the class is not in the membership
+   delta's extent test, but what the attribute resolves to changes —
+   here it becomes ambiguous, so the object must leave the index. *)
+let test_delta_into_local_declaration () =
+  let u, idx = fixture () in
+  let stored name default =
+    Prop.stored ~origin:(Oid.of_int 0) ~default name Value.TInt
+  in
+  let ranked =
+    Tse_algebra.Ops.refine u.db ~name:"Ranked" ~src:u.person
+      ~props:[ stored "rank" (Value.Int 5) ]
+  in
+  let senior =
+    Tse_algebra.Ops.select u.db ~name:"Senior" ~src:u.person
+      Expr.(attr "age" >= int 65)
+  in
+  ignore
+    (Tse_algebra.Ops.refine u.db ~name:"RankedSenior" ~src:senior
+       ~props:[ stored "rank" (Value.Int 9) ]);
+  Indexes.ensure idx ranked "rank";
+  let o = Database.create_object u.db u.person ~init:[ ("age", Value.Int 30) ] in
+  let indexed () =
+    match Indexes.lookup idx ranked "rank" (Value.Int 5) with
+    | Some s -> Oid.Set.mem o s
+    | None -> false
+  in
+  check Alcotest.bool "indexed under the default" true (indexed ());
+  Database.set_attr u.db o "age" (Value.Int 70);
+  check Alcotest.bool "still a member of the indexed class" true
+    (Oid.Set.mem o (Database.extent u.db ranked));
+  check Alcotest.bool "re-resolved on joining the declaring class" false
+    (indexed ());
+  check Alcotest.bool "agrees with a fresh build" true
+    (agrees_with_fresh u.db idx (ranked, "rank"))
+
+let prop_maintained_equals_fresh =
+  QCheck.Test.make ~name:"maintained indexes == freshly built, across evolution"
+    ~count:25
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000))
+    (fun seed ->
+      let module RS = Tse_workload.Random_schema in
+      let module Tsem = Tse_core.Tsem in
+      let rng = Random.State.make [| seed; 41 |] in
+      let rs = RS.generate ~seed ~classes:8 ~objects:24 ~virtuals:4 () in
+      let db = rs.RS.db in
+      let graph = Database.graph db in
+      let tsem = Tsem.of_database db in
+      ignore (Tsem.define_view_by_names tsem ~name:"V" (RS.class_names rs));
+      let sets = [ Indexes.create db; Indexes.create db ] in
+      let keys = ref [] in
+      let index_some cid =
+        match RS.random_attr rng rs cid with
+        | Some attr ->
+          let idx = List.nth sets (Random.State.int rng 2) in
+          Indexes.ensure idx cid attr;
+          keys := (idx, (cid, attr)) :: !keys
+        | None -> ()
+      in
+      List.iter index_some (rs.RS.classes @ rs.RS.virtuals);
+      let random_value = function
+        | Value.TInt -> Value.Int (Random.State.int rng 100)
+        | Value.TBool -> Value.Bool (Random.State.bool rng)
+        | _ -> Value.String (string_of_int (Random.State.int rng 5))
+      in
+      let write () =
+        match Database.objects db with
+        | [] -> ()
+        | objs -> (
+          let o = List.nth objs (Random.State.int rng (List.length objs)) in
+          match Random.State.int rng 8 with
+          | 0 -> Database.destroy_object db o
+          | 1 ->
+            let c = List.nth rs.RS.classes (Random.State.int rng 8) in
+            ignore (Database.create_object db c ~init:[])
+          | _ -> (
+            let cids =
+              List.filter
+                (fun c -> Oid.Set.mem o (Database.extent db c))
+                (List.map (fun (_, (c, _)) -> c) !keys)
+            in
+            match cids with
+            | [] -> ()
+            | _ -> (
+              let cid = List.nth cids (Random.State.int rng (List.length cids)) in
+              match Type_info.stored_attrs graph cid with
+              | [] -> ()
+              | attrs -> (
+                let p = List.nth attrs (Random.State.int rng (List.length attrs)) in
+                match p.Prop.body with
+                | Prop.Stored { ty; _ } -> (
+                  try Database.set_attr db o p.Prop.name (random_value ty)
+                  with _ -> ())
+                | _ -> ()))))
+      in
+      for _ = 1 to 6 do
+        (match Tsem.evolve tsem ~view:"V" (Test_property.random_change rng rs) with
+        | v ->
+          let members = v.Tse_views.View_schema.members in
+          index_some (fst (List.nth members (Random.State.int rng (List.length members))))
+        | exception _ -> ());
+        for _ = 1 to 8 do
+          write ()
+        done
+      done;
+      List.for_all
+        (fun (idx, key) ->
+          agrees_with_fresh db idx key
+          || QCheck.Test.fail_reportf "index on (%s, %s) drifted"
+               (Schema_graph.name_of graph (fst key)) (snd key))
+        !keys)
+
 let suite =
   [
     Alcotest.test_case "index build + lookup" `Quick test_index_build_and_lookup;
@@ -614,4 +761,9 @@ let suite =
       test_count_agrees_with_select;
     QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
     Qcheck_det.to_alcotest prop_counted_stats_match_walked;
+    Alcotest.test_case "two index sets on one database" `Quick
+      test_two_index_sets_maintained;
+    Alcotest.test_case "delta into a local declaration refreshes" `Quick
+      test_delta_into_local_declaration;
+    Qcheck_det.to_alcotest prop_maintained_equals_fresh;
   ]
