@@ -100,7 +100,7 @@ let measure_sampler_overhead work =
   let served = match server with Ok _ -> true | Error _ -> false in
   ((live_ns -. baseline_ns) /. baseline_ns *. 100., served)
 
-let json_of ~smoke ~objects ~rows ~scaling ~latency fields =
+let json_of ~smoke ~objects ~rows ~latency fields =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"benchmark\": \"query\",\n";
@@ -111,16 +111,6 @@ let json_of ~smoke ~objects ~rows ~scaling ~latency fields =
   Printf.bprintf b "  \"latency_ms\": {%s},\n"
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) latency));
-  Printf.bprintf b "  \"parallel_scaling\": [\n";
-  List.iteri
-    (fun i (d, ns, sp) ->
-      Printf.bprintf b
-        "    {\"domains\": %d, \"compiled_scan_ns\": %.0f, \"speedup\": \
-         %.2f}%s\n"
-        d ns sp
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.bprintf b "  ],\n";
   Printf.bprintf b "  \"results\": {\n";
   List.iteri
     (fun i (k, v) ->
@@ -212,34 +202,6 @@ let run ~smoke () =
   let hash_index_ns = time_ns (engine indexes scan_pred) in
   let range_index_ns = time_ns (engine indexes sel_pred) in
 
-  (* Parallel scaling sweep: the same compiled extent scan at 1/2/4/8
-     domains, resizing the global pool between runs.  d=1 is the exact
-     sequential path (the pool spawns nothing), so the curve's baseline
-     IS the compiled_scan_ns measured above, re-timed.  Every run is
-     checked against the sequential row count before its timing is
-     trusted. *)
-  let host_cores = Domain.recommended_domain_count () in
-  let scaling =
-    List.map
-      (fun d ->
-        Pool.set_global_size d;
-        let rows = Oid.Set.cardinal (Engine.select db no_idx item scan_pred) in
-        if rows <> scan_rows then begin
-          Printf.printf "FAIL: parallel scan at %d domains returned %d rows, \
-                         sequential returned %d\n"
-            d rows scan_rows;
-          exit 1
-        end;
-        (d, time_ns (engine no_idx scan_pred)))
-      [ 1; 2; 4; 8 ]
-  in
-  Pool.set_global_size (Pool.default_domains ());
-  let ns_at d = List.assoc d scaling in
-  let scaling =
-    List.map (fun (d, ns) -> (d, ns, ns_at 1 /. ns)) scaling
-  in
-  let par_speedup_4 = ns_at 1 /. ns_at 4 in
-
   (* Per-run latency quantiles over repeated executions (what a client
      would see call after call), and the live-telemetry overhead. *)
   let runs = if smoke then 10 else 30 in
@@ -264,13 +226,6 @@ let run ~smoke () =
      index %10.0f ns  (%d candidates, %d rows)\n"
     interpreted_sel_ns compiled_sel_ns range_index_ns
     range_ex.Engine.rows_scanned range_ex.Engine.rows_returned;
-  Printf.printf "  parallel scan scaling (host has %d cores):\n" host_cores;
-  List.iter
-    (fun (d, ns, sp) ->
-      Printf.printf "    %d domain%s : %10.0f ns  (%5.2fx)\n" d
-        (if d = 1 then " " else "s")
-        ns sp)
-    scaling;
   Printf.printf
     "  compiled scan latency (%d runs): p50 %.3fms  p95 %.3fms  p99 %.3fms\n"
     runs lat_compiled.Metrics.h_p50 lat_compiled.Metrics.h_p95
@@ -285,7 +240,7 @@ let run ~smoke () =
 
   let f v = Printf.sprintf "%.0f" v in
   let json =
-    json_of ~smoke ~objects ~scaling
+    json_of ~smoke ~objects
       ~latency:
         [
           ("compiled_scan", quantiles_json lat_compiled);
@@ -310,9 +265,6 @@ let run ~smoke () =
           Printf.sprintf "%.2f" (interpreted_sel_ns /. range_index_ns) );
         ( "range_speedup_vs_compiled",
           Printf.sprintf "%.2f" (compiled_sel_ns /. range_index_ns) );
-        ("parallel_scan_speedup_4", Printf.sprintf "%.2f" par_speedup_4);
-        ( "parallel_scan_speedup_8",
-          Printf.sprintf "%.2f" (ns_at 1 /. ns_at 8) );
         ("sampler_overhead_pct", Printf.sprintf "%.2f" sampler_overhead_pct);
       ]
   in
@@ -334,16 +286,6 @@ let run ~smoke () =
   end;
   if smoke && speedup < 1.0 then begin
     Printf.printf "FAIL: compiled scan slower than interpreted\n";
-    exit 1
-  end;
-  (* The multicore floor is only meaningful when the host can actually
-     run 4 domains in parallel; on smaller machines the honest numbers
-     are still recorded (with host_cores) and the floor is waived. *)
-  if (not smoke) && host_cores >= 4 && par_speedup_4 < 2.5 then begin
-    Printf.printf
-      "FAIL: parallel compiled scan below 2.5x at 4 domains on a %d-core \
-       host\n"
-      host_cores;
     exit 1
   end;
   (* Telemetry must be effectively free.  At full scale the scans are

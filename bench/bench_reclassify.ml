@@ -116,48 +116,6 @@ let measure_group ~objects ~writes n =
   { virtuals = n; incr_ns; oracle_ns; incr_evals; oracle_evals;
     quiet_ns; quiet_evals }
 
-(* Parallel bulk-reclassification scaling: [Database.reclassify_all]
-   over a larger population at 1/2/4/8 domains.  reclassify_all bumps
-   the cache generation before walking the extent, so every trial —
-   sequential or parallel — starts with cold verdict memos; the
-   comparison is honest.  Each domain count's resulting database is
-   checked fingerprint-identical to the 1-domain run before its timing
-   is trusted. *)
-let bulk_scaling ~smoke =
-  let objects = if smoke then 3_000 else 20_000 in
-  let db, _objs = mk_fixture ~full:false ~objects 20 in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9
-  in
-  let baseline_fp = ref "" in
-  let rows =
-    List.map
-      (fun d ->
-        Pool.set_global_size d;
-        let ns = time_best (fun () -> Database.reclassify_all db) in
-        let fp = Tse_core.Verify.db_fingerprint db in
-        if d = 1 then baseline_fp := fp
-        else if not (String.equal fp !baseline_fp) then begin
-          Printf.printf
-            "FAIL: parallel reclassify_all at %d domains diverged from the \
-             sequential result\n"
-            d;
-          exit 1
-        end;
-        (d, ns))
-      [ 1; 2; 4; 8 ]
-  in
-  Pool.set_global_size (Pool.default_domains ());
-  let ns1 = List.assoc 1 rows in
-  (objects, List.map (fun (d, ns) -> (d, ns, ns1 /. ns)) rows)
-
 (* Exercise the query engine on the bench fixture so the registry's
    query.* counters are populated: one indexed equality lookup and one
    full extent scan over the same class. *)
@@ -177,8 +135,7 @@ let query_phase ~objects =
   in
   (indexed, scanned)
 
-let json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~bulk_objects
-    ~scaling ~latency =
+let json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~latency =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"benchmark\": \"reclassify\",\n";
@@ -193,17 +150,6 @@ let json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~bulk_objects
           latency));
   Printf.bprintf b "  \"domains\": %d,\n" (Pool.size (Pool.global ()));
   Printf.bprintf b "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf b "  \"bulk_objects\": %d,\n" bulk_objects;
-  Printf.bprintf b "  \"parallel_scaling\": [\n";
-  List.iteri
-    (fun i (d, ns, sp) ->
-      Printf.bprintf b
-        "    {\"domains\": %d, \"reclassify_all_ns\": %.0f, \"speedup\": \
-         %.2f}%s\n"
-        d ns sp
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.bprintf b "  ],\n";
   (* registry totals across every side of every group, plus the derived
      ratios CI tooling reads without recomputing *)
   let memo_hits = Metrics.find_counter "reclass.verdict_memo_hits" in
@@ -282,21 +228,9 @@ let run ~smoke () =
          %8.2fus\n"
         n h.Metrics.h_p50 h.Metrics.h_p95 h.Metrics.h_p99)
     latency;
-  let bulk_objects, scaling = bulk_scaling ~smoke in
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "  bulk reclassify_all scaling, %d objects (host has %d cores):\n"
-    bulk_objects host_cores;
-  List.iter
-    (fun (d, ns, sp) ->
-      Printf.printf "    %d domain%s : %10.0f ns  (%5.2fx)\n" d
-        (if d = 1 then " " else "s")
-        ns sp)
-    scaling;
   let indexed, scanned = query_phase ~objects in
   let json =
-    json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~bulk_objects
-      ~scaling ~latency
+    json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~latency
   in
   let oc = open_out "BENCH_reclassify.json" in
   output_string oc json;
@@ -311,15 +245,5 @@ let run ~smoke () =
   end;
   if (not smoke) && g100.oracle_ns /. g100.incr_ns < 5.0 then begin
     Printf.printf "FAIL: speedup below 5x at 100 virtual classes\n";
-    exit 1
-  end;
-  (* Multicore floor: only meaningful where the host can actually run 4
-     domains in parallel; smaller machines still record honest numbers
-     (with host_cores) and the floor is waived. *)
-  let _, _, sp4 = List.find (fun (d, _, _) -> d = 4) scaling in
-  if (not smoke) && host_cores >= 4 && sp4 < 1.0 then begin
-    Printf.printf
-      "FAIL: parallel reclassify_all below 1x at 4 domains on a %d-core host\n"
-      host_cores;
     exit 1
   end

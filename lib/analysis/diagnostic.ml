@@ -27,8 +27,8 @@ let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 (* Subject-first ((class, prop), then code) so renderings group a class's
    diagnostics together and are byte-stable regardless of emission order
-   — the emission order varies with hashtable iteration and TSE_DOMAINS
-   sharding, the sorted report must not. *)
+   — the emission order varies with hashtable iteration, the sorted
+   report must not. *)
 let compare a b =
   let c = Option.compare String.compare a.cls b.cls in
   if c <> 0 then c

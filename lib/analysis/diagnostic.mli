@@ -38,7 +38,7 @@ val compare : t -> t -> int
 (** Subject-first: by (class, property), then code, then severity, then
     message — a stable report order that groups a class's findings
     together and is byte-identical across emission orders (hashtable
-    iteration, TSE_DOMAINS sharding). *)
+    iteration). *)
 
 val declared_codes : (string * string) list
 (** The closed registry of every stable diagnostic code with a one-line

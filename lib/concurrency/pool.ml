@@ -12,8 +12,12 @@
    which writes each chunk's result into its own slot.
 
    A size-1 pool spawns nothing and runs the single chunk [0, n)
-   inline, making the default TSE_DOMAINS=1 configuration byte-for-byte
-   the sequential code path (no atomics, no extra metrics). *)
+   inline (no atomics, no extra metrics), which is the default
+   TSE_DOMAINS=1 configuration.
+
+   The one caller is [Snapshot.to_string], which renders OID-range
+   chunks of the heap in parallel (DESIGN.md §13 has the measurements
+   that kept it). *)
 
 module Metrics = Tse_obs.Metrics
 
@@ -170,7 +174,7 @@ let map_chunks t ~n f =
       out.(Hashtbl.find idx_of lo) <- Some (f ~lo ~hi));
   Array.to_list out |> List.map Option.get
 
-(* ---- global pool + tuning knobs ------------------------------------- *)
+(* ---- global pool ----------------------------------------------------- *)
 
 let env_int name ~default =
   match Sys.getenv_opt name with
@@ -196,7 +200,3 @@ let set_global_size n =
   let t = create (clamp_size n) in
   Metrics.set_gauge g_gauge (float_of_int t.size);
   g_pool := Some t
-
-let g_threshold = ref (max 1 (env_int "TSE_PAR_THRESHOLD" ~default:2048))
-let threshold () = !g_threshold
-let set_threshold n = g_threshold := max 1 n

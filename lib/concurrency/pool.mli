@@ -1,6 +1,7 @@
 (** Fixed-size domain pool with chunked work-sharing.
 
-    The parallel substrate for OID-sharded execution: a pool owns
+    The substrate for the sharded snapshot encode
+    ([Tse_store.Snapshot.to_string], the one caller): a pool owns
     [size - 1] persistent worker domains (the caller's domain is the
     coordinator and always participates), and [run]/[map_chunks] split
     an index range [0, n) into contiguous chunks that workers claim
@@ -9,9 +10,9 @@
     sequential ascending-OID order — determinism never depends on
     which domain ran which chunk.
 
-    A pool of size 1 spawns no domains and executes everything inline
-    on the caller's domain; with the default [TSE_DOMAINS=1] every code
-    path is bit-identical to the sequential implementation. *)
+    A pool of size 1 spawns no domains and executes its single chunk
+    inline on the caller's domain; that is the default
+    [TSE_DOMAINS=1]. *)
 
 type t
 
@@ -57,15 +58,3 @@ val set_global_size : int -> unit
 (** Replace the global pool with one of the given size (shutting the
     old one down).  Used by tests and benchmarks to sweep domain
     counts; production code sizes the pool once via [TSE_DOMAINS]. *)
-
-val threshold : unit -> int
-(** Minimum number of work items before callers should bother going
-    parallel: [TSE_PAR_THRESHOLD], default 2048.  Inputs below the
-    threshold take the sequential path even when the pool has many
-    domains — fan-out overhead dominates on small inputs, and small
-    inputs are exactly the hand-crafted corpora the corruption tests
-    feed through the codecs. *)
-
-val set_threshold : int -> unit
-(** Override the parallel threshold (tests drop it to 1 to force tiny
-    inputs through the parallel paths). *)

@@ -71,9 +71,7 @@ let refresh_members ctx =
       (fun acc (old_cid, _) -> Oid.Set.union acc (Database.extent ctx.db old_cid))
       Oid.Set.empty !(ctx.mapping)
   in
-  (* bulk entry point: fans out across the domain pool above the
-     parallel threshold, and is exactly this Set.iter below it *)
-  Database.reclassify_many ctx.db (Oid.Set.elements objs)
+  Oid.Set.iter (Database.reclassify ctx.db) objs
 
 (* The replacement view: every mapped class substituted (keeping its
    view-local name — the renaming step of Section 6.1.3). *)

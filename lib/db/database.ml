@@ -10,7 +10,6 @@ module Expr = Tse_schema.Expr
 module Deps = Tse_schema.Deps
 module Invariants = Tse_schema.Invariants
 module Slicing = Tse_objmodel.Slicing
-module Pool = Tse_pool.Pool
 
 type cid = Klass.cid
 
@@ -55,12 +54,9 @@ type t = {
      compile stamp they were built under (see [compile_stamp]) *)
   pred_cache : (int * (Oid.t -> bool)) Oid.Tbl.t;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
-  formula_evals : int Atomic.t;  (* also bumped from worker domains *)
+  mutable formula_evals : int;
   mutable nonconverge_warned : bool;
   mutable nonconvergence_hook : Oid.t -> unit;
-  (* true while a parallel region reads this database from several
-     domains: memoizing caches on the read path switch to bypass mode *)
-  mutable shared_read : bool;
 }
 
 and event =
@@ -124,10 +120,9 @@ let create () =
     resolve_cache = Oid.Tbl.create 256;
     pred_cache = Oid.Tbl.create 16;
     full_reclassify = env_full_reclassify ();
-    formula_evals = Atomic.make 0;
+    formula_evals = 0;
     nonconverge_warned = false;
     nonconvergence_hook = default_nonconvergence_hook;
-    shared_read = false;
   }
 
 let add_listener t ~owner f =
@@ -161,7 +156,7 @@ let model t = t.model
 let stats t = t.stats
 let root t = Schema_graph.root t.graph
 
-let formula_eval_count t = Atomic.get t.formula_evals
+let formula_eval_count t = t.formula_evals
 let full_reclassify t = t.full_reclassify
 
 let set_full_reclassify t b =
@@ -268,21 +263,6 @@ let deps t =
     t.cache_gen <- t.cache_gen + 1;
     d
 
-(* Enter shared-read mode for a parallel region: worker domains will
-   evaluate predicates against this database concurrently, so every
-   memoizing cache a read can touch must be either bypassed
-   ([resolve_prop] checks the flag) or warmed here on the coordinating
-   domain so worker lookups are pure hits — the schema-graph reachability
-   caches mutate on miss, as do the derivation order and Deps index. *)
-let with_shared_read t f =
-  List.iter
-    (fun (k : Klass.t) -> ignore (Schema_graph.ancestors t.graph k.Klass.cid))
-    (Schema_graph.classes t.graph);
-  ignore (derivation_order t);
-  ignore (deps t);
-  t.shared_read <- true;
-  Fun.protect ~finally:(fun () -> t.shared_read <- false) f
-
 let verdict_state t o =
   match Oid.Tbl.find_opt t.verdict_cache o with
   | Some vs when vs.v_gen = t.cache_gen -> vs
@@ -379,19 +359,13 @@ let resolve_tbl t o =
     tbl
 
 let resolve_prop t o name =
-  if t.shared_read then
-    (* Parallel region: several domains resolve concurrently, so the
-       per-object memo table must not be touched. Resolution is pure. *)
-    resolve_prop_uncached t o name
-  else begin
-    let tbl = resolve_tbl t o in
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r
-    | None ->
-      let r = resolve_prop_uncached t o name in
-      Hashtbl.replace tbl name r;
-      r
-  end
+  let tbl = resolve_tbl t o in
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r
+  | None ->
+    let r = resolve_prop_uncached t o name in
+    Hashtbl.replace tbl name r;
+    r
 
 let rec get_prop t o name =
   match resolve_prop t o name with
@@ -527,7 +501,7 @@ let formula_holds t o current k =
   formula_holds_with (fun _ pred -> holds t o pred) current k
 
 let eval_pred t o pred =
-  Atomic.incr t.formula_evals;
+  t.formula_evals <- t.formula_evals + 1;
   Metrics.incr m_evals;
   holds t o pred
 
@@ -535,7 +509,7 @@ let eval_pred t o pred =
    (Expr_compile.compile_pred implements the [holds] contract), obtained
    through the per-select compiled closure. *)
 let eval_pred_compiled t o cid pred =
-  Atomic.incr t.formula_evals;
+  t.formula_evals <- t.formula_evals + 1;
   Metrics.incr m_evals;
   Metrics.incr m_compiled_evals;
   (compiled_select_pred t cid pred) o
@@ -728,121 +702,6 @@ let reclassify t o =
   if t.full_reclassify then reclassify_oracle t o
   else reclassify_incr t o None
 
-(* --- parallel bulk reclassification --------------------------------- *)
-
-let m_par_batches = Metrics.counter "reclass.parallel_batches"
-let m_par_unchanged = Metrics.counter "reclass.parallel_unchanged"
-
-(* Phase-1 result for one object: the outcome of a single membership
-   round evaluated against the pre-batch state, plus the verdicts that
-   round computed fresh (memo hits are not re-recorded, matching
-   [cached_verdict]). *)
-type pre_round = {
-  pv_before : Oid.Set.t;
-  pv_next : Oid.Set.t;
-  pv_new : (cid * bool) list;
-}
-
-(* Workers must never hit the compile-on-miss branch of
-   [compiled_select_pred]: build every select's closure on the
-   coordinator first, so in-region lookups are read-only stamp hits. *)
-let precompile_selects t =
-  List.iter
-    (fun cid ->
-      match (Schema_graph.find_exn t.graph cid).Klass.kind with
-      | Klass.Virtual (Klass.Select (_, pred)) ->
-        ignore (compiled_select_pred t cid pred : Oid.t -> bool)
-      | Klass.Base | Klass.Virtual _ -> ())
-    (derivation_order t)
-
-(* One membership round for [o], read-only against shared state: verdict
-   memos are probed but never written (fresh verdicts go into a local
-   table and the returned list), so any number of objects can run this
-   concurrently.  Predicates only ever read the object they are applied
-   to — the Expr language has no cross-object dereference — which is
-   what makes per-object rounds independent. *)
-let pre_round t o =
-  let before = membership_set t o in
-  let base_closure = isa_closure t (base_membership t o) in
-  let order = derivation_order t in
-  let shared =
-    match Oid.Tbl.find_opt t.verdict_cache o with
-    | Some vs when vs.v_gen = t.cache_gen -> Some vs.verdicts
-    | Some _ | None -> None
-  in
-  let local = Oid.Tbl.create 8 in
-  let fresh = ref [] in
-  let pred_fn cid pred =
-    match Oid.Tbl.find_opt local cid with
-    | Some b -> b
-    | None ->
-      let memo =
-        match shared with
-        | Some tbl -> Oid.Tbl.find_opt tbl cid
-        | None -> None
-      in
-      let b =
-        match memo with
-        | Some b ->
-          Metrics.incr m_memo_hits;
-          b
-        | None ->
-          let b = eval_pred_compiled t o cid pred in
-          fresh := (cid, b) :: !fresh;
-          b
-      in
-      Oid.Tbl.replace local cid b;
-      b
-  in
-  let next = membership_round t ~pred_fn ~base_closure ~order in
-  { pv_before = before; pv_next = next; pv_new = List.rev !fresh }
-
-(* Merge one phase-1 result on the coordinating domain, in input order.
-   Unchanged objects replay exactly what the sequential fixpoint would
-   have done for them — memo writes, primed flag, counters, and the
-   [Reclassified] event, with no model or extent mutation.  Changed
-   objects seed their memo with the phase-1 verdicts (still valid: they
-   were computed under the same pre-batch membership the sequential
-   round 1 would use) and run the ordinary incremental engine. *)
-let integrate_pre t o pre =
-  let vs = verdict_state t o in
-  List.iter (fun (cid, b) -> Oid.Tbl.replace vs.verdicts cid b) pre.pv_new;
-  if Oid.Set.equal pre.pv_next pre.pv_before then begin
-    vs.primed <- true;
-    Metrics.incr m_par_unchanged;
-    Metrics.incr m_objects_visited;
-    Metrics.incr m_rounds;
-    notify t (Reclassified o)
-  end
-  else reclassify_incr t o None
-
-(* Bulk reclassification of [os], in list order.  Below the parallel
-   threshold — or with a single-domain pool, or under the oracle — this
-   IS the sequential loop; above it, per-object verdict rounds fan out
-   across the pool (phase 1, read-only) and are integrated one by one on
-   the coordinating domain (phase 2: memo merges, model/extent mutation,
-   events), preserving the sequential event order exactly. *)
-let reclassify_many t os =
-  let pool = Pool.global () in
-  let n = List.length os in
-  if t.full_reclassify || Pool.size pool <= 1 || n < Pool.threshold () then
-    List.iter (fun o -> reclassify t o) os
-  else begin
-    Tse_obs.Trace.with_span "reclassify.parallel" @@ fun () ->
-    Metrics.incr m_par_batches;
-    precompile_selects t;
-    let objs = Array.of_list os in
-    let pres = Array.make n None in
-    with_shared_read t (fun () ->
-        Pool.run pool ~n (fun ~lo ~hi ->
-            for i = lo to hi - 1 do
-              pres.(i) <- Some (pre_round t objs.(i))
-            done));
-    Array.iteri
-      (fun i pre -> integrate_pre t objs.(i) (Option.get pre))
-      pres
-  end
-
 (* The recompute-the-world entry point. Direct (destructive) schema
    surgery mutates class properties without going through the graph's
    versioned mutators, so every derived cache is dropped first. *)
@@ -851,7 +710,7 @@ let reclassify_all t =
   t.deps <- None;
   t.deps_version <- -1;
   t.cache_gen <- t.cache_gen + 1;
-  reclassify_many t (objects t)
+  List.iter (reclassify t) (objects t)
 
 (* ------------------------------------------------------------------ *)
 (* Object lifecycle                                                    *)
@@ -980,10 +839,9 @@ let restore ~heap ~graph ~bases =
       resolve_cache = Oid.Tbl.create 256;
       pred_cache = Oid.Tbl.create 16;
       full_reclassify = env_full_reclassify ();
-      formula_evals = Atomic.make 0;
+      formula_evals = 0;
       nonconverge_warned = false;
       nonconvergence_hook = default_nonconvergence_hook;
-      shared_read = false;
     }
   in
   List.iter

@@ -68,24 +68,6 @@ val reclassify : t -> Tse_store.Oid.t -> unit
 
 val reclassify_all : t -> unit
 
-val reclassify_many : t -> Tse_store.Oid.t list -> unit
-(** Reclassify every object in the list, in list order.  Equivalent to
-    [List.iter (reclassify t)] — and literally that loop below the
-    parallel threshold, under the oracle, or with a single-domain pool.
-    Above the threshold the per-object verdict rounds are evaluated in
-    parallel across the global {!Tse_pool.Pool} (read-only phase) and
-    integrated one object at a time on the calling domain (memo merges,
-    model and extent mutation, events), preserving the sequential event
-    order exactly. *)
-
-val with_shared_read : t -> (unit -> 'a) -> 'a
-(** Run [f] in shared-read mode: concurrent read-only evaluation from
-    other domains is safe for its duration.  Warms every memoizing cache
-    a read can touch (schema reachability, derivation order, Deps) and
-    switches [resolve_prop] memoization to bypass.  The caller must not
-    mutate the database, and must not return lazily-evaluated state,
-    until the region ends. *)
-
 (** {2 Incremental reclassification engine}
 
     [set_attr] consults a static dependency index ({!Tse_schema.Deps})

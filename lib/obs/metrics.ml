@@ -2,7 +2,7 @@
 
    Counters are striped over a small array of [Atomic.t] cells indexed by
    the calling domain's id: increments from different domains usually hit
-   different cells (no contended cache line on parallel scan hot paths)
+   different cells (no contended cache line when several domains count)
    and every increment is an atomic RMW, so no update is ever lost —
    [counter_value] folds the stripes. Gauges are a single atomic cell
    (set/add are rare). Histograms take a per-histogram mutex: observations

@@ -4,7 +4,6 @@ module Expr = Tse_schema.Expr
 module Database = Tse_db.Database
 module Metrics = Tse_obs.Metrics
 module Trace = Tse_obs.Trace
-module Pool = Tse_pool.Pool
 
 type cid = Tse_schema.Klass.cid
 
@@ -234,54 +233,8 @@ type explain = {
 let compiled_for db indexes cid pred =
   Compile.get (Indexes.plan_cache indexes) db cid pred
 
-(* Parallel predicate evaluation over a candidate set: shard the
-   ascending element array by index range across the global pool, filter
-   (or count) per shard, and merge per-chunk results in chunk order —
-   chunk order is ascending-OID order, so the merged result is identical
-   to the sequential left-to-right evaluation.  Compiled predicates are
-   safe to run from worker domains: they only read the object they are
-   applied to, and [Database.with_shared_read] switches the resolution
-   memo to bypass and pre-warms the schema-reachability caches.  The
-   plan-cache entry was compiled before we get here, so in-region
-   lookups never hit a compile-on-miss branch.  Small candidate sets
-   (or a single-domain pool) stay on the sequential path.  Callers pass
-   the candidate count [n] they already hold, so the sequential path
-   never walks the set an extra time. *)
-let m_par_scans = Metrics.counter "query.parallel_scans"
-
-let par_filter db ~n pred set =
-  let pool = Pool.global () in
-  if Pool.size pool <= 1 || n < Pool.threshold () then Oid.Set.filter pred set
-  else begin
-    Metrics.incr m_par_scans;
-    let arr = Array.of_list (Oid.Set.elements set) in
-    Database.with_shared_read db (fun () ->
-        Pool.map_chunks pool ~n (fun ~lo ~hi ->
-            let acc = ref [] in
-            for i = hi - 1 downto lo do
-              let o = arr.(i) in
-              if pred o then acc := o :: !acc
-            done;
-            !acc))
-    |> List.concat |> Oid.Set.of_list
-  end
-
-let par_count db ~n pred set =
-  let pool = Pool.global () in
-  if Pool.size pool <= 1 || n < Pool.threshold () then
-    Oid.Set.fold (fun o acc -> if pred o then acc + 1 else acc) set 0
-  else begin
-    Metrics.incr m_par_scans;
-    let arr = Array.of_list (Oid.Set.elements set) in
-    Database.with_shared_read db (fun () ->
-        Pool.map_chunks pool ~n (fun ~lo ~hi ->
-            let c = ref 0 in
-            for i = lo to hi - 1 do
-              if pred arr.(i) then incr c
-            done;
-            !c))
-    |> List.fold_left ( + ) 0
-  end
+let count_where pred set =
+  Oid.Set.fold (fun o acc -> if pred o then acc + 1 else acc) set 0
 
 let choose ?scan_cost ?key_cardinality db indexes cid pred =
   let compiled, _ = compiled_for db indexes cid pred in
@@ -308,7 +261,7 @@ let select_explain db indexes cid pred =
   let scan () =
     let n = Database.extent_size db cid in
     let result =
-      par_filter db ~n compiled.Compile.cp_pred (Database.extent db cid)
+      Oid.Set.filter compiled.Compile.cp_pred (Database.extent db cid)
     in
     (Extent_scan, None, None, 0, n, result)
   in
@@ -335,7 +288,7 @@ let select_explain db indexes cid pred =
       let residual = residual_conjuncts compiled consumed in
       let result =
         if residual = [] then candidates
-        else par_filter db ~n (residual_eval residual) candidates
+        else Oid.Set.filter (residual_eval residual) candidates
       in
       ( plan_of_access (residual <> []) access,
         Some attr,
@@ -385,7 +338,7 @@ let count db indexes cid pred =
   let scan () =
     let n = Database.extent_size db cid in
     Metrics.add m_rows_scanned n;
-    par_count db ~n compiled.Compile.cp_pred (Database.extent db cid)
+    count_where compiled.Compile.cp_pred (Database.extent db cid)
   in
   let probe consumed depth = function
     | None -> scan ()
@@ -398,7 +351,7 @@ let count db indexes cid pred =
       Metrics.add m_rows_scanned n;
       let residual = residual_conjuncts compiled consumed in
       if residual = [] then n
-      else par_count db ~n (residual_eval residual) candidates
+      else count_where (residual_eval residual) candidates
   in
   match choose_access db indexes cid compiled with
   | A_scan -> scan ()

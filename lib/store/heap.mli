@@ -94,7 +94,8 @@ val fold : t -> init:'a -> f:('a -> cell -> 'a) -> 'a
 val capacity : t -> int
 (** One past the largest OID currently representable without growing
     the cell array; [fold] over the whole heap equals [fold_range]
-    over [\[0, capacity)].  Shard bound for parallel range walks. *)
+    over [\[0, capacity)].  {!Snapshot.to_string} shards its encode
+    over this range. *)
 
 val fold_range : t -> lo:int -> hi:int -> init:'a -> f:('a -> cell -> 'a) -> 'a
 (** [fold] restricted to cells with [lo <= oid < hi] (clamped),

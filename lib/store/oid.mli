@@ -75,19 +75,5 @@ module Dense : sig
   val fold : (oid -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
   (** Ascending OID order. *)
 
-  val capacity : 'a t -> int
-  (** Current backing-array length: one past the largest OID the store
-      can hold without growing.  [iter]/[fold] over the whole store is
-      equivalent to a range walk over [\[0, capacity)].  Shard bounds
-      for parallel range walks. *)
-
-  val iter_range : lo:int -> hi:int -> (oid -> 'a -> unit) -> 'a t -> unit
-  (** [iter_range ~lo ~hi f t] visits live entries with [lo <= oid < hi]
-      in ascending OID order.  Bounds are clamped to the store. *)
-
-  val fold_range :
-    lo:int -> hi:int -> (oid -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-  (** Range analogue of [fold]; ascending OID order within the range. *)
-
   val length : 'a t -> int
 end

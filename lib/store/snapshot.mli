@@ -13,6 +13,9 @@
     v} *)
 
 val to_string : Heap.t -> string
+(** Renders OID-range chunks of the heap across the global
+    {!Tse_pool.Pool} and concatenates them in ascending OID order, so the
+    bytes are the same at every pool size. *)
 
 val of_string : string -> Heap.t
 (** @raise Failure on malformed input, naming the offending line number. *)

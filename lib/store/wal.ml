@@ -1,6 +1,5 @@
 module Metrics = Tse_obs.Metrics
 module Watchdog = Tse_obs.Watchdog
-module Pool = Tse_pool.Pool
 
 type entry =
   | Op of Heap.op
@@ -373,65 +372,6 @@ let scan_string s =
   in
   let batches, valid_len, reason = go [] 0 in
   { batches; valid_len; file_len = len; reason }
-
-(* Parallel scan: the frame boundary walk (length-prefix hopping) is
-   inherently sequential but touches only 8 bytes per frame; the CRC32
-   over every payload byte and the record decode are the real cost and
-   are independent per frame.  So: walk boundaries first, then verify +
-   decode frames in parallel, then merge in frame order keeping batches
-   strictly before the first failure — the earliest failed frame (by
-   offset) determines [valid_len]/[reason] exactly as the sequential
-   scan's early stop does, and results from later frames are discarded. *)
-let scan_string_par pool s =
-  let len = String.length s in
-  let rec walk acc pos =
-    if pos = len then (List.rev acc, pos, None)
-    else if pos + header_len > len then
-      (List.rev acc, pos, Some "torn record header")
-    else
-      let n = Int32.to_int (get_u32le s pos) in
-      if n < 0 || pos + header_len + n > len then
-        (List.rev acc, pos, Some "torn record body")
-      else walk ((pos, n) :: acc) (pos + header_len + n)
-  in
-  let frames, tail_pos, tail_reason = walk [] 0 in
-  let frames = Array.of_list frames in
-  let verdicts =
-    Pool.map_chunks pool ~n:(Array.length frames) (fun ~lo ~hi ->
-        let out = ref [] in
-        for i = hi - 1 downto lo do
-          let pos, n = frames.(i) in
-          let crc = get_u32le s (pos + 4) in
-          let payload = String.sub s (pos + header_len) n in
-          let v =
-            if Crc32.string payload <> crc then Error "checksum mismatch"
-            else
-              match decode_payload payload with
-              | seq, entries -> Ok { seq; entries; start_off = pos }
-              | exception Codec.Corrupt (what, _) ->
-                Error ("undecodable record: " ^ what)
-              | exception Failure what ->
-                Error ("undecodable record: " ^ what)
-          in
-          out := v :: !out
-        done;
-        !out)
-    |> List.concat
-  in
-  let rec merge acc i = function
-    | [] -> { batches = List.rev acc; valid_len = tail_pos; file_len = len; reason = tail_reason }
-    | Ok b :: rest -> merge (b :: acc) (i + 1) rest
-    | Error reason :: _ ->
-      let pos, _ = frames.(i) in
-      { batches = List.rev acc; valid_len = pos; file_len = len; reason = Some reason }
-  in
-  merge [] 0 verdicts
-
-let scan_string s =
-  let pool = Pool.global () in
-  if Pool.size pool > 1 && String.length s >= Pool.threshold () * 16 then
-    scan_string_par pool s
-  else scan_string s
 
 let scan_file ~path =
   if not (Sys.file_exists path) then

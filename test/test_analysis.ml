@@ -442,8 +442,8 @@ let test_diagnostic_ordering () =
 
 (* Diagnostics, facts and lens entries are each sorted, so two renderings
    of the same logical schema are byte-identical even when the classes
-   were registered in a different order (hashtable iteration order and
-   TSE_DOMAINS sharding must not leak into reports). *)
+   were registered in a different order (hashtable iteration order must
+   not leak into reports). *)
 let test_report_byte_stability () =
   let build order =
     let g = mk_graph () in

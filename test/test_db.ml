@@ -537,6 +537,65 @@ let test_extent_counts_maintained () =
         (Database.extent_size db' k.cid))
     (Schema_graph.classes (Database.graph db))
 
+(* Stale twins: generate twin databases from one seed, apply identical
+   direct heap slot writes to both (bypassing [Database.set_attr]'s eager
+   reclassification, so memberships go stale), then repair one with the
+   incremental [reclassify_all] and the other with the full-fixpoint
+   oracle.  Both must pass the consistency check and fingerprint equal:
+   classes, extents, every slot of every object. *)
+let test_stale_twin_reclassify_all () =
+  let stale_twin seed =
+    let rs =
+      Tse_workload.Random_schema.generate ~seed ~classes:5 ~objects:120
+        ~virtuals:6 ()
+    in
+    let heap = Database.heap rs.db in
+    (* attribute values live in the per-class implementation objects *)
+    let int_slots o =
+      List.concat_map
+        (fun cid ->
+          match Tse_objmodel.Slicing.impl_of (Database.model rs.db) o cid with
+          | None -> []
+          | Some impl ->
+            List.filter_map
+              (fun (k, v) ->
+                match v with Value.Int _ -> Some (impl, k) | _ -> None)
+              (Heap.slots heap impl))
+        (Database.member_classes rs.db o)
+    in
+    List.iteri
+      (fun i o ->
+        if i mod 3 = 0 then
+          match int_slots o with
+          | [] -> ()
+          | ints ->
+            let impl, k = List.nth ints (i mod List.length ints) in
+            Heap.set_slot heap impl k (Value.Int (i * 17 mod 100)))
+      (Database.objects rs.db);
+    rs.db
+  in
+  let moved = ref 0 in
+  let repaired seed ~full =
+    let db = stale_twin seed in
+    let stale = Tse_core.Verify.db_fingerprint db in
+    Database.set_full_reclassify db full;
+    Database.reclassify_all db;
+    Alcotest.(check (list string))
+      (Printf.sprintf "consistent (seed %d, full %b)" seed full)
+      [] (Database.check db);
+    let fp = Tse_core.Verify.db_fingerprint db in
+    if not (String.equal fp stale) then incr moved;
+    fp
+  in
+  List.iter
+    (fun seed ->
+      check Alcotest.string
+        (Printf.sprintf "incremental == oracle (seed %d)" seed)
+        (repaired seed ~full:true) (repaired seed ~full:false))
+    [ 1; 7; 42; 311; 2026; 9001 ];
+  (* the direct writes must leave memberships stale somewhere *)
+  check Alcotest.bool "some repair moved a membership" true (!moved > 0)
+
 let suite =
   [
     Alcotest.test_case "create + extent closure" `Quick test_create_and_extents;
@@ -573,4 +632,6 @@ let suite =
       test_listener_reachable_owner;
     Alcotest.test_case "extent counts maintained on every path" `Quick
       test_extent_counts_maintained;
+    Alcotest.test_case "stale twins match the oracle" `Quick
+      test_stale_twin_reclassify_all;
   ]
