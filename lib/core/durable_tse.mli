@@ -1,37 +1,29 @@
 (** Crash-atomic transparent schema evolution: {!Tsem} over a
-    {!Tse_db.Durable} database, with every evolution WAL-logged as a
-    two-record unit (intent + decision) before it is applied, and its
-    effects committed atomically with a completion marker.
+    {!Tse_db.Durable} database. An evolution commits like any other
+    write: every physical effect — heap ops, base memberships, the
+    schema image and the encoded view history — goes into one
+    checksummed WAL batch, synced before {!evolve_many} answers [Ok]
+    under every sync policy.
 
-    The guarantee: whatever instant the process dies at — before the
-    begin record, between begin and commit, during any evolve phase
-    (change/derive/classify/integrate/reclassify), or mid-write of the
-    effects batch — {!open_dir} recovers to {e exactly} the
-    pre-evolution or the post-evolution view version, never a hybrid.
-    Committed-but-unapplied evolutions are rolled forward by replaying
-    their decoded change list through {!Tsem.evolve_many}; a begin with
-    no commit marker (including a torn, truncated one) is rolled back by
-    discarding it. A roll-forward that fails deterministically is
-    durably aborted ([Evo_done ok=false]) and leaves the pre-evolution
-    state. *)
+    The guarantee: whatever instant the process dies at — during any
+    evolve phase (change/derive/classify/integrate/reclassify) or
+    mid-write of the effects batch — {!open_dir} recovers to {e exactly}
+    the pre-evolution or the post-evolution view version, never a
+    hybrid. Recovery is the store's physical replay: until the effects
+    batch is whole on disk nothing of the evolution is, so the result is
+    the pre-evolution state; once it is, replay lands on the
+    post-evolution state. *)
 
 type t
 
-type open_report = {
-  recovery : Tse_store.Recovery.report;
-  rolled_forward : (int * string) list;
-      (** evolutions replayed at this open: [(eid, view)], log order *)
-  aborted : int list;
-      (** committed evolutions durably neutralized because their
-          roll-forward failed (undecodable payload, deterministic
-          rejection) *)
-}
-
 val open_dir :
-  ?policy:Tse_db.Durable.sync_policy -> dir:string -> unit -> t * open_report
-(** Open (or create) the durable database, roll pending evolutions
-    forward, and wrap it in a {!Tsem} whose view history is restored
-    from the durable ["views"] extension blob. *)
+  ?policy:Tse_db.Durable.sync_policy ->
+  dir:string ->
+  unit ->
+  t * Tse_store.Recovery.report
+(** Open (or create) the durable database and wrap it in a {!Tsem}
+    whose view history is restored from the durable ["views"] extension
+    blob. The report is the log replay's ({!Tse_db.Durable.open_dir}). *)
 
 val db : t -> Tse_db.Database.t
 val tsem : t -> Tsem.t
@@ -54,12 +46,14 @@ val define_view_by_names :
 val evolve_many :
   t -> view:string -> Change.t list -> (Tse_views.View_schema.t, string) result
 (** Evolve a view by a change list, atomically: precheck the first
-    change, log intent + decision (each fsynced), apply in memory, then
-    commit the effects together with the completion marker. [Error msg]
+    change, commit and sync any pending traffic as a batch of its own,
+    apply the list in memory, then commit the effects as one batch and
+    sync it. [Ok] means the post-evolution state is durable. [Error msg]
     means the list was rejected and the database is in the pre-evolution
     state (the whole list is all-or-nothing, unlike {!Tsem.evolve_many}
-    which applies a prefix). How it got there depends on where the
-    rejection came from:
+    which applies a prefix). An unknown [view] is an [Error] too, for an
+    empty list as well. How the database got back to the pre-evolution
+    state depends on where the rejection came from:
 
     - the first change failed {!Tsem.precheck} (an unknown class or
       property name, a self edge, an existing or cyclic edge, a name
@@ -68,10 +62,11 @@ val evolve_many :
       every structure built on it — {!Tse_concurrency.Occ},
       {!Tse_query.Indexes} — stay valid;
     - a later change of the list was rejected, the translation failed
-      mid-way, or an unexpected exception escaped: the intent was
-      already logged, so the handle re-opens from disk, where the intent
-      is retried and durably aborted. {!db} then returns a new database
-      value, and structures built on the old one must be rebuilt.
+      mid-way, or an unexpected exception escaped: the in-memory state
+      is half-applied but nothing of it was logged, so the handle
+      re-opens from disk, which writes nothing. {!db} then returns a new
+      database value, and structures built on the old one must be
+      rebuilt.
 
     A {!Tse_store.Failpoint.Crash} escapes untouched — the harness that
     armed it must {!abandon} the handle and {!open_dir} again, exactly

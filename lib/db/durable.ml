@@ -5,7 +5,6 @@ module Snapshot = Tse_store.Snapshot
 module Storage = Tse_store.Storage
 module Wal = Tse_store.Wal
 module Recovery = Tse_store.Recovery
-module Failpoint = Tse_store.Failpoint
 module Schema_graph = Tse_schema.Schema_graph
 module Schema_codec = Tse_schema.Schema_codec
 module Klass = Tse_schema.Klass
@@ -70,13 +69,6 @@ let env_policy () =
   | Some s -> policy_of_string s
 
 let () = Storage.declare_failpoints "checkpoint"
-
-(* the two WAL record boundaries of the evolution protocol: crash before
-   the intent record (nothing logged -> rollback) and crash between the
-   intent and the decision marker (dangling begin -> rollback) *)
-let fp_evo_begin = "evolve.log.begin"
-let fp_evo_commit = "evolve.log.commit"
-let () = List.iter Failpoint.declare [ fp_evo_begin; fp_evo_commit ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot format                                                     *)
@@ -333,7 +325,7 @@ let ext t tag =
   | Some blob -> Some blob
   | None -> Hashtbl.find_opt t.ext_last tag
 
-let commit_extra t ~extra =
+let commit t =
   check_open t "commit";
   Trace.with_span "durable.commit" @@ fun () ->
   let db = t.database in
@@ -374,7 +366,6 @@ let commit_extra t ~extra =
     |> List.map (fun (tag, blob) -> Wal.Ext (tag, blob))
   in
   if ops = [] && bases_entry = [] && schema_entry = [] && ext_entries = []
-     && extra = []
   then begin
     (* anything staged was byte-identical to the durable image *)
     Hashtbl.reset t.ext_staged;
@@ -383,8 +374,7 @@ let commit_extra t ~extra =
   else begin
     Metrics.incr m_commits;
     let gen_entry = [ Wal.Gen (Oid.Gen.peek (Heap.gen (Database.heap db))) ] in
-    let entries = ops @ gen_entry @ bases_entry @ schema_entry @ ext_entries
-                  @ extra in
+    let entries = ops @ gen_entry @ bases_entry @ schema_entry @ ext_entries in
     let seq = t.seq + 1 in
     (match t.policy with
     | Every_commit -> Wal.append t.wal ~seq entries
@@ -407,57 +397,6 @@ let commit_extra t ~extra =
     | Group n when t.unsynced >= n -> sync t
     | Every_commit | Group _ | Manual -> ()
   end
-
-let commit t = commit_extra t ~extra:[]
-
-(* ------------------------------------------------------------------ *)
-(* Evolution protocol records                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The two-record unit is always eagerly fsynced whatever the sync
-   policy: the begin (intent) must be durable before the commit marker,
-   and the marker before any in-memory application starts — otherwise a
-   crash could leave applied effects whose decision record was lost.
-   [Wal.append] flushes any buffered group first, so log order is kept. *)
-
-let append_forced t entries =
-  let seq = t.seq + 1 in
-  Wal.append t.wal ~seq entries;
-  t.seq <- seq;
-  t.unsynced <- 0;
-  seq
-
-let log_evolve_begin t ~view payload =
-  check_open t "log_evolve_begin";
-  commit t;
-  (* the record's eid is its own batch sequence number *)
-  Failpoint.hit fp_evo_begin;
-  let seq = t.seq + 1 in
-  ignore (append_forced t [ Wal.Evo_begin { eid = seq; view; payload } ]);
-  Metrics.incr (Metrics.counter "durable.evo_begins");
-  seq
-
-let log_evolve_commit t ~eid ~view =
-  check_open t "log_evolve_commit";
-  Failpoint.hit fp_evo_commit;
-  ignore (append_forced t [ Wal.Evo_commit { eid; view } ]);
-  Metrics.incr (Metrics.counter "durable.evo_commits")
-
-let commit_evolve_done t ~eid =
-  check_open t "commit_evolve_done";
-  commit_extra t ~extra:[ Wal.Evo_done { eid; ok = true } ];
-  Metrics.incr (Metrics.counter "durable.evo_applied")
-
-let log_evolve_abort t ~eid =
-  check_open t "log_evolve_abort";
-  (* called on a handle whose in-memory state is poisoned by a failed
-     roll-forward: durably neutralize the committed intent WITHOUT
-     folding any of the poisoned pending state into the log *)
-  t.pending <- [];
-  Oid.Tbl.reset t.dirty_bases;
-  Hashtbl.reset t.ext_staged;
-  ignore (append_forced t [ Wal.Evo_done { eid; ok = false } ]);
-  Metrics.incr (Metrics.counter "durable.evo_aborted")
 
 let checkpoint t =
   check_open t "checkpoint";

@@ -66,7 +66,10 @@ val commit : t -> unit
 (** Append everything buffered since the previous commit as one atomic
     batch; whether it is fsynced before returning is the sync policy's
     call (under [Group n] the commit completing the group flushes it).
-    A commit with no changes writes nothing. *)
+    A commit with no changes writes nothing. A caller that must report
+    durability whatever the policy follows it with {!sync}: a schema
+    evolution ([Tse_core.Durable_tse.evolve_many]) commits its effects
+    as one batch this way. *)
 
 (** {2 Extension blobs}
 
@@ -85,40 +88,6 @@ val stage_ext : t -> tag:string -> string -> unit
 
 val ext : t -> string -> string option
 (** The staged blob for a tag, or failing that the last durable one. *)
-
-(** {2 Evolution protocol records}
-
-    A schema evolution is made crash-atomic with a two-record WAL unit
-    plus a completion marker (see {!Tse_store.Wal.entry}): the caller
-    logs intent ({!log_evolve_begin}: the encoded change list), then
-    decision ({!log_evolve_commit}), then applies the evolution in
-    memory and calls {!commit_evolve_done} so the physical effects and
-    the [Evo_done] marker land in {e one} batch. Both protocol records
-    are eagerly fsynced whatever the sync policy. Recovery
-    ({!open_dir}'s report) surfaces committed-but-undone evolutions as
-    [evo_pending] for the caller to roll forward; a begin with no
-    commit marker is discarded. The call sites are guarded by the
-    ["evolve.log.begin"] and ["evolve.log.commit"] failpoints. *)
-
-val log_evolve_begin : t -> view:string -> string -> int
-(** Flush any buffered work ({!commit}), then append + fsync the intent
-    record. Returns the evolution id (the record's batch sequence
-    number). *)
-
-val log_evolve_commit : t -> eid:int -> view:string -> unit
-(** Append + fsync the decision marker: the evolution will happen. *)
-
-val commit_evolve_done : t -> eid:int -> unit
-(** {!commit} everything the applied evolution buffered, with the
-    [Evo_done ok=true] marker inside the same batch — the effects and
-    the marker are atomic: recovery either sees both (skip) or neither
-    (roll forward). *)
-
-val log_evolve_abort : t -> eid:int -> unit
-(** Durably abort a committed evolution whose roll-forward failed:
-    discard everything buffered in memory (it is poisoned by the partial
-    application) and append + fsync [Evo_done ok=false] alone. The
-    handle should be reopened afterwards. *)
 
 val sync : t -> unit
 (** Explicit sync barrier: flush every unsynced commit with one write
@@ -153,5 +122,5 @@ val abandon : t -> unit
 (** Detach the observers and close the log {e without} committing or
     flushing anything buffered — dropping the handle exactly as a crash
     would have. For test harnesses after a simulated {!
-    Tse_store.Failpoint.Crash} and for discarding a handle poisoned by a
-    failed recovery roll-forward. Idempotent. *)
+    Tse_store.Failpoint.Crash} and for discarding a handle whose
+    in-memory state a failed evolution left half-applied. Idempotent. *)

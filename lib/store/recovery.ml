@@ -8,8 +8,6 @@ let m_batches_skipped = Metrics.counter "recovery.batches_skipped"
 let m_truncations = Metrics.counter "recovery.truncations"
 let m_dropped_bytes = Metrics.counter "recovery.dropped_bytes"
 
-type pending_evolution = { eid : int; view : string; payload : string }
-
 type report = {
   batches_applied : int;
   entries_applied : int;
@@ -17,8 +15,6 @@ type report = {
   dropped_bytes : int;
   reason : string option;
   last_seq : int;
-  evo_pending : pending_evolution list;
-  evo_discarded : int;
 }
 
 let pp_report ppf r =
@@ -29,15 +25,6 @@ let pp_report ppf r =
     (if r.entries_applied = 1 then "y" else "ies")
     r.batches_skipped r.dropped_bytes
     (match r.reason with None -> "" | Some why -> ": " ^ why);
-  (match r.evo_pending with
-  | [] -> ()
-  | ps ->
-    Format.fprintf ppf "@ %d committed evolution(s) to roll forward (%s)"
-      (List.length ps)
-      (String.concat ", " (List.map (fun p -> string_of_int p.eid) ps)));
-  if r.evo_discarded > 0 then
-    Format.fprintf ppf "@ %d uncommitted evolution(s) rolled back"
-      r.evo_discarded;
   Format.fprintf ppf "@]"
 
 let apply_op heap = function
@@ -57,11 +44,6 @@ let replay ~heap ~path ~after ~on_ext =
   let applied = ref 0 and entries = ref 0 and skipped = ref 0 in
   let last_seq = ref after in
   let stopped_at = ref None in
-  (* evolution protocol state: begins awaiting a commit marker, committed
-     evolutions (in log order) awaiting their done marker *)
-  let begun : (int, pending_evolution) Hashtbl.t = Hashtbl.create 4 in
-  let committed = ref [] (* newest first *) in
-  let done_ids : (int, unit) Hashtbl.t = Hashtbl.create 4 in
   (* A batch that fails to apply (it references state the snapshot does not
      contain — possible only if snapshot and log are from different
      databases, or the prefix itself was damaged) ends the replay there:
@@ -78,20 +60,7 @@ let replay ~heap ~path ~after ~on_ext =
                (match entry with
                | Wal.Op op -> apply_op heap op
                | Wal.Gen n -> Oid.Gen.advance_to (Heap.gen heap) n
-               | Wal.Ext (kind, payload) -> on_ext kind payload
-               | Wal.Evo_begin { eid; view; payload } ->
-                 Hashtbl.replace begun eid { eid; view; payload }
-               | Wal.Evo_commit { eid; view = _ } -> (
-                 (* a commit without its begin cannot be replayed (the
-                    intent payload is gone); treat it as discarded *)
-                 match Hashtbl.find_opt begun eid with
-                 | Some p ->
-                   Hashtbl.remove begun eid;
-                   committed := p :: !committed
-                 | None -> ())
-               | Wal.Evo_done { eid; ok = _ } ->
-                 Hashtbl.replace done_ids eid ();
-                 Hashtbl.remove begun eid);
+               | Wal.Ext (kind, payload) -> on_ext kind payload);
                incr entries)
              b.entries;
            stopped_at := None;
@@ -116,13 +85,6 @@ let replay ~heap ~path ~after ~on_ext =
   Metrics.add m_batches_applied !applied;
   Metrics.add m_entries_applied !entries;
   Metrics.add m_batches_skipped !skipped;
-  let evo_pending =
-    List.rev !committed
-    |> List.filter (fun p -> not (Hashtbl.mem done_ids p.eid))
-  in
-  let evo_discarded = Hashtbl.length begun in
-  Metrics.add (Metrics.counter "recovery.evo_pending") (List.length evo_pending);
-  Metrics.add (Metrics.counter "recovery.evo_discarded") evo_discarded;
   {
     batches_applied = !applied;
     entries_applied = !entries;
@@ -130,6 +92,4 @@ let replay ~heap ~path ~after ~on_ext =
     dropped_bytes = dropped;
     reason = scan.reason;
     last_seq = !last_seq;
-    evo_pending;
-    evo_discarded;
   }

@@ -5,13 +5,6 @@
     already cover. A torn or checksum-corrupt tail is truncated — with a
     {!report} of what was dropped — instead of refusing to open. *)
 
-type pending_evolution = { eid : int; view : string; payload : string }
-(** A schema evolution whose {!Wal.entry.Evo_begin} and
-    {!Wal.entry.Evo_commit} both survived in the log but whose
-    {!Wal.entry.Evo_done} marker did not: the crash hit after the
-    decision was made durable and before its effects were. The caller
-    (the layer that understands [payload]) must roll it forward. *)
-
 type report = {
   batches_applied : int;
   entries_applied : int;
@@ -22,12 +15,6 @@ type report = {
   dropped_bytes : int;  (** bytes cut off the tail *)
   reason : string option;  (** why the tail was cut, when it was *)
   last_seq : int;  (** highest batch sequence now reflected in the heap *)
-  evo_pending : pending_evolution list;
-      (** committed-but-unapplied evolutions, in log order *)
-  evo_discarded : int;
-      (** [Evo_begin] records with no commit marker — intents whose
-          crash preceded the decision, rolled back by ignoring them (no
-          physical effect of theirs is ever in the log) *)
 }
 
 val pp_report : Format.formatter -> report -> unit

@@ -5,9 +5,6 @@ type entry =
   | Op of Heap.op
   | Gen of int
   | Ext of string * string
-  | Evo_begin of { eid : int; view : string; payload : string }
-  | Evo_commit of { eid : int; view : string }
-  | Evo_done of { eid : int; ok : bool }
 
 type stats = {
   mutable fsyncs : int;
@@ -92,70 +89,62 @@ let add_entry buf = function
     Buffer.add_char buf 'X';
     Codec.add_str buf tag;
     Codec.add_str buf payload
-  | Evo_begin { eid; view; payload } ->
-    Buffer.add_char buf 'B';
-    Codec.add_int buf eid;
-    Codec.add_str buf view;
-    Codec.add_str buf payload
-  | Evo_commit { eid; view } ->
-    Buffer.add_char buf 'C';
-    Codec.add_int buf eid;
-    Codec.add_str buf view
-  | Evo_done { eid; ok } ->
-    Buffer.add_char buf 'D';
-    Codec.add_int buf eid;
-    Codec.add_int buf (if ok then 1 else 0)
 
+(* [None] for an entry that decodes but carries nothing to replay *)
 let read_entry s pos =
   if pos >= String.length s then Codec.fail_at pos "eof in entry";
   match s.[pos] with
   | 'A' ->
     let o, pos = read_oid s (pos + 1) in
     let tag, pos = Codec.read_str s pos in
-    (Op (Heap.Alloc (o, tag)), pos)
+    (Some (Op (Heap.Alloc (o, tag))), pos)
   | 'F' ->
     let o, pos = read_oid s (pos + 1) in
-    (Op (Heap.Free o), pos)
+    (Some (Op (Heap.Free o)), pos)
   | 'T' ->
     let o, pos = read_oid s (pos + 1) in
     let tag, pos = Codec.read_str s pos in
-    (Op (Heap.Set_tag (o, tag)), pos)
+    (Some (Op (Heap.Set_tag (o, tag))), pos)
   | 'S' ->
     let o, pos = read_oid s (pos + 1) in
     let name, pos = Codec.read_str s pos in
     let v, pos = Value.decode s pos in
-    (Op (Heap.Set_slot (o, name, v)), pos)
+    (Some (Op (Heap.Set_slot (o, name, v))), pos)
   | 'R' ->
     let o, pos = read_oid s (pos + 1) in
     let name, pos = Codec.read_str s pos in
-    (Op (Heap.Remove_slot (o, name)), pos)
+    (Some (Op (Heap.Remove_slot (o, name))), pos)
   | 'W' ->
     let a, pos = read_oid s (pos + 1) in
     let b, pos = read_oid s pos in
-    (Op (Heap.Swap (a, b)), pos)
+    (Some (Op (Heap.Swap (a, b))), pos)
   | 'G' ->
     let n, pos = Codec.read_int s (pos + 1) in
-    (Gen n, pos)
+    (Some (Gen n), pos)
   | 'X' ->
     let tag, pos = Codec.read_str s (pos + 1) in
     let payload, pos = Codec.read_str s pos in
-    (Ext (tag, payload), pos)
+    (Some (Ext (tag, payload)), pos)
+  (* Older builds logged each evolution as an intent record ('B': id,
+     view, change list), a decision record ('C': id, view) and a done
+     marker ('D': id, flag) riding in the effects batch. Nothing writes
+     them any more. They are decoded only to be dropped, so an old log
+     scans on past them: the effects batch replays physically like any
+     other, and an intent whose effects never landed recovers to the
+     pre-evolution state. *)
   | 'B' ->
-    let eid, pos = Codec.read_int s (pos + 1) in
-    let view, pos = Codec.read_str s pos in
-    let payload, pos = Codec.read_str s pos in
-    (Evo_begin { eid; view; payload }, pos)
+    let _eid, pos = Codec.read_int s (pos + 1) in
+    let _view, pos = Codec.read_str s pos in
+    let _changes, pos = Codec.read_str s pos in
+    (None, pos)
   | 'C' ->
-    let eid, pos = Codec.read_int s (pos + 1) in
-    let view, pos = Codec.read_str s pos in
-    (Evo_commit { eid; view }, pos)
+    let _eid, pos = Codec.read_int s (pos + 1) in
+    let _view, pos = Codec.read_str s pos in
+    (None, pos)
   | 'D' ->
-    let eid, pos = Codec.read_int s (pos + 1) in
-    let ok, pos = Codec.read_int s pos in
-    (match ok with
-    | 0 -> (Evo_done { eid; ok = false }, pos)
-    | 1 -> (Evo_done { eid; ok = true }, pos)
-    | n -> Codec.fail_at pos (Printf.sprintf "bad Evo_done flag %d" n))
+    let _eid, pos = Codec.read_int s (pos + 1) in
+    let _ok, pos = Codec.read_int s pos in
+    (None, pos)
   | c -> Codec.fail_at pos (Printf.sprintf "bad entry tag %C" c)
 
 (* ---------- record framing: u32le length, u32le crc32, payload ---------- *)
@@ -321,8 +310,9 @@ let abandon t =
   | None -> ()
   | Some fd ->
     (* deliberately NOT synced: the handle is being dropped as if the
-       process had died (simulated crash, poisoned in-memory state) and
-       buffered frames must not reach the file *)
+       process had died (simulated crash, in-memory state a failed
+       evolution left behind) and buffered frames must not reach the
+       file *)
     Buffer.clear t.pending;
     t.pending_batches <- 0;
     t.fd <- None;
@@ -344,7 +334,7 @@ let decode_payload payload =
   let entries, pos = Codec.read_list read_entry payload pos in
   if pos <> String.length payload then
     Codec.fail_at pos "trailing garbage in record";
-  (seq, entries)
+  (seq, List.filter_map Fun.id entries)
 
 let scan_string s =
   let len = String.length s in

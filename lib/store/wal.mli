@@ -35,22 +35,10 @@ type entry =
   | Gen of int  (** OID-generator watermark ({!Oid.Gen.peek}) *)
   | Ext of string * string
       (** upper-layer payload, opaque to the store: [(kind, blob)] *)
-  | Evo_begin of { eid : int; view : string; payload : string }
-      (** intent record of a schema evolution: [payload] is the encoded
-          change list (opaque to the store), [view] the target view,
-          [eid] the evolution id (the begin batch's own sequence
-          number). Appended as a batch of its own, fsynced. *)
-  | Evo_commit of { eid : int; view : string }
-      (** decision marker: the evolution [eid] {e will} happen. Recovery
-          rolls a committed evolution forward; a begin with no commit is
-          discarded (rolled back). Appended as a batch of its own,
-          fsynced. *)
-  | Evo_done of { eid : int; ok : bool }
-      (** the evolution's effects are in the log ([ok = true]; the marker
-          rides in the same batch as the physical effects, making them
-          one atomic unit) or the evolution was aborted after a failed
-          roll-forward ([ok = false]). Either way recovery stops
-          replaying it. *)
+(** A scanned record may also hold the evolution intent, decision and
+    done entries (tags [B], [C], [D]) that older builds wrote. The
+    scanner decodes and drops them: they are not entries, and nothing
+    can encode them. *)
 
 (** {2 Appending} *)
 
@@ -104,7 +92,7 @@ val close : t -> unit
 val abandon : t -> unit
 (** Close the descriptor {e discarding} any buffered group — for
     dropping a handle whose in-memory state must not reach the file
-    (after a simulated crash or a failed recovery roll-forward). *)
+    (after a simulated crash or a failed evolution). *)
 
 (** {2 Scanning (recovery)} *)
 

@@ -23,8 +23,8 @@ module Timeseries = Tse_obs.Timeseries
 (* Chaos soak: a seeded scenario generator drives hundreds of view
    evolutions (long version chains) against a durable database while OCC
    writers and old-version readers run alongside, and a crash is
-   injected mid-evolution — at a random evolve phase or WAL record
-   boundary — every few steps. A never-crashed in-memory twin (the
+   injected mid-evolution — at a random evolve phase or inside the write
+   of the effects batch — every few steps. A never-crashed in-memory twin (the
    oracle) executes exactly the same logical operations; after every
    recovery the harness asserts schema invariants, analyzer cleanliness
    and structural twin equivalence. Any discrepancy is a violation, and
@@ -84,8 +84,12 @@ let recovery_hist =
     ~buckets:[ 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. ]
     "soak.recovery_ms"
 
-(* crash sites: every evolve phase plus the two WAL record boundaries of
-   the evolution protocol, plus a torn write of the begin record *)
+(* crash sites: every evolve phase (nothing logged yet: pre-evolution),
+   a torn write of the effects batch (pre), and a crash after the whole
+   batch is written but before its fsync, which recovers to the
+   post-evolution state. The two WAL sites are on the eager append
+   path; under a grouped policy they are never reached and the step
+   completes. *)
 let crash_sites =
   [|
     ("evolve.change", Failpoint.Crash_now);
@@ -93,9 +97,8 @@ let crash_sites =
     ("evolve.classify", Failpoint.Crash_now);
     ("evolve.integrate", Failpoint.Crash_now);
     ("evolve.reclassify", Failpoint.Crash_now);
-    ("evolve.log.begin", Failpoint.Crash_now);
-    ("evolve.log.commit", Failpoint.Crash_now);
     ("wal.append.short", Failpoint.Short_write 11);
+    ("wal.append.fsync", Failpoint.Crash_now);
   |]
 
 (* ---------------- deterministic base population ---------------- *)
@@ -141,8 +144,8 @@ let build_base ~classes ~objects db =
    one by the twin invariant). Most changes are accepted; a deliberate
    minority reference stale names and get rejected. Alone, such a change
    fails the precheck and is answered without logging; second in a
-   two-change unit (see [gen_changes]) it is rejected after the intent is
-   logged, exercising the durable abort path. *)
+   two-change unit (see [gen_changes]) it is rejected after the first
+   change was applied in memory, exercising the reopen path. *)
 let gen_change rng oracle step =
   let view = Tsem.current oracle view_name in
   let members = view.View_schema.members in
@@ -220,7 +223,7 @@ let gen_changes rng oracle step =
   let change = gen_change rng oracle step in
   (* occasionally a two-change unit, proving list atomicity: the
      generated change goes second, so a rejection of it lands after the
-     first change was logged and applied *)
+     first change was applied in memory *)
   if Random.State.int rng 5 = 0 then
     [
       Change.Add_attribute
@@ -421,11 +424,11 @@ let run cfg =
     Durable_tse.commit st.t;
     Durable_tse.sync st.t;
     (* 2. decide whether this step crashes mid-evolution. A unit whose
-       first change fails the precheck is answered before any record or
+       first change fails the precheck is answered before any write or
        evolve phase, so no crash site could fire: inject only into units
-       that will be logged. *)
+       that pass it. *)
     let changes = gen_changes rng oracle step in
-    let logged =
+    let passes =
       match Tsem.precheck oracle ~view:view_name (List.hd changes) with
       | _ -> true
       | exception Change.Rejected _ -> false
@@ -433,7 +436,7 @@ let run cfg =
     let remaining_steps = cfg.steps - step in
     let remaining_crashes = cfg.crashes - !crashes_done in
     let inject =
-      logged
+      passes
       && remaining_crashes > 0
       && (remaining_steps <= remaining_crashes
          || Random.State.float rng 1.0
@@ -487,12 +490,12 @@ let run cfg =
       if post_version = expected_forward then begin
         incr forward;
         incr applied;
-        (* the durable side completed the evolution during recovery:
-           bring the twin up to date before comparing *)
+        (* the effects batch reached the disk before the crash: bring
+           the twin up to date before comparing *)
         match Tsem.evolve_many oracle ~view:view_name changes with
         | _ -> ()
         | exception e ->
-          violate st "step %d: oracle cannot follow roll-forward: %s" step
+          violate st "step %d: oracle cannot follow the recovered evolution: %s" step
             (Printexc.to_string e)
       end
       else if post_version = pre_version then begin

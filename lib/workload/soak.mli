@@ -3,10 +3,9 @@
     One [run] drives hundreds of view evolutions (a long version chain)
     against a {!Tse_core.Durable_tse} database while OCC writers and
     readers pinned to historical view versions run alongside. Crashes
-    are injected mid-evolution — at every evolve phase failpoint and at
-    both WAL record boundaries of the evolution protocol, including a
-    torn begin record — and after {e every} recovery the harness
-    asserts:
+    are injected mid-evolution — at every evolve phase failpoint, in a
+    torn write of the effects batch, and between that write and its
+    fsync — and after {e every} recovery the harness asserts:
 
     - {!Tse_db.Database.check} and {!Tse_schema.Invariants.check} hold;
     - the static analyzer ({!Tse_analysis.Analysis}) reports no errors;

@@ -207,6 +207,31 @@ let listener_leak () =
     (Oid.Set.mem (List.hd objs)
        (Option.get (Tse_query.Indexes.lookup live c "a" (Value.Int 99))))
 
+(* Unknown view on the durable path. [Durable_tse.evolve_many] answered
+   an empty change list for a view that does not exist by raising
+   [Invalid_argument] (through [History.current_exn]), while a non-empty
+   list for the same view returned [Error]. Both are [Error] now. *)
+let unknown_view () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tse_regress_view_%d" (Unix.getpid ()))
+  in
+  let t, _ = Durable_tse.open_dir ~policy:Durable.Every_commit ~dir () in
+  let change = Change.Add_class { cls = "K"; connected_to = None } in
+  List.iter
+    (fun changes ->
+      match Durable_tse.evolve_many t ~view:"nope" changes with
+      | Ok _ -> Alcotest.fail "expected an error"
+      | Error msg ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d change(s)" (List.length changes))
+          "no view named nope" msg)
+    [ []; [ change ] ];
+  Durable_tse.close t;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let () =
   let corpus =
     [
@@ -235,4 +260,7 @@ let () =
       ( "listener-leak",
         [ Alcotest.test_case "dropped index sets stop maintaining" `Quick
             listener_leak ] );
+      ( "durable-evolve",
+        [ Alcotest.test_case "unknown view is an error, empty list too"
+            `Quick unknown_view ] );
     ]

@@ -462,8 +462,7 @@ let test_matrix_covers_every_failpoint () =
     @ [
         (* the evolution crash matrix in test_evolution_recovery *)
         "evolve.change"; "evolve.derive"; "evolve.classify";
-        "evolve.integrate"; "evolve.reclassify"; "evolve.log.begin";
-        "evolve.log.commit";
+        "evolve.integrate"; "evolve.reclassify";
       ]
   in
   check

@@ -1,7 +1,7 @@
 (* Crash-atomicity of schema evolution: the crash matrix over every
-   evolve-phase failpoint and both WAL record boundaries of the
-   evolution protocol, the torn-begin truncation sweep, roll-forward
-   abort on undecodable/rejected intents, and a random-corruption
+   evolve-phase failpoint and the write and sync of the effects batch,
+   the torn-effects-batch truncation sweep, logs written by older builds
+   (evolution intent/decision/done records), and a random-corruption
    property over an evolution-bearing log. All assertions are
    structural: the recovered database is fingerprinted and compared to a
    never-crashed in-memory twin, so it must be exactly the
@@ -13,7 +13,6 @@ module Schema_graph = Tse_schema.Schema_graph
 module Database = Tse_db.Database
 module Durable = Tse_db.Durable
 module Change = Tse_core.Change
-module Change_codec = Tse_core.Change_codec
 module Tsem = Tse_core.Tsem
 module Durable_tse = Tse_core.Durable_tse
 module Verify = Tse_core.Verify
@@ -105,21 +104,33 @@ let changes2 =
 
 type expect = Pre | Post
 
-(* Crashing before either protocol record is logged loses the evolution
-   (Pre); crashing in any phase after the commit record is durable must
-   roll it forward (Post). A torn begin record is also Pre: recovery
-   truncates it away. *)
-let evolve_crash_cases =
+(* Nothing of an evolution is logged until its effects batch, so a crash
+   in any phase loses it (Pre), and so does a torn effects batch:
+   recovery truncates it away. A crash after the whole batch is written
+   but before its fsync finds it on disk (Post). Each policy writes the
+   batch through its own path, so each has its own torn and post rows. *)
+let phase_crash_cases =
   [
-    ("evolve.log.begin", Failpoint.Crash_now, Pre);
-    ("wal.append.short", Failpoint.Short_write 11, Pre);
-    ("evolve.log.commit", Failpoint.Crash_now, Pre);
-    ("evolve.change", Failpoint.Crash_now, Post);
-    ("evolve.derive", Failpoint.Crash_now, Post);
-    ("evolve.classify", Failpoint.Crash_now, Post);
-    ("evolve.integrate", Failpoint.Crash_now, Post);
-    ("evolve.reclassify", Failpoint.Crash_now, Post);
+    ("evolve.change", Failpoint.Crash_now, Pre);
+    ("evolve.derive", Failpoint.Crash_now, Pre);
+    ("evolve.classify", Failpoint.Crash_now, Pre);
+    ("evolve.integrate", Failpoint.Crash_now, Pre);
+    ("evolve.reclassify", Failpoint.Crash_now, Pre);
   ]
+
+let evolve_crash_cases =
+  phase_crash_cases
+  @ [
+      ("wal.append.short", Failpoint.Short_write 11, Pre);
+      ("wal.append.fsync", Failpoint.Crash_now, Post);
+    ]
+
+let group_evolve_crash_cases =
+  phase_crash_cases
+  @ [
+      ("wal.group.append", Failpoint.Short_write 11, Pre);
+      ("wal.group.fsync", Failpoint.Crash_now, Post);
+    ]
 
 let run_evolve_crash_case ?policy ~name ~action ~expect ~changes () =
   let dir, t = setup ?policy () in
@@ -144,7 +155,7 @@ let run_evolve_crash_case ?policy ~name ~action ~expect ~changes () =
   Failpoint.reset ();
   (* the process "died": drop the handle without flushing, reopen *)
   Durable_tse.abandon t;
-  let t2, report = Durable_tse.open_dir ?policy ~dir () in
+  let t2, _ = Durable_tse.open_dir ?policy ~dir () in
   let recovered = tse_fingerprint t2 in
   (* the headline assertion: structurally exactly pre or post, and the
      version is the matching end of the chain — never in between *)
@@ -157,13 +168,6 @@ let run_evolve_crash_case ?policy ~name ~action ~expect ~changes () =
     (Printf.sprintf "%s: view version" name)
     (match expect with Pre -> 0 | Post -> List.length changes)
     (Durable_tse.current t2 view).View_schema.version;
-  (match expect with
-  | Post ->
-    check Alcotest.bool
-      (Printf.sprintf "%s: recovery reports a roll-forward" name)
-      true
-      (report.Durable_tse.rolled_forward <> [])
-  | Pre -> ());
   (match Database.check (Durable_tse.db t2) with
   | [] -> ()
   | ps -> Alcotest.failf "%s: inconsistent: %s" name (String.concat "; " ps));
@@ -198,32 +202,34 @@ let run_evolve_crash_case ?policy ~name ~action ~expect ~changes () =
 let test_crash_matrix () =
   List.iter
     (fun (name, action, expect) ->
-      run_evolve_crash_case ~name ~action ~expect ~changes:changes1 ())
+      run_evolve_crash_case ~policy:Durable.Every_commit ~name ~action ~expect
+        ~changes:changes1 ())
     evolve_crash_cases
 
-(* Under a grouped sync policy the effects batch may be lost even
-   without a failpoint on it; the commit record is fsynced, so recovery
-   still rolls forward. *)
+(* Under a grouped sync policy the effects batch goes through the group
+   buffer, and [evolve_many] syncs it before answering. *)
 let test_crash_matrix_group_policy () =
   List.iter
     (fun (name, action, expect) ->
       run_evolve_crash_case ~policy:(Durable.Group 4) ~name ~action ~expect
         ~changes:changes1 ())
-    evolve_crash_cases
+    group_evolve_crash_cases
 
 (* A two-change unit must recover to version 0 or version 2 — never the
-   version-1 prefix — whichever side of the protocol the crash lands. *)
+   version-1 prefix — whichever side of the effects batch the crash
+   lands. *)
 let test_multi_change_atomicity () =
   List.iter
     (fun (name, action, expect) ->
-      run_evolve_crash_case ~name ~action ~expect ~changes:changes2 ())
+      run_evolve_crash_case ~policy:Durable.Every_commit ~name ~action
+        ~expect ~changes:changes2 ())
     [
-      ("evolve.log.commit", Failpoint.Crash_now, Pre);
-      ("evolve.change", Failpoint.Crash_now, Post);
-      ("evolve.reclassify", Failpoint.Crash_now, Post);
+      ("evolve.change", Failpoint.Crash_now, Pre);
+      ("evolve.reclassify", Failpoint.Crash_now, Pre);
+      ("wal.append.fsync", Failpoint.Crash_now, Post);
     ]
 
-(* ---------------- torn begin record: every truncation offset -------- *)
+(* ---------------- torn effects batch: every truncation offset ------- *)
 
 let copy_dir_truncated src dst cut =
   Unix.mkdir dst 0o755;
@@ -238,100 +244,143 @@ let copy_dir_truncated src dst cut =
       close_out oc)
     (Sys.readdir src)
 
-(* Kill the evolution after the begin record is durable but before the
-   commit record; then re-cut the log at EVERY byte boundary inside the
-   begin record. Whatever the cut, recovery must land on the
-   pre-evolution twin state: a torn or dangling begin is discarded. *)
-let test_torn_begin_every_offset () =
-  let dir, t = setup () in
+(* Kill the evolution after its effects batch is written but before it
+   is fsynced; then re-cut the log at EVERY byte boundary inside that
+   batch. Any cut must recover to the pre-evolution twin state (the torn
+   batch is truncated away); only the whole batch recovers to the
+   post-evolution one. *)
+let test_torn_effects_batch_every_offset () =
+  let dir, t = setup ~policy:Durable.Every_commit () in
   let wal_path = Filename.concat dir "wal" in
   let len0 = (Unix.stat wal_path).Unix.st_size in
-  Failpoint.arm "evolve.log.commit" Failpoint.Crash_now;
+  Failpoint.arm "wal.append.fsync" Failpoint.Crash_now;
   (match Durable_tse.evolve_many t ~view changes1 with
   | Ok _ | Error _ -> Alcotest.fail "expected a crash"
   | exception Failpoint.Crash _ -> ());
   Failpoint.reset ();
   Durable_tse.abandon t;
   let len1 = (Unix.stat wal_path).Unix.st_size in
-  check Alcotest.bool "begin record appended" true (len1 > len0);
+  check Alcotest.bool "effects batch appended" true (len1 > len0);
   let pre_fp = twin_fingerprint [] in
+  let post_fp = twin_fingerprint changes1 in
   for cut = len0 to len1 do
+    let whole = cut = len1 in
     let cdir = fresh_dir () in
     copy_dir_truncated dir cdir cut;
     let t2, report = Durable_tse.open_dir ~dir:cdir () in
     check Alcotest.string
-      (Printf.sprintf "cut at %d/%d: pre-evolution state" (cut - len0)
-         (len1 - len0))
-      pre_fp (tse_fingerprint t2);
+      (Printf.sprintf "cut at %d/%d: %s-evolution state" (cut - len0)
+         (len1 - len0)
+         (if whole then "post" else "pre"))
+      (if whole then post_fp else pre_fp)
+      (tse_fingerprint t2);
     check Alcotest.int
-      (Printf.sprintf "cut at %d: version 0" (cut - len0))
-      0
+      (Printf.sprintf "cut at %d: version" (cut - len0))
+      (if whole then 1 else 0)
       (Durable_tse.current t2 view).View_schema.version;
-    check Alcotest.(list (pair int string))
-      (Printf.sprintf "cut at %d: nothing rolled forward" (cut - len0))
-      []
-      report.Durable_tse.rolled_forward;
+    check Alcotest.int
+      (Printf.sprintf "cut at %d: torn bytes dropped" (cut - len0))
+      (if whole then 0 else cut - len0)
+      report.Recovery.dropped_bytes;
     (match Database.check (Durable_tse.db t2) with
     | [] -> ()
     | ps -> Alcotest.failf "cut at %d: inconsistent: %s" cut (String.concat "; " ps));
     Durable_tse.close t2
   done
 
-(* ---------------- roll-forward abort ---------------- *)
+(* ---------------- logs written by older builds ---------------- *)
 
-(* Splice a committed evolution whose payload is garbage into the log.
-   Recovery must durably neutralize it (Evo_done ok=false), keep the
-   pre-evolution state, and not see it again at the next open. *)
-let append_committed_intent dir ~payload =
-  let d, _ = Durable.open_dir ~dir () in
-  let seq = Durable.seq d in
-  Durable.close d;
-  let eid = seq + 1 in
-  let oc =
-    open_out_gen [ Open_append; Open_binary ] 0o644 (Filename.concat dir "wal")
+(* Frame a record the way older builds did, with entries this build can
+   no longer encode: [u32le length | u32le crc32 | seq, entry list]. *)
+let legacy_record ~seq entries =
+  let payload = Buffer.create 64 in
+  Codec.add_int payload seq;
+  Codec.add_list payload (fun buf add -> add buf) entries;
+  let payload = Buffer.contents payload in
+  let u32 v =
+    String.init 4 (fun i ->
+        Char.chr (Int32.to_int (Int32.shift_right_logical v (i * 8)) land 0xFF))
   in
-  output_string oc
-    (Wal.encode_record ~seq:eid [ Wal.Evo_begin { eid; view; payload } ]);
-  output_string oc
-    (Wal.encode_record ~seq:(eid + 1) [ Wal.Evo_commit { eid; view } ]);
+  u32 (Int32.of_int (String.length payload))
+  ^ u32 (Crc32.string payload)
+  ^ payload
+
+let legacy_begin ~eid buf =
+  Buffer.add_char buf 'B';
+  Codec.add_int buf eid;
+  Codec.add_str buf view;
+  Codec.add_str buf "an encoded change list"
+
+let legacy_commit ~eid buf =
+  Buffer.add_char buf 'C';
+  Codec.add_int buf eid;
+  Codec.add_str buf view
+
+let legacy_done ~eid buf =
+  Buffer.add_char buf 'D';
+  Codec.add_int buf eid;
+  Codec.add_int buf 1
+
+(* An older log holds intent, decision and done records between two data
+   batches (and one more intent and decision with no done marker). The
+   scanner must decode them and drop them: the later data batch
+   survives, nothing is truncated, and no evolution is replayed. *)
+let test_legacy_evolution_records_dropped () =
+  let dir, t = setup () in
+  Durable_tse.close t;
+  let wal_path = Filename.concat dir "wal" in
+  let before = Storage.read_file wal_path in
+  (* a later data batch, written by this build *)
+  let t, _ = Durable_tse.open_dir ~dir () in
+  let db = Durable_tse.db t in
+  let o = List.hd (List.sort Oid.compare (Database.objects db)) in
+  Database.set_attr db o "age" (Value.Int 77);
+  Durable_tse.commit t;
+  let seq = Durable.seq (Durable_tse.durable t) in
+  let expected = tse_fingerprint t in
+  Durable_tse.close t;
+  let later =
+    let wal = Storage.read_file wal_path in
+    let tail =
+      String.sub wal (String.length before)
+        (String.length wal - String.length before)
+    in
+    match (Wal.scan_string tail).Wal.batches with
+    | [ b ] -> b.Wal.entries
+    | bs -> Alcotest.failf "expected one later batch, got %d" (List.length bs)
+  in
+  let eid = seq in
+  let spliced =
+    before
+    ^ legacy_record ~seq [ legacy_begin ~eid ]
+    ^ legacy_record ~seq:(seq + 1) [ legacy_commit ~eid ]
+    ^ legacy_record ~seq:(seq + 2) [ legacy_done ~eid ]
+    ^ legacy_record ~seq:(seq + 3) [ legacy_begin ~eid:(seq + 3) ]
+    ^ legacy_record ~seq:(seq + 4) [ legacy_commit ~eid:(seq + 3) ]
+    ^ Wal.encode_record ~seq:(seq + 5) later
+  in
+  let oc = open_out_bin wal_path in
+  output_string oc spliced;
   close_out oc;
-  eid
-
-let test_rollforward_abort_garbage_payload () =
-  let dir, t = setup () in
-  Durable_tse.close t;
-  let eid = append_committed_intent dir ~payload:"\x01garbage\xff" in
-  let pre_fp = twin_fingerprint [] in
   let t2, report = Durable_tse.open_dir ~dir () in
-  check Alcotest.(list int) "aborted exactly the spliced eid" [ eid ]
-    report.Durable_tse.aborted;
-  check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t2);
+  check Alcotest.int "nothing dropped" 0 report.Recovery.dropped_bytes;
+  check Alcotest.(option string) "no truncation reason" None
+    report.Recovery.reason;
+  check Alcotest.int "scanned to the last batch" (seq + 5)
+    report.Recovery.last_seq;
+  check Alcotest.string "later data batch survives, nothing rolled forward"
+    expected (tse_fingerprint t2);
+  check Alcotest.int "version 0" 0
+    (Durable_tse.current t2 view).View_schema.version;
+  (* new batches follow the legacy ones in sequence and stay durable *)
+  (match Durable_tse.evolve_many t2 ~view changes1 with
+  | Ok v -> check Alcotest.int "still evolves" 1 v.View_schema.version
+  | Error msg -> Alcotest.failf "evolve after legacy log failed: %s" msg);
+  let expected = tse_fingerprint t2 in
   Durable_tse.close t2;
-  (* the abort is durable: a second open sees nothing pending *)
-  let t3, report3 = Durable_tse.open_dir ~dir () in
-  check Alcotest.(list int) "abort is durable" [] report3.Durable_tse.aborted;
-  check
-    Alcotest.(list (pair int string))
-    "nothing pending" [] report3.Durable_tse.rolled_forward;
-  check Alcotest.string "state unchanged" pre_fp (tse_fingerprint t3);
+  let t3, _ = Durable_tse.open_dir ~dir () in
+  check Alcotest.string "durable after reopen" expected (tse_fingerprint t3);
   Durable_tse.close t3
-
-(* Same, but the payload decodes fine and is deterministically rejected
-   by the evolution's own preconditions. *)
-let test_rollforward_abort_rejected_change () =
-  let dir, t = setup () in
-  Durable_tse.close t;
-  let payload =
-    Change_codec.encode
-      [ Change.Delete_attribute { cls = "Student"; attr_name = "nope" } ]
-  in
-  let eid = append_committed_intent dir ~payload in
-  let pre_fp = twin_fingerprint [] in
-  let t2, report = Durable_tse.open_dir ~dir () in
-  check Alcotest.(list int) "rejected intent aborted" [ eid ]
-    report.Durable_tse.aborted;
-  check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t2);
-  Durable_tse.close t2
 
 (* A live rejection must also leave the reopened pre-evolution state and
    a working handle (the whole list is all-or-nothing). *)
@@ -400,8 +449,7 @@ let test_precheck_rejection_logs_nothing () =
   check Alcotest.bool "same database value" true (Durable_tse.db t == db);
   check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t);
   Durable_tse.close t;
-  let t2, report = Durable_tse.open_dir ~dir () in
-  check Alcotest.(list int) "nothing to abort" [] report.Durable_tse.aborted;
+  let t2, _ = Durable_tse.open_dir ~dir () in
   check Alcotest.string "reopened = twin that never tried" pre_fp
     (tse_fingerprint t2);
   Durable_tse.close t2
@@ -444,15 +492,18 @@ let test_rejection_keeps_derived_structures () =
   Durable_tse.commit t;
   Durable_tse.close t
 
-(* A change rejected after the first of a list is past the precheck:
-   the intent is logged, so the reopen path restores the pre-evolution
-   state (the list is all-or-nothing). *)
+(* A change rejected after the first of a list is past the precheck: the
+   first change was applied in memory but nothing was logged, so the
+   reopen path restores the pre-evolution state (the list is
+   all-or-nothing) without writing a byte, and opens once. *)
 let test_later_rejection_reopens () =
   let dir, t = setup () in
   let pre_fp = twin_fingerprint [] in
   let db = Durable_tse.db t in
   let wal_size () = (Unix.stat (Filename.concat dir "wal")).Unix.st_size in
   let size0 = wal_size () in
+  let fsyncs0 = Metrics.find_counter "wal.fsyncs" in
+  let opens0 = Metrics.find_counter "durable.opens" in
   (match
      Durable_tse.evolve_many t ~view
        [
@@ -462,9 +513,68 @@ let test_later_rejection_reopens () =
    with
   | Ok _ -> Alcotest.fail "expected a rejection"
   | Error _ -> ());
-  check Alcotest.bool "intent and abort were logged" true (wal_size () > size0);
+  check Alcotest.int "no WAL byte" size0 (wal_size ());
+  check Alcotest.int "no fsync" fsyncs0 (Metrics.find_counter "wal.fsyncs");
+  check Alcotest.int "opened once" (opens0 + 1)
+    (Metrics.find_counter "durable.opens");
   check Alcotest.bool "database reopened" false (Durable_tse.db t == db);
   check Alcotest.string "pre-evolution state" pre_fp (tse_fingerprint t);
+  Durable_tse.close t
+
+(* [Ok] means durable under a grouped policy too: a handle dropped right
+   after the answer, with no barrier of the caller's own, recovers to the
+   post-evolution twin. *)
+let test_ok_is_durable_under_group () =
+  let dir, t = setup ~policy:(Durable.Group 4) () in
+  (match Durable_tse.evolve_many t ~view changes2 with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "evolve failed: %s" msg);
+  Durable_tse.abandon t;
+  let t2, _ = Durable_tse.open_dir ~policy:(Durable.Group 4) ~dir () in
+  check Alcotest.string "post-evolution twin" (twin_fingerprint changes2)
+    (tse_fingerprint t2);
+  check Alcotest.int "version 2" 2
+    (Durable_tse.current t2 view).View_schema.version;
+  Durable_tse.close t2
+
+(* Traffic written but not committed before an evolution is made durable
+   before the list is applied: a later change's rejection reopens from
+   disk, and the traffic is there, under a grouped policy too. *)
+let test_pending_traffic_survives_later_rejection () =
+  let dir, t = setup ~policy:(Durable.Group 4) () in
+  let db = Durable_tse.db t in
+  let o = List.hd (List.sort Oid.compare (Database.objects db)) in
+  Database.set_attr db o "age" (Value.Int 77);
+  (match
+     Durable_tse.evolve_many t ~view
+       [
+         List.hd changes1;
+         Change.Delete_attribute { cls = "Student"; attr_name = "nope" };
+       ]
+   with
+  | Ok _ -> Alcotest.fail "expected a rejection"
+  | Error _ -> ());
+  let age t = Database.get_prop (Durable_tse.db t) o "age" in
+  check Alcotest.bool "database reopened" false (Durable_tse.db t == db);
+  check Alcotest.bool "traffic survives the reopen" true
+    (Value.equal (age t) (Value.Int 77));
+  check Alcotest.int "version 0" 0 (Durable_tse.current t view).View_schema.version;
+  Durable_tse.abandon t;
+  let t2, _ = Durable_tse.open_dir ~policy:(Durable.Group 4) ~dir () in
+  check Alcotest.bool "traffic is durable" true
+    (Value.equal (age t2) (Value.Int 77));
+  Durable_tse.close t2
+
+(* With no pending traffic an accepted evolution is one batch and one
+   fsync under the eager policy. *)
+let test_evolution_takes_one_fsync () =
+  let _dir, t = setup ~policy:Durable.Every_commit () in
+  let _, fsyncs0 = wal_counts t in
+  (match Durable_tse.evolve_many t ~view changes2 with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "evolve failed: %s" msg);
+  let _, fsyncs1 = wal_counts t in
+  check Alcotest.int "one fsync" 1 (fsyncs1 - fsyncs0);
   Durable_tse.close t
 
 (* The admission gate runs once per change on the durable path: a
@@ -495,8 +605,8 @@ let test_durable_gate_checks_once () =
 
 (* Any single corrupted byte in an evolution-bearing log must leave the
    store openable, consistent, and at one of the states the history went
-   through: pre-evolution, post-evolution (roll-forward replays a
-   committed intent whose effects batch was lost), or post-traffic. *)
+   through: pre-evolution (the effects batch is cut away),
+   post-evolution (the traffic batch is), or post-traffic. *)
 let prop_evolution_wal_corruption =
   let dir, t = setup () in
   Durable_tse.checkpoint t;
@@ -546,12 +656,10 @@ let suite =
       test_crash_matrix_group_policy;
     Alcotest.test_case "multi-change unit is all-or-nothing under crashes"
       `Quick test_multi_change_atomicity;
-    Alcotest.test_case "torn begin record: every truncation offset" `Quick
-      test_torn_begin_every_offset;
-    Alcotest.test_case "roll-forward abort: garbage payload" `Quick
-      test_rollforward_abort_garbage_payload;
-    Alcotest.test_case "roll-forward abort: rejected change" `Quick
-      test_rollforward_abort_rejected_change;
+    Alcotest.test_case "torn effects batch: every truncation offset" `Quick
+      test_torn_effects_batch_every_offset;
+    Alcotest.test_case "legacy intent/decision/done records are dropped"
+      `Quick test_legacy_evolution_records_dropped;
     Alcotest.test_case "live rejection is all-or-nothing" `Quick
       test_live_rejection_is_all_or_nothing;
     Alcotest.test_case "precheck rejection logs nothing, keeps the handle"
@@ -562,5 +670,11 @@ let suite =
       `Quick test_later_rejection_reopens;
     Alcotest.test_case "durable path admits each change once" `Quick
       test_durable_gate_checks_once;
+    Alcotest.test_case "Ok is durable under group commit" `Quick
+      test_ok_is_durable_under_group;
+    Alcotest.test_case "pending traffic survives a later rejection" `Quick
+      test_pending_traffic_survives_later_rejection;
+    Alcotest.test_case "accepted evolution takes one fsync" `Quick
+      test_evolution_takes_one_fsync;
   ]
   @ [ Qcheck_det.to_alcotest prop_evolution_wal_corruption ]
