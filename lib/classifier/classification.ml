@@ -159,7 +159,11 @@ let link_by_derivation graph cid derivation intended =
 
 (* Materialize intended properties the class does not inherit at its
    position: MultiView code promotion. Shares the uid so diamond paths and
-   local/inherited duplicates resolve to a single property. *)
+   local/inherited duplicates resolve to a single property. The class is
+   mutated in place, which moves no stamp by itself: [cid] was registered
+   by the evolution being integrated, and that registration moved the
+   graph version (hence [Database.compile_stamp]) before the same
+   evolution's commit. *)
 let materialize_props graph cid intended =
   let k = Schema_graph.find_exn graph cid in
   List.iter

@@ -417,6 +417,11 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
                primed name *)
             let v' = d in
             let k = Schema_graph.find_exn graph v' in
+            (* in-place rename: [Ops.difference] just above registered a
+               class (and removed it again if [d] is an existing
+               duplicate), which moved the graph version, hence the
+               compile stamp, within this same evolution; its commit
+               re-encodes the schema *)
             k.Klass.name <- Ops.primed_name db vname;
             v'
           | xs ->
@@ -527,6 +532,10 @@ let add_class db view ~cls_name ~connected_to =
             (Oid.to_int origin, x))
           origins
       in
+      (* the in-place renames below touch classes this same change
+         produced ([subst], [replay]); producing them registered classes,
+         which moved the graph version, hence the compile stamp a durable
+         commit checks *)
       let cadd =
         match Schema_graph.find_exn graph csup with
         | { Klass.kind = Klass.Base; _ } ->

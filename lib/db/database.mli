@@ -137,11 +137,21 @@ val holds : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> bool
     current schema) and the resulting closure is reused per object. *)
 
 val compile_stamp : t -> int
-(** Validity stamp for anything compiled against this database's schema
+(** Validity stamp for anything derived from this database's schema
     state. Strictly increases on every schema evolution (graph version)
     and on direct schema surgery / cache retirement ([reclassify_all]);
     callers caching compiled artifacts must discard them when the stamp
-    they were built under no longer matches. *)
+    they were built under no longer matches. Its consumers: compiled
+    predicates and plans, [Tsem.precheck]'s staleness check, and
+    {!Durable.commit}, which re-encodes the schema graph only when the
+    stamp moved since its last durable image.
+
+    The rule that keeps all of them sound: every schema mutation moves
+    the stamp. The graph's own mutators bump the version. A class record
+    mutated in place ([Klass.add_local_prop], a name assignment) must
+    either belong to a class the same operation registered, whose
+    registration already moved the version, or be followed by
+    {!reclassify_all}. *)
 
 val compile_pred : t -> Tse_schema.Expr.t -> Tse_store.Oid.t -> bool
 (** Compile a predicate into a per-object membership test with exactly

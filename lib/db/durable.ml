@@ -15,6 +15,7 @@ let m_commits = Metrics.counter "durable.commits"
 let m_empty_commits = Metrics.counter "durable.empty_commits"
 let m_checkpoints = Metrics.counter "durable.checkpoints"
 let m_opens = Metrics.counter "durable.opens"
+let m_schema_encodes = Metrics.counter "durable.schema_encodes"
 
 type sync_policy = Every_commit | Group of int | Manual
 
@@ -26,6 +27,7 @@ type t = {
   mutable pending : Heap.op list;  (* newest first *)
   dirty_bases : unit Oid.Tbl.t;
   mutable last_schema : string;  (* last durable schema image *)
+  mutable last_stamp : int;  (* compile stamp [last_schema] was encoded at *)
   ext_last : (string, string) Hashtbl.t;  (* last durable blob per ext tag *)
   ext_staged : (string, string) Hashtbl.t;  (* staged for the next commit *)
   mutable policy : sync_policy;
@@ -38,6 +40,12 @@ let dir t = t.dir
 let seq t = t.seq
 let snapshot_path dir = Filename.concat dir "snapshot"
 let wal_path dir = Filename.concat dir "wal"
+
+(* every whole-graph encode this module makes goes through here, so the
+   counter shows how often the write path pays for one *)
+let encode_schema db =
+  Metrics.incr m_schema_encodes;
+  Schema_codec.encode_graph (Database.graph db)
 
 let check_policy = function
   | Group n when n < 1 ->
@@ -100,9 +108,11 @@ let decode_bases s =
   if pos <> String.length s then Codec.fail_at pos "trailing bases bytes";
   bases
 
+(* only {!checkpoint} calls this, right after a commit: the last durable
+   schema image is the current one *)
 let snapshot_string t =
   let db = t.database in
-  let schema = Schema_codec.encode_graph (Database.graph db) in
+  let schema = t.last_schema in
   let bases = encode_bases db in
   let heap_text = Snapshot.to_string (Database.heap db) in
   let buf = Buffer.create (String.length heap_text + 256) in
@@ -275,7 +285,8 @@ let open_dir ?policy ~dir () =
       seq;
       pending = [];
       dirty_bases = Oid.Tbl.create 16;
-      last_schema = Schema_codec.encode_graph graph;
+      last_schema = encode_schema database;
+      last_stamp = Database.compile_stamp database;
       ext_last;
       ext_staged = Hashtbl.create 4;
       policy;
@@ -351,7 +362,14 @@ let commit t =
       [ Wal.Ext ("bases", Buffer.contents buf) ]
     end
   in
-  let schema = Schema_codec.encode_graph (Database.graph db) in
+  (* the schema is re-encoded only when the compile stamp moved since the
+     last durable image: every schema mutation moves it (versioned graph
+     mutators, and [reclassify_all] after in-place surgery). A moved stamp
+     with byte-identical bytes still logs nothing. *)
+  let stamp = Database.compile_stamp db in
+  let schema =
+    if stamp = t.last_stamp then t.last_schema else encode_schema db
+  in
   let schema_entry =
     if String.equal schema t.last_schema then []
     else [ Wal.Ext ("schema", schema) ]
@@ -367,8 +385,10 @@ let commit t =
   in
   if ops = [] && bases_entry = [] && schema_entry = [] && ext_entries = []
   then begin
-    (* anything staged was byte-identical to the durable image *)
+    (* anything staged was byte-identical to the durable image, and so
+       was the schema *)
     Hashtbl.reset t.ext_staged;
+    t.last_stamp <- stamp;
     Metrics.incr m_empty_commits
   end
   else begin
@@ -387,6 +407,7 @@ let commit t =
     t.pending <- [];
     Oid.Tbl.reset t.dirty_bases;
     t.last_schema <- schema;
+    t.last_stamp <- stamp;
     List.iter
       (function
         | Wal.Ext (tag, blob) -> Hashtbl.replace t.ext_last tag blob

@@ -12,7 +12,11 @@
     events, so one {!commit} appends exactly one checksummed batch:
     the physical heap ops, an OID-generator watermark, the base
     memberships that changed, and — only when it differs from the last
-    durable image — the re-encoded schema graph.
+    durable image — the encoded schema graph. The graph is re-encoded
+    only when {!Database.compile_stamp} moved since that image was
+    taken (a data-only commit encodes nothing); a moved stamp whose
+    encoding is byte-identical to the image still logs no schema.
+    Every encode counts in the [durable.schema_encodes] metric.
 
     {!open_dir} is recovery: load the snapshot (if any), replay the log
     tail, truncating a torn or corrupt tail instead of failing, and

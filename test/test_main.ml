@@ -25,6 +25,7 @@ let () =
       ("concurrency", Test_concurrency.suite);
       ("durability", Test_durability.suite);
       ("evolution-recovery", Test_evolution_recovery.suite);
+      ("schema-stamp", Test_schema_stamp.suite);
       ("pool", Test_pool.suite);
       ("parallel", Test_parallel.suite);
       (* last: its sampler tests call Metrics.reset, which zeroes the

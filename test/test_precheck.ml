@@ -17,12 +17,13 @@ let fingerprint tsem =
   Verify.db_fingerprint ~history:(Tsem.history tsem) (Tsem.db tsem)
 
 (* Everything a mutation would move: the structural fingerprint (classes,
-   edges, extents, objects, every view version), the schema stamp and
-   the OID generator. *)
+   edges, extents, objects, every view version), the graph version, the
+   compile stamp and the OID generator. *)
 let state tsem =
   let db = Tsem.db tsem in
   ( fingerprint tsem,
     Schema_graph.version (Database.graph db),
+    Database.compile_stamp db,
     Oid.Gen.count (Heap.gen (Database.heap db)) )
 
 (* Test_property.random_change plus the shapes that are rejected by
@@ -113,7 +114,7 @@ let prop_precheck_matches_translator =
       for step = 1 to 8 do
         let change = gen_change rng rs1 t1 step in
         let show = Change.to_string change in
-        let ((fp0, _, _) as before) = state t1 in
+        let ((fp0, _, _, _) as before) = state t1 in
         let pre = outcome (fun () -> Tsem.precheck t1 ~view change) in
         if state t1 <> before then
           QCheck.Test.fail_reportf "step %d: precheck of %s mutated the database"
@@ -155,9 +156,34 @@ let test_stale_precheck_refused () =
     (Invalid_argument "Tsem.evolve_checked: the schema changed after precheck")
     (fun () -> ignore (Tsem.evolve_checked tsem checked))
 
+(* In-place surgery moves no graph version, but it moves the compile
+   stamp (through [reclassify_all]), and that is what the precheck
+   vouches for. *)
+let test_direct_surgery_refused () =
+  let rs = Random_schema.generate ~seed:7 ~classes:4 () in
+  let tsem = Tsem.of_database rs.db in
+  let names = Random_schema.class_names rs in
+  let v = Tsem.define_view_by_names tsem ~name:view names in
+  let checked =
+    Tsem.precheck tsem ~view
+      (Change.Add_class { cls = "Late"; connected_to = Some (List.hd names) })
+  in
+  let version = Schema_graph.version (Database.graph rs.db) in
+  ignore
+    (Direct.apply rs.db v
+       (Change.Add_attribute
+          { cls = List.hd names; def = Change.attr "surgery" Value.TInt }));
+  Alcotest.(check int) "surgery leaves the graph version alone" version
+    (Schema_graph.version (Database.graph rs.db));
+  Alcotest.check_raises "precheck before surgery"
+    (Invalid_argument "Tsem.evolve_checked: the schema changed after precheck")
+    (fun () -> ignore (Tsem.evolve_checked tsem checked))
+
 let suite =
   [
     Qcheck_det.to_alcotest prop_precheck_matches_translator;
     Alcotest.test_case "a stale precheck is refused" `Quick
       test_stale_precheck_refused;
+    Alcotest.test_case "direct surgery after precheck is refused" `Quick
+      test_direct_surgery_refused;
   ]
