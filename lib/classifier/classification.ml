@@ -198,14 +198,14 @@ let integrate db cid =
       (* never leave the new class disconnected (Section 6.6.1's ROOT rule) *)
       if (Schema_graph.find_exn graph cid).supers = [] then
         Schema_graph.add_edge graph ~sup:(Schema_graph.root graph) ~sub:cid;
-      `Placed (k, intended)
+      `Placed intended
   in
   match placement with
   | `Duplicate existing ->
     Schema_graph.remove graph cid;
     Database.note_removed_class db cid;
     existing
-  | `Placed (k, intended) ->
+  | `Placed intended ->
     (* integrate: promote properties and repair inheritance edges *)
     (Trace.with_span "evolve.integrate" @@ fun () ->
      Failpoint.hit fp_integrate;
@@ -215,10 +215,5 @@ let integrate db cid =
     (* reclassify: populate the new class's extent from its sources *)
     (Trace.with_span "evolve.reclassify" @@ fun () ->
      Failpoint.hit fp_reclassify;
-     let candidates =
-       List.fold_left
-         (fun acc src -> Oid.Set.union acc (Database.extent db src))
-         Oid.Set.empty (Klass.sources k)
-     in
-     Oid.Set.iter (fun o -> Database.reclassify db o) candidates);
+     Database.populate_class db cid);
     cid

@@ -18,8 +18,10 @@
       code promotion — Section 6.2.3);
     - {b edge repair}: direct edges made transitive-redundant by the
       insertion are removed;
-    - {b extent maintenance}: objects in the source extents are
-      reclassified so the new class's extent is populated. *)
+    - {b extent maintenance}: the new class's extent is computed from
+      its sources' extents by set algebra ({!Tse_db.Database.populate_class});
+      only when joining the class could move another membership do the
+      objects of the source extents run the membership fixpoint. *)
 
 type cid = Tse_schema.Klass.cid
 

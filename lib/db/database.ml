@@ -93,6 +93,8 @@ let m_fuel_exhausted = Metrics.counter "reclass.fuel_exhausted"
 let m_nonconvergence = Metrics.counter "reclass.nonconvergence_warnings"
 let m_compiled_evals = Metrics.counter "reclass.compiled_evals"
 let m_pred_compiles = Metrics.counter "reclass.pred_compiles"
+let m_populated = Metrics.counter "reclass.populated_objects"
+let m_populate_fallbacks = Metrics.counter "reclass.populate_fallbacks"
 
 let env_full_reclassify () =
   match Sys.getenv_opt "DB_FULL_RECLASSIFY" with
@@ -711,6 +713,61 @@ let reclassify_all t =
   t.deps_version <- -1;
   t.cache_gen <- t.cache_gen + 1;
   List.iter (reclassify t) (objects t)
+
+(* --- populating a new class ----------------------------------------- *)
+
+(* The extent [k]'s derivation denotes over its sources' current extents
+   (Section 3.2). Only a select evaluates anything, and only its own
+   predicate. *)
+let derived_extent t (k : Klass.t) =
+  let ext = extent t in
+  match k.kind with
+  | Klass.Base -> invalid_arg "Database.populate_class: base class"
+  | Klass.Virtual d -> begin
+    match d with
+    | Klass.Select (s, pred) ->
+      Oid.Set.filter (fun o -> eval_pred_compiled t o k.cid pred) (ext s)
+    | Klass.Hide (_, s) | Klass.Refine (_, s) -> ext s
+    | Klass.Refine_from { target; _ } -> ext target
+    | Klass.Union (a, b) -> Oid.Set.union (ext a) (ext b)
+    | Klass.Intersect (a, b) -> Oid.Set.inter (ext a) (ext b)
+    | Klass.Difference (a, b) -> Oid.Set.diff (ext a) (ext b)
+  end
+
+(* Joining a class nobody was a member of changes an object's other
+   memberships only through a select that observes the class, or through
+   an ancestor the object is not yet in. With neither, the new extent is
+   the whole answer and every member gains exactly [cid]. *)
+let populate_class t cid =
+  let k = Schema_graph.find_exn t.graph cid in
+  let fixpoint () =
+    Metrics.incr m_populate_fallbacks;
+    List.fold_left
+      (fun acc src -> Oid.Set.union acc (extent t src))
+      Oid.Set.empty (Klass.sources k)
+    |> Oid.Set.iter (reclassify t)
+  in
+  let observed () =
+    not (Oid.Set.is_empty (Deps.selects_on_class (deps t) cid))
+  in
+  if t.full_reclassify || observed () then fixpoint ()
+  else begin
+    let members = derived_extent t k in
+    let within anc =
+      Oid.equal anc (root t) || Oid.Set.subset members (extent t anc)
+    in
+    if not (Oid.Set.for_all within (Schema_graph.ancestors t.graph cid)) then
+      fixpoint ()
+    else
+      Oid.Set.iter
+        (fun o ->
+          Metrics.incr m_populated;
+          Slicing.add_to_class t.model o cid;
+          Oid.Tbl.remove t.resolve_cache o;
+          extent_add t cid o;
+          notify t (Membership_delta (o, [ cid ], [])))
+        members
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Object lifecycle                                                    *)

@@ -204,6 +204,30 @@ val note_new_class : t -> cid -> unit
 
 val note_removed_class : t -> cid -> unit
 
+val populate_class : t -> cid -> unit
+(** Give a virtual class that no object is a member of yet (it was just
+    registered and linked) its extent. The extent follows from the
+    derivation over the sources' extents (Section 3.2): a select keeps
+    the source objects its predicate holds for (only that predicate is
+    evaluated, compiled); hide and refine take the source's extent,
+    refine_from the target's; union, intersect and difference are the
+    set operations. Each member gains the class and fires exactly one
+    [Membership_delta (o, [cid], [])]; no other object is touched.
+
+    That is the whole answer only when joining the class moves no other
+    membership, which two guards check once for the class:
+    - no select observes it ({!Tse_schema.Deps.selects_on_class} is
+      empty): joining it could flip such a select's verdict, for example
+      by making a name the predicate reads ambiguous;
+    - the new extent lies within the extent of every non-root ancestor:
+      otherwise members would also join those ancestors.
+
+    When either guard fails, or under {!full_reclassify}, every object
+    of the union of the source extents runs the {!reclassify} fixpoint
+    instead. The set-algebra path does not prime the per-object verdict
+    memos the fixpoint leaves behind, so the next reclassification of a
+    member after the evolution evaluates its selects again. *)
+
 val derivation_order : t -> cid list
 (** Virtual classes ordered so every class follows its sources. *)
 

@@ -143,6 +143,92 @@ let test_classified_class_extents_populated () =
   Alcotest.(check bool) "extent non-empty" true (Database.extent_size db adult > 0);
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
+(* Populating a new class by set algebra is exact only while joining it
+   moves no other membership. Each guard scenario below runs on twin
+   universities: one on the default engine, one on the full-fixpoint
+   oracle. The twins allocate identical oids, so extents compare
+   directly. *)
+let twin_universities ~n =
+  let mk full =
+    let u = uni () in
+    Database.set_full_reclassify u.db full;
+    ignore (Tse_workload.University.populate u ~n);
+    u
+  in
+  (mk false, mk true)
+
+let check_matches_oracle (u : Tse_workload.University.t)
+    (o : Tse_workload.University.t) =
+  Alcotest.(check (list string)) "consistent" [] (Database.check u.db);
+  Alcotest.(check (list string)) "oracle consistent" [] (Database.check o.db);
+  let extents (u : Tse_workload.University.t) =
+    List.map
+      (fun c -> (c, Database.extent_list u.db c))
+      (List.sort Oid.compare (Schema_graph.cids (Database.graph u.db)))
+  in
+  Alcotest.(check bool) "extents equal the oracle's" true
+    (extents u = extents o)
+
+(* Runs [f] and returns its result with how many objects the set-algebra
+   path admitted and how many classes fell back to the fixpoint. *)
+let populate_counts f =
+  let populated = Tse_obs.Metrics.counter "reclass.populated_objects" in
+  let fallbacks = Tse_obs.Metrics.counter "reclass.populate_fallbacks" in
+  let p0 = Tse_obs.Metrics.counter_value populated in
+  let f0 = Tse_obs.Metrics.counter_value fallbacks in
+  let r = f () in
+  ( r,
+    Tse_obs.Metrics.counter_value populated - p0,
+    Tse_obs.Metrics.counter_value fallbacks - f0 )
+
+(* Ancestor guard: refine_from links the new class under the provider
+   SupportStaff as well as under Grad, and no grad is support staff. Its
+   members must join SupportStaff too, which only the fixpoint does. *)
+let boss_for_grads (u : Tse_workload.University.t) =
+  Tse_algebra.Ops.refine_from u.db ~name:"BossedGrad" ~src:u.support_staff
+    ~prop_name:"boss" ~target:u.grad
+
+let test_populate_ancestor_guard () =
+  let u, o = twin_universities ~n:60 in
+  let c, populated, fallbacks = populate_counts (fun () -> boss_for_grads u) in
+  ignore (boss_for_grads o);
+  check Alcotest.int "nobody admitted by set algebra" 0 populated;
+  check Alcotest.int "one fallback" 1 fallbacks;
+  Alcotest.(check bool) "grads joined the new class" true
+    (Database.extent_size u.db c > 0);
+  check_matches_oracle u o
+
+(* Observed guard: a refine of Student adds a second, unrelated stored
+   [lecture]. For a TA, a member of both Student and TeachingStaff, the
+   name becomes ambiguous, so DbTeachers' predicate no longer holds and
+   the TAs must leave it. *)
+let db_teachers (u : Tse_workload.University.t) =
+  Tse_algebra.Ops.select u.db ~name:"DbTeachers" ~src:u.teaching_staff
+    Expr.(attr "lecture" === str "db101")
+
+let second_lecture (u : Tse_workload.University.t) =
+  Tse_algebra.Ops.refine u.db ~name:"Lectured"
+    ~props:[ Prop.stored ~origin:(Oid.of_int 0) "lecture" Value.TString ]
+    ~src:u.student
+
+let test_populate_observed_guard () =
+  let u, o = twin_universities ~n:60 in
+  let sel, populated, fallbacks = populate_counts (fun () -> db_teachers u) in
+  ignore (db_teachers o);
+  check Alcotest.int "the TAs teaching db101 admitted by filtering" 10
+    populated;
+  check Alcotest.int "select: no fallback" 0 fallbacks;
+  let tas = Database.extent u.db u.ta in
+  check Alcotest.int "every member is a TA" 10
+    (Oid.Set.cardinal (Oid.Set.inter tas (Database.extent u.db sel)));
+  let _, populated, fallbacks = populate_counts (fun () -> second_lecture u) in
+  ignore (second_lecture o);
+  check Alcotest.int "refine: nobody admitted by set algebra" 0 populated;
+  check Alcotest.int "refine: one fallback" 1 fallbacks;
+  Alcotest.(check bool) "no TA left in DbTeachers" false
+    (Oid.Set.exists (fun t -> Oid.Set.mem t tas) (Database.extent u.db sel));
+  check_matches_oracle u o
+
 let suite =
   [
     Alcotest.test_case "intended types per operator" `Quick test_intended_types;
@@ -158,4 +244,8 @@ let suite =
       test_edge_repair_removes_redundancy;
     Alcotest.test_case "late classification populates extents" `Quick
       test_classified_class_extents_populated;
+    Alcotest.test_case "populate: ancestor guard" `Quick
+      test_populate_ancestor_guard;
+    Alcotest.test_case "populate: observed-select guard" `Quick
+      test_populate_observed_guard;
   ]

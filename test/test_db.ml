@@ -423,6 +423,46 @@ let test_event_exactly_once () =
   events := [];
   Database.remove_base_membership db p u.staff;
   check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
+  (* populating a new class: one delta per member, gaining exactly that
+     class, and none for any other object *)
+  ignore
+    (Database.create_object db u.student
+       ~init:[ ("name", Value.String "s"); ("age", Value.Int 20) ]);
+  ignore
+    (Database.create_object db u.grad
+       ~init:[ ("name", Value.String "g"); ("age", Value.Int 24) ]);
+  let populates new_class =
+    events := [];
+    let cid = new_class () in
+    let deltas =
+      List.filter_map
+        (function
+          | Database.Membership_delta (o, added, removed) ->
+            Some (o, added, removed)
+          | _ -> None)
+        !events
+    in
+    let members = Database.extent db cid in
+    check Alcotest.int "one delta per member" (Oid.Set.cardinal members)
+      (List.length deltas);
+    List.iter
+      (fun (o, added, removed) ->
+        Alcotest.(check bool) "delta names a member" true (Oid.Set.mem o members);
+        Alcotest.(check bool) "gains exactly the new class" true
+          (List.equal Oid.equal added [ cid ]);
+        check Alcotest.int "loses nothing" 0 (List.length removed))
+      deltas;
+    Oid.Set.cardinal members
+  in
+  check Alcotest.int "refine populates every student" 2
+    (populates (fun () ->
+         Tse_algebra.Ops.refine db ~name:"Nicknamed"
+           ~props:[ Prop.stored ~origin:(Oid.of_int 0) "nickname" Value.TString ]
+           ~src:u.student));
+  check Alcotest.int "select populates the matching persons only" 2
+    (populates (fun () ->
+         Tse_algebra.Ops.select db ~name:"Young" ~src:u.person
+           Expr.(attr "age" < int 25)));
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
 (* Listeners belong to an owner the database holds weakly. *)

@@ -389,11 +389,181 @@ let prop_incremental_equals_oracle =
               (String.concat "\n" (p @ p'))
       end)
 
+(* Populating a new class by set algebra must agree with the fixpoint
+   oracle for every derivation kind. Twin universities, one per engine,
+   replay the same random algebra ops. The op mix includes refine_from
+   with a provider unrelated to the target, refines that add a name a
+   select reads, and attribute writes after a population. After every op
+   the default twin must report no consistency problem the oracle does
+   not, and while the oracle is consistent every object must have the
+   same member classes in both.
+
+   The oracle is not always consistent: its pass over the derivation
+   order misses a membership that an ancestor edge its formula does not
+   imply (refine_from with an unrelated provider) adds after a formula
+   reading that ancestor was evaluated. Once the oracle reports a problem
+   it stops judging, and the rest of the sequence is not compared. *)
+type pop_op =
+  | P_select of int * string * int  (* source, attribute, threshold *)
+  | P_select_in of int * int  (* source, class it must be a member of *)
+  | P_hide of int * string
+  | P_refine of int * string  (* source, new stored attribute *)
+  | P_refine_read of int * int  (* source, index into the names selects read *)
+  | P_refine_from of int * string * int  (* provider, property, target *)
+  | P_union of int * int
+  | P_intersect of int * int
+  | P_difference of int * int
+  | P_write of int * string * int  (* object, attribute, value *)
+
+let pop_int_attrs = [| "age"; "salary"; "hours"; "x" |]
+let pop_str_attrs = [| "lecture"; "boss"; "name" |]
+let pop_attrs = Array.append pop_int_attrs pop_str_attrs
+let pop_is_int a = Array.mem a pop_int_attrs
+
+let pop_op_to_string = function
+  | P_select (c, a, k) -> Printf.sprintf "select(%d, %s, %d)" c a k
+  | P_select_in (c, m) -> Printf.sprintf "select_in(%d, %d)" c m
+  | P_hide (c, a) -> Printf.sprintf "hide(%d, %s)" c a
+  | P_refine (c, a) -> Printf.sprintf "refine(%d, %s)" c a
+  | P_refine_read (c, i) -> Printf.sprintf "refine_read(%d, %d)" c i
+  | P_refine_from (s, a, t) -> Printf.sprintf "refine_from(%d, %s, %d)" s a t
+  | P_union (a, b) -> Printf.sprintf "union(%d, %d)" a b
+  | P_intersect (a, b) -> Printf.sprintf "intersect(%d, %d)" a b
+  | P_difference (a, b) -> Printf.sprintf "difference(%d, %d)" a b
+  | P_write (o, a, v) -> Printf.sprintf "write(%d, %s, %d)" o a v
+
+let pop_op_gen =
+  let open QCheck.Gen in
+  let cls = int_bound 40 and attr = oneofa pop_attrs in
+  oneof
+    [
+      map3 (fun c a k -> P_select (c, a, k)) cls attr (int_bound 60);
+      map2 (fun c m -> P_select_in (c, m)) cls cls;
+      map2 (fun c a -> P_hide (c, a)) cls attr;
+      map2 (fun c a -> P_refine (c, a)) cls attr;
+      map2 (fun c i -> P_refine_read (c, i)) cls (int_bound 10);
+      map3 (fun s a t -> P_refine_from (s, a, t)) cls attr cls;
+      map2 (fun a b -> P_union (a, b)) cls cls;
+      map2 (fun a b -> P_intersect (a, b)) cls cls;
+      map2 (fun a b -> P_difference (a, b)) cls cls;
+      map3 (fun o a v -> P_write (o, a, v)) (int_bound 30) attr (int_bound 60);
+    ]
+
+let prop_populate_equals_oracle =
+  QCheck.Test.make ~name:"set-algebra population == full-fixpoint oracle"
+    ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pop_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 10) pop_op_gen))
+    (fun ops ->
+      let mk full =
+        let u = University.build () in
+        Database.set_full_reclassify u.db full;
+        ignore (University.populate u ~n:24);
+        u.db
+      in
+      let inc = mk false and ora = mk true in
+      let apply step db op =
+        let g = Database.graph db in
+        let classes =
+          List.filter
+            (fun c -> not (Oid.equal c (Database.root db)))
+            (List.sort Oid.compare (Schema_graph.cids g))
+        in
+        let pick among i = List.nth among (i mod List.length among) in
+        let cls = pick classes in
+        (* most ops are drawn among the classes they are valid for, so few
+           sequences degenerate into rejected ops *)
+        let cls_where keep i =
+          match List.filter keep classes with [] -> cls i | among -> pick among i
+        in
+        let having a = cls_where (fun c -> Type_info.has_prop g c a) in
+        let lacking a = cls_where (fun c -> not (Type_info.has_prop g c a)) in
+        let name = Printf.sprintf "P%d" step in
+        let value a v =
+          if pop_is_int a then Value.Int v
+          else Value.String (if v mod 2 = 0 then "db101" else "dean")
+        in
+        let pred a k =
+          if pop_is_int a then Expr.(attr a >= int k)
+          else Expr.(attr a === str (if k mod 2 = 0 then "db101" else "dean"))
+        in
+        let ty a = if pop_is_int a then Value.TInt else Value.TString in
+        let refine_with c a =
+          Tse_algebra.Ops.refine db ~name
+            ~props:[ Prop.stored ~origin:(Oid.of_int 0) a (ty a) ]
+            ~src:(lacking a c)
+        in
+        let open Tse_algebra.Ops in
+        match op with
+        | P_select (c, a, k) -> Ok (select db ~name ~src:(having a c) (pred a k))
+        | P_select_in (c, m) ->
+          Ok
+            (select db ~name ~src:(cls c)
+               (Expr.In_class (Schema_graph.name_of g (cls m))))
+        | P_hide (c, a) -> Ok (hide db ~name ~props:[ a ] ~src:(having a c))
+        | P_refine (c, a) -> Ok (refine_with c a)
+        | P_refine_read (c, i) ->
+          let read =
+            List.concat_map
+              (fun (k : Klass.t) ->
+                match k.kind with
+                | Klass.Virtual (Klass.Select (_, p)) -> Expr.free_attrs p
+                | Klass.Base | Klass.Virtual _ -> [])
+              (Schema_graph.classes g)
+            |> List.sort_uniq String.compare
+          in
+          Ok (refine_with c (match read with [] -> "x" | _ -> pick read i))
+        | P_refine_from (s, a, t) ->
+          Ok
+            (refine_from db ~name ~src:(having a s) ~prop_name:a
+               ~target:(lacking a t))
+        | P_union (a, b) -> Ok (union db ~name (cls a) (cls b))
+        | P_intersect (a, b) -> Ok (intersect db ~name (cls a) (cls b))
+        | P_difference (a, b) -> Ok (difference db ~name (cls a) (cls b))
+        | P_write (o, a, v) ->
+          let o = pick (List.sort Oid.compare (Database.objects db)) o in
+          Database.set_attr db o a (value a v);
+          Ok o
+      in
+      let outcome step db op =
+        match apply step db op with
+        | r -> r
+        | exception
+            ( Tse_algebra.Ops.Error m
+            | Expr.Unknown_property m
+            | Expr.Type_error m
+            | Invalid_argument m ) ->
+          Error m
+      in
+      let memberships db =
+        List.map (Database.member_classes db)
+          (List.sort Oid.compare (Database.objects db))
+      in
+      let rec judge = function
+        | [] -> true
+        | (step, op) :: rest ->
+          let r = outcome step inc op and r' = outcome step ora op in
+          let what = pop_op_to_string op in
+          let problems = Database.check inc and oracle = Database.check ora in
+          if Result.is_ok r <> Result.is_ok r' then
+            QCheck.Test.fail_reportf "%s: outcomes differ" what
+          else if List.exists (fun p -> not (List.mem p oracle)) problems then
+            QCheck.Test.fail_reportf "%s: inconsistent:@.%s" what
+              (String.concat "\n" problems)
+          else if oracle <> [] then true
+          else if memberships inc <> memberships ora then
+            QCheck.Test.fail_reportf "%s: member classes diverged" what
+          else judge rest
+      in
+      judge (List.mapi (fun i op -> (i, op)) ops))
+
 let suite =
   List.map Qcheck_det.to_alcotest
     [
       prop_models_agree;
       prop_incremental_equals_oracle;
+      prop_populate_equals_oracle;
       prop_catalog_roundtrip;
       prop_random_schema_consistent;
       prop_tse_equals_direct;
