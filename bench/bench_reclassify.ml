@@ -152,13 +152,7 @@ let json_of groups ~smoke ~objects ~writes ~indexed ~scanned ~latency =
   Printf.bprintf b "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   (* registry totals across every side of every group, plus the derived
      ratios CI tooling reads without recomputing *)
-  let memo_hits = Metrics.find_counter "reclass.verdict_memo_hits" in
-  let evals = Metrics.find_counter "reclass.formula_evals" in
-  let verdicts = memo_hits + evals in
   Printf.bprintf b "  \"metrics\": {\n";
-  Printf.bprintf b "    \"verdict_memo_hit_rate\": %.4f,\n"
-    (if verdicts = 0 then 0.0
-     else float_of_int memo_hits /. float_of_int verdicts);
   Printf.bprintf b "    \"objects_visited_total\": %d,\n"
     (Metrics.find_counter "reclass.objects_visited");
   Printf.bprintf b "    \"compiled_evals_total\": %d,\n"

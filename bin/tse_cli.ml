@@ -871,7 +871,8 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Attach to a running serve-stats endpoint and render its live \
-          rates (ops/s, fsyncs/commit, memo hit rate, pool utilization).")
+          rates (ops/s, fsyncs/commit, formula evals/s, pool \
+          utilization).")
     Term.(const top $ addr_arg $ top_count_arg $ top_interval_arg)
 
 let trace_file_arg =

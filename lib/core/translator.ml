@@ -63,16 +63,6 @@ let stitch ?(except = []) ctx =
       end)
     edges
 
-(* After restructuring, recompute memberships of every object that could
-   be affected (members of any replaced class). *)
-let refresh_members ctx =
-  let objs =
-    List.fold_left
-      (fun acc (old_cid, _) -> Oid.Set.union acc (Database.extent ctx.db old_cid))
-      Oid.Set.empty !(ctx.mapping)
-  in
-  Oid.Set.iter (Database.reclassify ctx.db) objs
-
 (* The replacement view: every mapped class substituted (keeping its
    view-local name — the renaming step of Section 6.1.3). *)
 let finish ctx =
@@ -122,7 +112,6 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
   in
   walk cls;
   stitch ctx;
-  refresh_members ctx;
   finish ctx
 
 (* ------------------------------------------------------------------ *)
@@ -192,7 +181,6 @@ let delete_property db view ~cls_name ~prop_name =
           (old_cid, restored))
         !(ctx.mapping));
   stitch ctx;
-  refresh_members ctx;
   finish ctx
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +253,6 @@ let add_edge db view ~sup_name ~sub_name =
   let new_sup = map_or_id ctx csup and new_sub = map_or_id ctx csub in
   if not (Schema_graph.is_ancestor_or_self graph ~anc:new_sup ~desc:new_sub) then
     Schema_graph.add_edge graph ~sup:new_sup ~sub:new_sub;
-  refresh_members ctx;
   finish ctx
 
 (* ------------------------------------------------------------------ *)
@@ -380,7 +367,14 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
   (* phase A: superclasses of C_sup lose C_sub's instances, except those
      still visible through other paths (the commonSub correction) *)
   let avoiding = deleted_edge_avoiding graph ~esup:csup ~esub:csub in
-  let still_super_without_edge v = avoiding v csub in
+  (* the reattachment class and its ancestors get C_sub back through the
+     new edge, so they keep its instances *)
+  let reattached v =
+    match upper with
+    | Some u -> Schema_graph.is_ancestor_or_self graph ~anc:v ~desc:u
+    | None -> false
+  in
+  let still_super_without_edge v = avoiding v csub || reattached v in
   let common_sub_view v =
     let commons =
       List.filter
@@ -458,7 +452,6 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
     if not (Schema_graph.is_ancestor_or_self graph ~anc:u' ~desc:sub') then
       Schema_graph.add_edge graph ~sup:u' ~sub:sub'
   | None -> ());
-  refresh_members ctx;
   finish ctx
 
 (* ------------------------------------------------------------------ *)

@@ -15,20 +15,6 @@ type cid = Klass.cid
 
 let reclassify_fuel = 4
 
-(* Per-object memo of select-predicate verdicts. An entry for a select
-   class is the last value its predicate evaluated to for this object;
-   entries are dropped when a dependency recorded in the Deps index
-   changes (attribute written, membership of an observed class changed),
-   and the whole memo is discarded on any schema change ([v_gen]).
-   [primed] means a full fixpoint has completed under this generation, so
-   a MISSING entry proves the object was not a member of the select's
-   source the last time memberships settled. *)
-type verdict_state = {
-  mutable v_gen : int;
-  mutable primed : bool;
-  verdicts : bool Oid.Tbl.t;
-}
-
 (* A class's global extent and its cardinality. Every mutation goes
    through [extent_add] / [extent_remove], which move [size] only when
    the set really changed, so [size] is the O(1) statistic the query
@@ -48,7 +34,6 @@ type t = {
   mutable deps : Deps.t option;  (* cache, keyed on graph version *)
   mutable deps_version : int;
   mutable cache_gen : int;  (* bumped when per-object caches must die *)
-  verdict_cache : verdict_state Oid.Tbl.t;
   resolve_cache : (int * (string, (cid * Prop.t) option) Hashtbl.t) Oid.Tbl.t;
   (* compiled select predicates, keyed by select cid; entries carry the
      compile stamp they were built under (see [compile_stamp]) *)
@@ -80,11 +65,10 @@ let default_nonconvergence_hook o =
     (Oid.to_string o) (reclassify_fuel + 1)
 
 (* Reclassification-engine counters (see DESIGN.md §9). All are plain
-   field increments; eval_pred and the memo lookup are the hottest. *)
+   field increments; eval_pred is the hottest. *)
 module Metrics = Tse_obs.Metrics
 
 let m_objects_visited = Metrics.counter "reclass.objects_visited"
-let m_memo_hits = Metrics.counter "reclass.verdict_memo_hits"
 let m_evals = Metrics.counter "reclass.formula_evals"
 let m_noop_skips = Metrics.counter "reclass.verdict_noop_skips"
 let m_attr_skips = Metrics.counter "reclass.untouched_attr_skips"
@@ -118,7 +102,6 @@ let create () =
     deps = None;
     deps_version = -1;
     cache_gen = 0;
-    verdict_cache = Oid.Tbl.create 256;
     resolve_cache = Oid.Tbl.create 256;
     pred_cache = Oid.Tbl.create 16;
     full_reclassify = env_full_reclassify ();
@@ -161,12 +144,7 @@ let root t = Schema_graph.root t.graph
 let formula_eval_count t = t.formula_evals
 let full_reclassify t = t.full_reclassify
 
-let set_full_reclassify t b =
-  if not (Bool.equal t.full_reclassify b) then begin
-    t.full_reclassify <- b;
-    (* verdict memos were not maintained while the oracle path ran *)
-    t.cache_gen <- t.cache_gen + 1
-  end
+let set_full_reclassify t b = t.full_reclassify <- b
 
 let set_nonconvergence_hook t f = t.nonconvergence_hook <- f
 
@@ -264,21 +242,6 @@ let deps t =
     t.deps_version <- v;
     t.cache_gen <- t.cache_gen + 1;
     d
-
-let verdict_state t o =
-  match Oid.Tbl.find_opt t.verdict_cache o with
-  | Some vs when vs.v_gen = t.cache_gen -> vs
-  | Some vs ->
-    vs.v_gen <- t.cache_gen;
-    vs.primed <- false;
-    Oid.Tbl.reset vs.verdicts;
-    vs
-  | None ->
-    let vs =
-      { v_gen = t.cache_gen; primed = false; verdicts = Oid.Tbl.create 8 }
-    in
-    Oid.Tbl.replace t.verdict_cache o vs;
-    vs
 
 let base_membership t o =
   match Oid.Tbl.find_opt t.base_member o with
@@ -482,8 +445,8 @@ let isa_closure t set =
     (fun c acc -> Oid.Set.union acc (Schema_graph.ancestors t.graph c))
     set set
 
-(* One shape for the oracle, the cached engine and the checker: only how
-   a select predicate's verdict is obtained differs. *)
+(* One shape for the oracle, the engine and the checker: only how a
+   select predicate's verdict is obtained differs. *)
 let formula_holds_with pred_fn current (k : Klass.t) =
   let mem c = Oid.Set.mem c current in
   match k.kind with
@@ -516,16 +479,6 @@ let eval_pred_compiled t o cid pred =
   Metrics.incr m_compiled_evals;
   (compiled_select_pred t cid pred) o
 
-let cached_verdict t vs o cid pred =
-  match Oid.Tbl.find_opt vs.verdicts cid with
-  | Some b ->
-    Metrics.incr m_memo_hits;
-    b
-  | None ->
-    let b = eval_pred_compiled t o cid pred in
-    Oid.Tbl.replace vs.verdicts cid b;
-    b
-
 (* Desired membership of [o] after one pass over the derivation order.
    Formulas are evaluated IN-ROUND against the set built so far: the
    derivation order guarantees every class's sources were decided earlier
@@ -548,35 +501,28 @@ let membership_round t ~pred_fn ~base_closure ~order =
 let remove_from_extents t o =
   Oid.Tbl.iter (fun cid _ -> extent_remove t cid o) t.extents
 
-let sync_extents t o membership =
-  remove_from_extents t o;
-  Oid.Set.iter (fun cid -> extent_add t cid o) membership
-
 (* Synchronize the object model mid-fixpoint and keep the property
    resolution memo honest: a membership change invalidates it. *)
 let set_membership_sync t o next =
   Slicing.set_membership t.model o (Oid.Set.elements next);
   Oid.Tbl.remove t.resolve_cache o
 
-let delta_events t o ~before ~after =
-  let added = Oid.Set.diff after before in
-  let removed = Oid.Set.diff before after in
-  if not (Oid.Set.is_empty added && Oid.Set.is_empty removed) then
-    notify t
-      (Membership_delta (o, Oid.Set.elements added, Oid.Set.elements removed))
-
-(* --- oracle: the literal Section 3.2 full fixpoint ------------------ *)
-
-(* Every select predicate is re-evaluated in every round and the extent
-   index is rebuilt with a full per-class sweep — kept verbatim as the
-   correctness oracle (DB_FULL_RECLASSIFY=1) and the bench baseline. *)
-let reclassify_oracle t o =
+(* The Section 3.2 fixpoint, one loop for the oracle and the engine. They
+   differ in two places. A select's verdict: the oracle evaluates the
+   interpreted [eval_pred], so differential tests compare it against the
+   compiled closure the engine evaluates. The extent index: the oracle
+   rebuilds the object's entries with a full per-class sweep, the engine
+   applies the per-class deltas. The oracle is the correctness reference
+   (DB_FULL_RECLASSIFY=1) and the bench baseline. *)
+let run_fixpoint t ~oracle o =
   Metrics.incr m_objects_visited;
-  let base = base_membership t o in
-  let order = derivation_order t in
-  let base_closure = isa_closure t base in
   let before = membership_set t o in
-  let pred_fn _cid pred = eval_pred t o pred in
+  let base_closure = isa_closure t (base_membership t o) in
+  let order = derivation_order t in
+  let pred_fn =
+    if oracle then fun _cid pred -> eval_pred t o pred
+    else fun cid pred -> eval_pred_compiled t o cid pred
+  in
   (* convergence means: the round's output equals the membership it was
      EVALUATED under. Predicates read the object model (In_class tests,
      attribute resolution through slices), so comparing against the
@@ -587,122 +533,48 @@ let reclassify_oracle t o =
   let rec fix evaluated_under fuel =
     Metrics.incr m_rounds;
     let next = membership_round t ~pred_fn ~base_closure ~order in
-    set_membership_sync t o next;
     if Oid.Set.equal next evaluated_under then next
-    else if fuel = 0 then begin
-      (* nonmonotone derivations may not converge *)
-      Metrics.incr m_fuel_exhausted;
-      Tse_obs.Watchdog.fuel_pressure ~what:"oracle";
-      warn_nonconvergence t o;
-      next
+    else begin
+      set_membership_sync t o next;
+      if fuel > 0 then fix next (fuel - 1)
+      else begin
+        (* nonmonotone derivations may not converge *)
+        Metrics.incr m_fuel_exhausted;
+        Tse_obs.Watchdog.fuel_pressure
+          ~what:(if oracle then "oracle" else "incremental");
+        warn_nonconvergence t o;
+        next
+      end
     end
-    else fix next (fuel - 1)
   in
   let final = fix before reclassify_fuel in
-  sync_extents t o final;
-  notify t (Reclassified o);
-  delta_events t o ~before ~after:final
-
-(* --- incremental engine -------------------------------------------- *)
-
-(* Apply one round's membership outcome: sync the model and drop the
-   verdicts the Deps index says a membership change can invalidate, so
-   the next round re-evaluates exactly those predicates. *)
-let apply_round t vs o ~prev ~next =
-  if not (Oid.Set.equal prev next) then begin
-    set_membership_sync t o next;
-    let d = deps t in
-    let changed =
-      Oid.Set.union (Oid.Set.diff prev next) (Oid.Set.diff next prev)
-    in
-    Oid.Set.iter
-      (fun x ->
-        Oid.Set.iter
-          (fun s -> Oid.Tbl.remove vs.verdicts s)
-          (Deps.selects_on_class d x))
-      changed
-  end
-
-let run_incremental_fixpoint t vs o =
-  Metrics.incr m_objects_visited;
-  let before = membership_set t o in
-  let base_closure = isa_closure t (base_membership t o) in
-  let order = derivation_order t in
-  let pred_fn cid pred = cached_verdict t vs o cid pred in
-  let model_now = ref before in
-  (* same convergence rule as the oracle: stop only when the round's
-     output equals the membership it was evaluated under; apply_round's
-     verdict invalidation makes the confirming round re-evaluate exactly
-     the predicates a membership change can have flipped *)
-  let rec fix fuel =
-    Metrics.incr m_rounds;
-    let evaluated_under = !model_now in
-    let next = membership_round t ~pred_fn ~base_closure ~order in
-    apply_round t vs o ~prev:evaluated_under ~next;
-    model_now := next;
-    if Oid.Set.equal next evaluated_under then next
-    else if fuel = 0 then begin
-      Metrics.incr m_fuel_exhausted;
-      Tse_obs.Watchdog.fuel_pressure ~what:"incremental";
-      warn_nonconvergence t o;
-      next
-    end
-    else fix (fuel - 1)
-  in
-  let final = fix reclassify_fuel in
-  vs.primed <- true;
-  (* extent deltas: add/remove per changed class, never a full sweep *)
   let added = Oid.Set.diff final before in
   let removed = Oid.Set.diff before final in
-  Oid.Set.iter (fun c -> extent_add t c o) added;
-  Oid.Set.iter (fun c -> extent_remove t c o) removed;
+  if oracle then begin
+    remove_from_extents t o;
+    Oid.Set.iter (fun cid -> extent_add t cid o) final
+  end
+  else begin
+    Oid.Set.iter (fun c -> extent_add t c o) added;
+    Oid.Set.iter (fun c -> extent_remove t c o) removed
+  end;
   notify t (Reclassified o);
   if not (Oid.Set.is_empty added && Oid.Set.is_empty removed) then
     notify t
       (Membership_delta (o, Oid.Set.elements added, Oid.Set.elements removed))
 
-(* [dirty = Some s]: the verdicts of the selects in [s] are suspect (an
-   attribute they read was written); anything else is known-good, so if
-   re-evaluating them changes nothing, memberships cannot have moved and
-   the whole reclassification is a no-op. [dirty = None]: the membership
-   STRUCTURE changed (base classes moved) — cached verdicts stay valid,
-   but the fixpoint must run. *)
-let reclassify_incr t o dirty =
-  ignore (deps t);
-  let vs = verdict_state t o in
-  let must_run =
-    match dirty with
-    | None -> true
-    | Some set when vs.primed ->
-      Oid.Set.fold
-        (fun cid changed ->
-          match Oid.Tbl.find_opt vs.verdicts cid with
-          | None ->
-            (* never evaluated under this generation: the object was not a
-               member of the select's source when memberships last
-               settled, and an attribute write cannot make it one *)
-            changed
-          | Some old -> begin
-            match (Schema_graph.find_exn t.graph cid).kind with
-            | Klass.Virtual (Klass.Select (_, pred)) ->
-              let now = eval_pred_compiled t o cid pred in
-              Oid.Tbl.replace vs.verdicts cid now;
-              changed || not (Bool.equal old now)
-            | Klass.Base | Klass.Virtual _ -> changed
-          end)
-        set false
-    | Some set ->
-      (* unprimed: no fixpoint has run under this generation; stale
-         entries cannot exist, but nothing can be proven either *)
-      Oid.Set.iter (Oid.Tbl.remove vs.verdicts) set;
-      true
-  in
-  if must_run then run_incremental_fixpoint t vs o
-  else Metrics.incr m_noop_skips
+let reclassify t o = run_fixpoint t ~oracle:t.full_reclassify o
 
-let reclassify t o =
-  if t.full_reclassify then reclassify_oracle t o
-  else reclassify_incr t o None
+(* At a settled state an object in a select's source is a member of the
+   select exactly when the predicate holds for it, so its membership is
+   the verdict the predicate last gave. A write can have moved it only
+   where the predicate now says otherwise. *)
+let verdict_moved t o cid =
+  match (Schema_graph.find_exn t.graph cid).kind with
+  | Klass.Virtual (Klass.Select (src, pred)) ->
+    is_member t o src
+    && not (Bool.equal (eval_pred_compiled t o cid pred) (is_member t o cid))
+  | Klass.Base | Klass.Virtual _ -> false
 
 (* The recompute-the-world entry point. Direct (destructive) schema
    surgery mutates class properties without going through the graph's
@@ -789,13 +661,15 @@ let set_attr t o name v =
   end);
   Slicing.set_attr t.model o name v;
   notify t (Attr_set (o, name, v));
-  if t.full_reclassify then reclassify_oracle t o
+  if t.full_reclassify then reclassify t o
   else begin
     let dirty = Deps.selects_on_attr (deps t) name in
     (* an attribute no derivation predicate can observe: memberships are
-       untouched, skip reclassification entirely *)
+       untouched, skip reclassification entirely. Otherwise only a select
+       the attribute feeds can move first; if none did, nothing did. *)
     if Oid.Set.is_empty dirty then Metrics.incr m_attr_skips
-    else reclassify_incr t o (Some dirty)
+    else if Oid.Set.exists (verdict_moved t o) dirty then reclassify t o
+    else Metrics.incr m_noop_skips
   end
 
 (* Stored base membership is kept MINIMAL: a class implied by another
@@ -839,7 +713,6 @@ let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
   else List.iter (fun c -> extent_remove t c o) (member_classes t o);
   Oid.Tbl.remove t.base_member o;
-  Oid.Tbl.remove t.verdict_cache o;
   Oid.Tbl.remove t.resolve_cache o;
   Slicing.destroy_object t.model o;
   notify t (Object_destroyed o)
@@ -892,7 +765,6 @@ let restore ~heap ~graph ~bases =
       deps = None;
       deps_version = -1;
       cache_gen = 0;
-      verdict_cache = Oid.Tbl.create 256;
       resolve_cache = Oid.Tbl.create 256;
       pred_cache = Oid.Tbl.create 16;
       full_reclassify = env_full_reclassify ();

@@ -72,10 +72,16 @@ val reclassify_all : t -> unit
 
     [set_attr] consults a static dependency index ({!Tse_schema.Deps})
     to re-evaluate only the select predicates that can observe the
-    written attribute; extents are maintained by per-class deltas rather
-    than full sweeps. The pre-index full-fixpoint path is kept as a
-    correctness oracle, selectable per database or via the
-    [DB_FULL_RECLASSIFY=1] environment variable at creation time. *)
+    written attribute. Membership is the memo: at a settled state an
+    object in a select's source is a member of the select exactly when
+    the predicate holds for it, so each re-evaluated verdict is compared
+    with the object's membership, and the fixpoint runs only when one of
+    them differs. The fixpoint evaluates compiled predicates and
+    maintains extents by per-class deltas rather than full sweeps. The
+    oracle runs the same loop with interpreted predicates and a full
+    extent sweep on every reclassification; it is selectable per
+    database or via the [DB_FULL_RECLASSIFY=1] environment variable at
+    creation time. *)
 
 val reclassify_fuel : int
 (** Extra fixpoint rounds granted after the first before the engine gives
@@ -84,7 +90,7 @@ val reclassify_fuel : int
 val full_reclassify : t -> bool
 val set_full_reclassify : t -> bool -> unit
 (** Switch between the incremental engine ([false], default) and the full
-    fixpoint oracle ([true]). Switching invalidates all verdict caches,
+    fixpoint oracle ([true]). Both leave the same settled memberships,
     so the modes can be toggled mid-run for differential testing. *)
 
 val formula_eval_count : t -> int
@@ -224,9 +230,8 @@ val populate_class : t -> cid -> unit
 
     When either guard fails, or under {!full_reclassify}, every object
     of the union of the source extents runs the {!reclassify} fixpoint
-    instead. The set-algebra path does not prime the per-object verdict
-    memos the fixpoint leaves behind, so the next reclassification of a
-    member after the evolution evaluates its selects again. *)
+    instead. Either way the memberships are settled afterwards, and the
+    translator runs no further fixpoint over the members. *)
 
 val derivation_order : t -> cid list
 (** Virtual classes ordered so every class follows its sources. *)

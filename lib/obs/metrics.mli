@@ -7,7 +7,7 @@
     per-domain atomic cells (summed at read), gauges are a single atomic
     cell, histograms and the registry itself are mutex-guarded.  The
     registry is global: every subsystem contributes to one namespace
-    ("wal.fsyncs", "reclass.verdict_memo_hits", ...) and a snapshot can
+    ("wal.fsyncs", "reclass.formula_evals", ...) and a snapshot can
     be rendered as JSON or human-readable text. *)
 
 type counter

@@ -125,7 +125,6 @@ let render_rates ts =
     let ops = last_rate ts "occ.commits" in
     let fsyncs = last_rate ts "wal.fsyncs" in
     let evolutions = last_rate ts "evolve.ms.rate" in
-    let memo_hits = last_rate ts "reclass.verdict_memo_hits" in
     let evals = last_rate ts "reclass.formula_evals" in
     let domains =
       match Timeseries.last ts "pool.domains" with
@@ -142,10 +141,7 @@ let render_rates ts =
       (Printf.sprintf "%-22s %12.3f\n" "fsyncs/commit"
          (if ops > 0. then fsyncs /. ops else 0.));
     Buffer.add_string buf
-      (Printf.sprintf "%-22s %11.1f%%\n" "memo hit rate"
-         (if memo_hits +. evals > 0. then
-            100. *. memo_hits /. (memo_hits +. evals)
-          else 0.));
+      (Printf.sprintf "%-22s %12.1f\n" "formula evals/s" evals);
     Buffer.add_string buf
       (Printf.sprintf "%-22s %7d of %d cores\n" "pool domains" domains cores));
   Buffer.contents buf

@@ -9,7 +9,7 @@
     - [/series]  — the attached {!Timeseries} sampler's ring buffers
       as JSON ([{"interval_ms":...,"series":[...]}]);
     - [/rates]   — a pre-rendered plain-text table of live headline
-      rates (ops/s, fsyncs/commit, memo hit rate, pool utilization),
+      rates (ops/s, fsyncs/commit, formula evals/s, pool utilization),
       which is what [tse_cli top] polls.
 
     Addresses are ["HOST:PORT"] (numeric host, port 0 lets the kernel

@@ -232,6 +232,37 @@ let unknown_view () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* delete_edge reattachment. Deleting Staff-SupportStaff with
+   [connected_to = Person] subtracted SupportStaff from every class above
+   Staff, Person included, and then linked SupportStaff back under the
+   reduced Person: the derivation of Person' excluded objects its new
+   subclass forced into it. [Database.check] reported each of them, and
+   the view compared equal to the direct oracle only because a later
+   re-fixpoint of every member pushed them in through the is-a closure.
+   The reattachment class and its ancestors now keep C_sub's instances. *)
+let delete_edge_reattach () =
+  let build () =
+    let uni = University.build () in
+    ignore (University.populate uni ~n:24);
+    let tsem = Tsem.of_database uni.db in
+    let view =
+      Tsem.define_view_by_names tsem ~name:"VS"
+        [ "Person"; "Staff"; "SupportStaff" ]
+    in
+    (uni, tsem, view)
+  in
+  let change =
+    Change.Delete_edge
+      { sup = "Staff"; sub = "SupportStaff"; connected_to = Some "Person" }
+  in
+  let uni, tsem, _ = build () in
+  let evolved = Tsem.evolve tsem ~view:"VS" change in
+  let oracle, _, oracle_view = build () in
+  let direct = Direct.apply oracle.db oracle_view change in
+  Alcotest.(check (list string)) "consistent" [] (Database.check uni.db);
+  Alcotest.(check (list string)) "S'' = S'" []
+    (Verify.diff_views (uni.db, evolved) (oracle.db, direct))
+
 let () =
   let corpus =
     [
@@ -260,6 +291,9 @@ let () =
       ( "listener-leak",
         [ Alcotest.test_case "dropped index sets stop maintaining" `Quick
             listener_leak ] );
+      ( "delete-edge-reattach",
+        [ Alcotest.test_case "connected_to keeps C_sub below the target"
+            `Quick delete_edge_reattach ] );
       ( "durable-evolve",
         [ Alcotest.test_case "unknown view is an error, empty list too"
             `Quick unknown_view ] );

@@ -261,6 +261,102 @@ let test_zero_eval_on_untouched_attr () =
     (Database.formula_eval_count db > n0);
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
+let counter = Tse_obs.Metrics.find_counter ~labels:[]
+
+let int_attr db o name =
+  match Database.get_prop db o name with
+  | Value.Int i -> i
+  | v -> Alcotest.failf "%s: not an int: %a" name Value.pp v
+
+(* Membership is the verdict: a select populated over existing objects by
+   set algebra leaves nothing to prime, so a write the predicate reads
+   but whose verdict it leaves alone reclassifies nobody. *)
+let test_settled_write_visits_nobody () =
+  let u = uni () in
+  let db = u.db in
+  Database.set_full_reclassify db false;
+  ignore (Tse_workload.University.populate u ~n:24);
+  let adult =
+    Tse_algebra.Ops.select db ~name:"Adult" ~src:u.person
+      Expr.(attr "age" >= int 30)
+  in
+  Alcotest.(check bool) "both sides populated" true
+    (Database.extent_size db adult > 0
+    && Database.extent_size db adult < Database.extent_size db u.person);
+  let v0 = counter "reclass.objects_visited" in
+  let s0 = counter "reclass.verdict_noop_skips" in
+  (* every age stays on its side of 30 *)
+  List.iter
+    (fun o ->
+      let age = int_attr db o "age" in
+      Database.set_attr db o "age"
+        (Value.Int (if age >= 30 then age + 1 else age - 1)))
+    (Database.extent_list db u.person);
+  check Alcotest.int "no object reclassified" v0
+    (counter "reclass.objects_visited");
+  check Alcotest.int "every write a no-op skip" (s0 + 24)
+    (counter "reclass.verdict_noop_skips");
+  Alcotest.(check (list string)) "consistent" [] (Database.check db)
+
+(* Item -> Hot -> HotG: writes that keep every verdict visit nobody; a
+   write that flips Hot moves the object into or out of both classes,
+   exactly as the oracle does. *)
+let test_select_chain_matches_oracle () =
+  let run ~full =
+    let db = Database.create () in
+    Database.set_full_reclassify db full;
+    let g = Database.graph db in
+    let stored = Prop.stored ~origin:(Oid.of_int 0) in
+    let item =
+      Schema_graph.register_base g ~name:"Item"
+        ~props:[ stored "flag" Value.TInt; stored "grp" Value.TInt ]
+        ~supers:[]
+    in
+    Database.note_new_class db item;
+    let objs =
+      List.init 20 (fun i ->
+          Database.create_object db item
+            ~init:
+              [ ("flag", Value.Int (i * 5)); ("grp", Value.Int (i * 37 mod 100)) ])
+    in
+    let hot =
+      Tse_algebra.Ops.select db ~name:"Hot" ~src:item
+        Expr.(attr "flag" >= int 50)
+    in
+    let hotg =
+      Tse_algebra.Ops.select db ~name:"HotG" ~src:hot
+        Expr.(attr "grp" < int 50)
+    in
+    let v0 = counter "reclass.objects_visited" in
+    List.iter
+      (fun o ->
+        let grp = int_attr db o "grp" in
+        Database.set_attr db o "grp"
+          (Value.Int (if grp < 50 then grp + 1 else grp - 1)))
+      objs;
+    if not full then
+      check Alcotest.int "verdict-keeping writes visit nobody" v0
+        (counter "reclass.objects_visited");
+    List.iter
+      (fun o ->
+        let was_hot = Database.is_member db o hot in
+        let grp = int_attr db o "grp" in
+        Database.set_attr db o "flag" (Value.Int (if was_hot then 0 else 99));
+        Alcotest.(check bool) "Hot flipped" (not was_hot)
+          (Database.is_member db o hot);
+        Alcotest.(check bool) "HotG follows Hot" ((not was_hot) && grp < 50)
+          (Database.is_member db o hotg))
+      objs;
+    Alcotest.(check (list string)) "consistent" [] (Database.check db);
+    let ints cid = List.map Oid.to_int (Database.extent_list db cid) in
+    (ints hot, ints hotg)
+  in
+  let hot, hotg = run ~full:false in
+  let hot', hotg' = run ~full:true in
+  Alcotest.(check bool) "some objects in HotG" true (hotg <> []);
+  check Alcotest.(list int) "Hot: engine = oracle" hot' hot;
+  check Alcotest.(list int) "HotG: engine = oracle" hotg' hotg
+
 let test_nonconvergence_hook () =
   let u = uni () in
   let db = u.db in
@@ -658,6 +754,10 @@ let suite =
       test_populate_consistency;
     Alcotest.test_case "untouched attribute: zero formula evaluations" `Quick
       test_zero_eval_on_untouched_attr;
+    Alcotest.test_case "settled write reclassifies nobody" `Quick
+      test_settled_write_visits_nobody;
+    Alcotest.test_case "select chain: engine = oracle" `Quick
+      test_select_chain_matches_oracle;
     Alcotest.test_case "nonconvergence hook fires once" `Quick
       test_nonconvergence_hook;
     Alcotest.test_case "creation event precedes init writes" `Quick

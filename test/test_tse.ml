@@ -79,6 +79,22 @@ let add_register =
 
 let test_add_attribute_prop_a () = ignore (check_prop_a add_register)
 
+(* Populating the primed classes is the whole membership update of an
+   accepted evolution: no object runs the fixpoint after it. *)
+let test_add_attribute_visits_nobody () =
+  let fx = fixture () in
+  Database.set_full_reclassify fx.uni.db false;
+  ignore (Tsem.define_view_by_names fx.tsem ~name:"VS" uni_view_names);
+  let counter = Tse_obs.Metrics.find_counter ~labels:[] in
+  let v0 = counter "reclass.objects_visited" in
+  let f0 = counter "reclass.populate_fallbacks" in
+  ignore (Tsem.evolve fx.tsem ~view:"VS" add_register);
+  check Alcotest.int "no populate fallback" f0
+    (counter "reclass.populate_fallbacks");
+  check Alcotest.int "no object reclassified" v0
+    (counter "reclass.objects_visited");
+  Alcotest.(check (list string)) "consistent" [] (Database.check fx.uni.db)
+
 let test_add_attribute_fig7 () =
   let fx = fixture () in
   let v0 = Tsem.define_view_by_names fx.tsem ~name:"VS" uni_view_names in
@@ -407,7 +423,15 @@ let test_delete_edge_connected_to () =
          { sup = "TeachingStaff"; sub = "TA"; connected_to = Some "Person" })
   in
   ignore fx;
-  ignore v1
+  ignore v1;
+  (* the reattachment target is the direct superclass of the deleted
+     edge's superclass: it must keep C_sub's instances, which it receives
+     back through the new edge, instead of subtracting them *)
+  ignore
+    (check_prop_a
+       ~names:[ "Person"; "Staff"; "SupportStaff" ]
+       (Change.Delete_edge
+          { sup = "Staff"; sub = "SupportStaff"; connected_to = Some "Person" }))
 
 (* ------------------------------------------------------------------ *)
 (* 6.7 add_class (Figure 12), 6.9 insert_class / delete_class_2         *)
@@ -711,4 +735,6 @@ let suite =
     Alcotest.test_case "merge: duplicate change converges" `Quick
       test_merge_no_duplicate_attribute_storage;
     Alcotest.test_case "sequence of five changes" `Quick test_change_sequence;
+    Alcotest.test_case "add_attribute: reclassifies nobody" `Quick
+      test_add_attribute_visits_nobody;
   ]
