@@ -1,8 +1,8 @@
 (* Query-pipeline benchmark: million-object extent scans, interpreted
    vs compiled predicate evaluation, and index-assisted plans (hash
    equality probe, ordered range scan). Emits BENCH_query.json with a
-   metrics section (plan-cache hit rate, rows scanned) so CI and the
-   driver can assert the compiled-pipeline speedups. *)
+   metrics section (rows scanned and returned) so CI can assert the
+   compiled-pipeline speedups. *)
 
 open Tse_store
 open Tse_schema
@@ -121,14 +121,7 @@ let json_of ~smoke ~objects ~rows ~latency fields =
   Printf.bprintf b "  \"rows\": {%s},\n"
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) rows));
-  let hits = Metrics.find_counter "query.plan_cache_hits" in
-  let misses = Metrics.find_counter "query.plan_cache_misses" in
   Printf.bprintf b "  \"metrics\": {\n";
-  Printf.bprintf b "    \"plan_cache_hits\": %d,\n" hits;
-  Printf.bprintf b "    \"plan_cache_misses\": %d,\n" misses;
-  Printf.bprintf b "    \"plan_cache_hit_rate\": %.4f,\n"
-    (if hits + misses = 0 then 0.0
-     else float_of_int hits /. float_of_int (hits + misses));
   Printf.bprintf b "    \"rows_scanned_total\": %d,\n"
     (Metrics.find_counter "query.rows_scanned");
   Printf.bprintf b "    \"rows_returned_total\": %d,\n"
@@ -163,7 +156,7 @@ let run ~smoke () =
   in
   let engine idx pred () = ignore (Engine.select db idx item pred) in
 
-  (* ground truth + plan-cache warmup in one step *)
+  (* ground truth for the timed plans *)
   let base_rows pred = Oid.Set.cardinal (Engine.select db no_idx item pred) in
   let scan_rows = base_rows scan_pred in
   let sel_rows = base_rows sel_pred in

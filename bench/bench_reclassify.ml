@@ -54,15 +54,26 @@ let run_writes db objs ~writes ~attr_of =
     Database.set_attr db o (attr_of s) (Value.Int (s * 13 mod 100))
   done
 
+(* Repeat [f] until at least [budget_s] of wall time has passed (and at
+   least [min_trials] times) and report the median trial in ns per op:
+   a best-of over a few millisecond-sized runs swings more than the
+   differences the groups are meant to show. *)
+let budget_s = 0.2
+let min_trials = 5
+
 let time_ns_per_op f ~ops =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9 /. float_of_int ops
+  let start = Unix.gettimeofday () in
+  let rec trials acc n =
+    if n >= min_trials && Unix.gettimeofday () -. start >= budget_s then acc
+    else begin
+      let t0 = Unix.gettimeofday () in
+      f ();
+      trials ((Unix.gettimeofday () -. t0) :: acc) (n + 1)
+    end
+  in
+  let sorted = Array.of_list (trials [] 0) in
+  Array.sort Float.compare sorted;
+  sorted.(Array.length sorted / 2) *. 1e9 /. float_of_int ops
 
 type group = {
   virtuals : int;
@@ -76,7 +87,7 @@ type group = {
 
 (* Per-write latency distribution on the incremental side: a separate
    instrumented pass (clock reads around every write would distort the
-   timed best-of runs above), folded into a quantile snapshot. *)
+   timed trials above), folded into a quantile snapshot. *)
 let write_latency_quantiles ~objects ~writes n =
   let hot s = Printf.sprintf "f%d" (s mod attr_slots) in
   let db, objs = mk_fixture ~full:false ~objects n in
@@ -100,11 +111,15 @@ let measure_group ~objects ~writes n =
   let hot s = Printf.sprintf "f%d" (s mod attr_slots) in
   let side full attr_of =
     let db, objs = mk_fixture ~full ~objects n in
+    let run () = run_writes db objs ~writes ~attr_of in
+    (* evaluations are counted over three passes on the fresh fixture,
+       apart from the timing loop, whose trial count varies *)
     let e0 = Database.formula_eval_count db in
-    let ns =
-      time_ns_per_op (fun () -> run_writes db objs ~writes ~attr_of) ~ops:writes
-    in
+    for _ = 1 to 3 do
+      run ()
+    done;
     let evals = Database.formula_eval_count db - e0 in
+    let ns = time_ns_per_op run ~ops:writes in
     (match Database.check db with
     | [] -> ()
     | p -> failwith ("bench fixture inconsistent: " ^ String.concat "; " p));

@@ -404,7 +404,7 @@ let help () =
       "  defineVC N as (select from C where ...)   object-algebra view class";
       "  select from C in VIEW where EXPR   run a query (shows the plan)";
       "  explain from C in VIEW where EXPR  compiled plan, index kind, conjunct";
-      "                                     order, plan-cache hit/miss, rows";
+      "                                     order, pushdown depth, rows";
       "  index C ATTR in VIEW               build a maintained hash index";
       "  index range C ATTR in VIEW         build a maintained range index";
       "  lint [json]                        static analysis of the global schema";

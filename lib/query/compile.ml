@@ -1,12 +1,11 @@
 (* Plan-level predicate compilation for the query engine.
 
-   A (class, predicate) pair is lowered once into version-stable
-   artifacts: the compiled whole-predicate evaluator, the cost-ordered
-   conjunct breakdown with per-conjunct compiled closures and sargability
-   facts, and the Select-derivation ancestry the planner can push the
-   query through. Access-path choice is NOT cached — index availability
-   and cardinalities change without a schema-version bump, so the planner
-   re-decides per execution from these artifacts. *)
+   Each execution lowers its (class, predicate) pair into the artifacts
+   the planner and executor consume: the cost-ordered conjunct breakdown
+   with per-conjunct compiled closures and sargability facts, and the
+   Select-derivation ancestry the planner can push the query through.
+   Nothing is kept between executions, so a plan can never outlive the
+   schema state it was compiled against. *)
 
 module Oid = Tse_store.Oid
 module Value = Tse_store.Value
@@ -15,7 +14,6 @@ module Expr_compile = Tse_schema.Expr_compile
 module Klass = Tse_schema.Klass
 module Schema_graph = Tse_schema.Schema_graph
 module Database = Tse_db.Database
-module Metrics = Tse_obs.Metrics
 
 type cid = Klass.cid
 
@@ -28,7 +26,6 @@ type sarg =
 
 type conjunct = {
   c_expr : Expr.t;  (* const-folded *)
-  c_text : string;
   c_cost : int;
   c_sarg : sarg option;
   c_eval : Oid.t -> bool;
@@ -37,7 +34,6 @@ type conjunct = {
 }
 
 type compiled = {
-  cp_pred : Oid.t -> bool;  (* whole predicate, Database.holds semantics *)
   cp_conjuncts : conjunct list;  (* cost-ordered, cheapest first *)
   cp_chain : (cid * conjunct list) list;
       (* Select ancestry of the queried class, nearest source first:
@@ -75,7 +71,6 @@ let compile db cid pred =
     let e = Expr_compile.const_fold e in
     {
       c_expr = e;
-      c_text = Expr.to_string e;
       c_cost = Expr_compile.cost e;
       c_sarg = sarg_of e;
       c_eval = Expr_compile.compile_bool binder e;
@@ -95,50 +90,6 @@ let compile db cid pred =
       | exception _ -> []
   in
   {
-    cp_pred = Database.compile_pred db pred;
     cp_conjuncts = order (List.map mk (Expr_compile.conjuncts pred));
     cp_chain = chain cid 0;
   }
-
-(* --- plan cache ---------------------------------------------------------
-
-   Keyed on (class, predicate encoding); the whole table is flushed when
-   the database's compile stamp moves, so a stale compiled plan can never
-   be returned after a schema evolution. *)
-
-type cache = {
-  tbl : (string, compiled) Hashtbl.t;
-  mutable stamp : int;
-}
-
-let m_hits = Metrics.counter "query.plan_cache_hits"
-let m_misses = Metrics.counter "query.plan_cache_misses"
-
-let cache_capacity = 512
-
-let create_cache () = { tbl = Hashtbl.create 64; stamp = min_int }
-
-let cache_key cid pred =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int (Oid.to_int cid));
-  Buffer.add_char buf '|';
-  Expr.encode buf pred;
-  Buffer.contents buf
-
-let get cache db cid pred =
-  let stamp = Database.compile_stamp db in
-  if cache.stamp <> stamp then begin
-    Hashtbl.reset cache.tbl;
-    cache.stamp <- stamp
-  end;
-  let key = cache_key cid pred in
-  match Hashtbl.find_opt cache.tbl key with
-  | Some c ->
-    Metrics.incr m_hits;
-    (c, true)
-  | None ->
-    Metrics.incr m_misses;
-    if Hashtbl.length cache.tbl >= cache_capacity then Hashtbl.reset cache.tbl;
-    let c = compile db cid pred in
-    Hashtbl.replace cache.tbl key c;
-    (c, false)

@@ -1,13 +1,11 @@
-(** Plan-level predicate compilation and the plan cache.
+(** Plan-level predicate compilation.
 
-    Lowers a [(class, predicate)] pair once per schema state into the
-    version-stable artifacts the planner and executor consume: the
-    compiled whole-predicate evaluator, the cost-ordered conjunct
-    breakdown (with per-conjunct compiled closures and sargability
-    facts), and the Select-derivation ancestry for predicate pushdown.
-    Access-path choice is deliberately not part of the cached artifact:
-    indexes come and go without a schema-version bump, so the planner
-    re-decides per execution. *)
+    Lowers a [(class, predicate)] pair into the artifacts the planner
+    and executor consume: the cost-ordered conjunct breakdown (with
+    per-conjunct compiled closures and sargability facts) and the
+    Select-derivation ancestry for predicate pushdown. The engine
+    compiles once per execution and keeps nothing, so no plan outlives
+    the schema state it was compiled against. *)
 
 type cid = Tse_schema.Klass.cid
 
@@ -20,7 +18,6 @@ type sarg =
 
 type conjunct = {
   c_expr : Tse_schema.Expr.t;  (** const-folded *)
-  c_text : string;
   c_cost : int;  (** {!Tse_schema.Expr_compile.cost} *)
   c_sarg : sarg option;
   c_eval : Tse_store.Oid.t -> bool;
@@ -30,8 +27,6 @@ type conjunct = {
 }
 
 type compiled = {
-  cp_pred : Tse_store.Oid.t -> bool;
-      (** whole predicate, [Database.holds] semantics *)
   cp_conjuncts : conjunct list;  (** cost-ordered, cheapest first *)
   cp_chain : (cid * conjunct list) list;
       (** Select ancestry, nearest source first: each entry is a source
@@ -41,17 +36,3 @@ type compiled = {
 
 val sarg_of : Tse_schema.Expr.t -> sarg option
 val compile : Tse_db.Database.t -> cid -> Tse_schema.Expr.t -> compiled
-
-(** {2 Plan cache}
-
-    Keyed on the predicate's stable encoding per class; flushed whenever
-    {!Tse_db.Database.compile_stamp} moves, so a compiled plan built
-    under an old schema state is never reused. *)
-
-type cache
-
-val create_cache : unit -> cache
-
-val get : cache -> Tse_db.Database.t -> cid -> Tse_schema.Expr.t -> compiled * bool
-(** The compiled artifact and whether it was a cache hit. Counters:
-    [query.plan_cache_hits] / [query.plan_cache_misses]. *)

@@ -24,9 +24,8 @@ let m_pushdowns = Metrics.counter "query.pushdowns"
 
 (* --- access-path selection ----------------------------------------------
 
-   Chosen per execution from the cached compiled artifact: index
-   availability and cardinalities are not version-stamped, so only the
-   predicate decomposition is cached, never the chosen path. *)
+   Chosen per execution, from the artifact compiled for that execution:
+   index availability and cardinalities move without a schema change. *)
 
 type access =
   | A_eq of {
@@ -208,7 +207,8 @@ let depth_of_access = function
    order, under whole-chain error absorption (Database.holds contract).
    Conjuncts implied by the access path are skipped: an index hit proves
    its own conjunct, and intersection with the queried extent proves every
-   pushed select predicate. *)
+   pushed select predicate. An error reads as false, so the order of the
+   conjuncts cannot change the verdict; an extent scan checks them all. *)
 let residual_conjuncts (compiled : Compile.compiled) consumed =
   List.filter
     (fun (c : Compile.conjunct) -> not (List.memq c consumed))
@@ -219,25 +219,72 @@ let residual_eval cs o =
   | b -> b
   | exception (Expr.Unknown_property _ | Expr.Type_error _) -> false
 
+(* --- the access-path executor -------------------------------------------
+
+   [select] and [count] share it: it runs the chosen index probe (or the
+   extent scan) and hands back the candidates together with the conjuncts
+   still to be checked on them. *)
+
+type run = {
+  r_plan : plan;  (* the plan that actually ran *)
+  r_index : (cid * string) option;  (* the probed index *)
+  r_depth : int;
+  r_scanned : int;
+  r_candidates : Oid.Set.t;
+  r_residual : Compile.conjunct list;
+}
+
+let execute db indexes cid compiled =
+  let scan () =
+    {
+      r_plan = Extent_scan;
+      r_index = None;
+      r_depth = 0;
+      r_scanned = Database.extent_size db cid;
+      r_candidates = Database.extent db cid;
+      r_residual = compiled.Compile.cp_conjuncts;
+    }
+  in
+  let probe access cls depth attr consumed = function
+    | None -> (* index dropped concurrently: scan *) scan ()
+    | Some bucket ->
+      (* an ancestor probe overshoots the queried extent; intersecting
+         back both restricts it and discharges every pushed predicate *)
+      let candidates =
+        if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
+        else bucket
+      in
+      let residual = residual_conjuncts compiled consumed in
+      {
+        r_plan = plan_of_access (residual <> []) access;
+        r_index = Some (cls, attr);
+        r_depth = depth;
+        r_scanned = Oid.Set.cardinal candidates;
+        r_candidates = candidates;
+        r_residual = residual;
+      }
+  in
+  match choose_access db indexes cid compiled with
+  | A_scan -> scan ()
+  | A_eq { a_cls; a_depth; a_attr; a_value; a_consumed; _ } as access ->
+    probe access a_cls a_depth a_attr a_consumed
+      (Indexes.lookup indexes a_cls a_attr a_value)
+  | A_range { a_cls; a_depth; a_attr; a_lo; a_hi; a_consumed } as access ->
+    probe access a_cls a_depth a_attr a_consumed
+      (Indexes.range_lookup indexes a_cls a_attr ~lo:a_lo ~hi:a_hi)
+
 type explain = {
   ex_plan : plan;  (* the plan that actually ran *)
   chosen_index : string option;
   key_cardinality : int option;
-  conjunct_order : string list;
-  plan_cache_hit : bool;
+  conjunct_order : Expr.t list;
   pushdown_depth : int;
   rows_scanned : int;
   rows_returned : int;
 }
 
-let compiled_for db indexes cid pred =
-  Compile.get (Indexes.plan_cache indexes) db cid pred
-
-let count_where pred set =
-  Oid.Set.fold (fun o acc -> if pred o then acc + 1 else acc) set 0
-
 let choose ?scan_cost ?key_cardinality db indexes cid pred =
-  let compiled, _ = compiled_for db indexes cid pred in
+  let compiled = Compile.compile db cid pred in
   let access =
     choose_access ?scan_cost ?key_cardinality db indexes cid compiled
   in
@@ -257,73 +304,32 @@ let plan db indexes cid pred = fst (choose db indexes cid pred)
 let select_explain db indexes cid pred =
   Metrics.incr m_selects;
   Trace.with_span "query.select" @@ fun () ->
-  let compiled, cache_hit = compiled_for db indexes cid pred in
-  let scan () =
-    let n = Database.extent_size db cid in
-    let result =
-      Oid.Set.filter compiled.Compile.cp_pred (Database.extent db cid)
-    in
-    (Extent_scan, None, None, 0, n, result)
+  let compiled = Compile.compile db cid pred in
+  let r = execute db indexes cid compiled in
+  let result =
+    if r.r_residual = [] then r.r_candidates
+    else Oid.Set.filter (residual_eval r.r_residual) r.r_candidates
   in
-  let probe access candidates =
-    match candidates with
-    | None -> (* index dropped concurrently: scan *) scan ()
-    | Some bucket ->
-      let cls, depth, attr, consumed =
-        match access with
-        | A_eq { a_cls; a_depth; a_attr; a_consumed; _ } ->
-          (a_cls, a_depth, a_attr, a_consumed)
-        | A_range { a_cls; a_depth; a_attr; a_consumed; _ } ->
-          (a_cls, a_depth, a_attr, a_consumed)
-        | A_scan -> assert false
-      in
-      if depth > 0 then Metrics.incr m_pushdowns;
-      (* an ancestor probe overshoots the queried extent; intersecting
-         back both restricts it and discharges every pushed predicate *)
-      let candidates =
-        if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
-        else bucket
-      in
-      let n = Oid.Set.cardinal candidates in
-      let residual = residual_conjuncts compiled consumed in
-      let result =
-        if residual = [] then candidates
-        else Oid.Set.filter (residual_eval residual) candidates
-      in
-      ( plan_of_access (residual <> []) access,
-        Some attr,
-        Indexes.key_cardinality indexes cls attr,
-        depth,
-        n,
-        result )
-  in
-  let access = choose_access db indexes cid compiled in
-  let ran, chosen_index, key_cardinality, depth, scanned, result =
-    match access with
-    | A_scan -> scan ()
-    | A_eq { a_cls; a_attr; a_value; _ } ->
-      probe access (Indexes.lookup indexes a_cls a_attr a_value)
-    | A_range { a_cls; a_attr; a_lo; a_hi; _ } ->
-      probe access (Indexes.range_lookup indexes a_cls a_attr ~lo:a_lo ~hi:a_hi)
-  in
-  (match ran with
+  if r.r_depth > 0 then Metrics.incr m_pushdowns;
+  (match r.r_plan with
   | Index_lookup _ -> Metrics.incr m_index_lookups
   | Range_scan _ -> Metrics.incr m_range_scans
   | Extent_scan -> Metrics.incr m_extent_scans);
   let returned = Oid.Set.cardinal result in
-  Metrics.add m_rows_scanned scanned;
+  Metrics.add m_rows_scanned r.r_scanned;
   Metrics.add m_rows_returned returned;
   ( {
-      ex_plan = ran;
-      chosen_index;
-      key_cardinality;
+      ex_plan = r.r_plan;
+      chosen_index = Option.map snd r.r_index;
+      key_cardinality =
+        Option.bind r.r_index (fun (cls, attr) ->
+            Indexes.key_cardinality indexes cls attr);
       conjunct_order =
         List.map
-          (fun (c : Compile.conjunct) -> c.Compile.c_text)
+          (fun (c : Compile.conjunct) -> c.Compile.c_expr)
           compiled.Compile.cp_conjuncts;
-      plan_cache_hit = cache_hit;
-      pushdown_depth = depth;
-      rows_scanned = scanned;
+      pushdown_depth = r.r_depth;
+      rows_scanned = r.r_scanned;
       rows_returned = returned;
     },
     result )
@@ -331,35 +337,16 @@ let select_explain db indexes cid pred =
 let select db indexes cid pred = snd (select_explain db indexes cid pred)
 let explain db indexes cid pred = fst (select_explain db indexes cid pred)
 
-(* Count without materializing a result set: fold the compiled evaluator
-   over the candidates (the full extent, or an index probe's bucket). *)
+(* Count without materializing a result set: fold the residual over the
+   executor's candidates. *)
 let count db indexes cid pred =
-  let compiled, _ = compiled_for db indexes cid pred in
-  let scan () =
-    let n = Database.extent_size db cid in
-    Metrics.add m_rows_scanned n;
-    count_where compiled.Compile.cp_pred (Database.extent db cid)
-  in
-  let probe consumed depth = function
-    | None -> scan ()
-    | Some bucket ->
-      let candidates =
-        if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
-        else bucket
-      in
-      let n = Oid.Set.cardinal candidates in
-      Metrics.add m_rows_scanned n;
-      let residual = residual_conjuncts compiled consumed in
-      if residual = [] then n
-      else count_where (residual_eval residual) candidates
-  in
-  match choose_access db indexes cid compiled with
-  | A_scan -> scan ()
-  | A_eq { a_cls; a_attr; a_value; a_depth; a_consumed; _ } ->
-    probe a_consumed a_depth (Indexes.lookup indexes a_cls a_attr a_value)
-  | A_range { a_cls; a_attr; a_lo; a_hi; a_depth; a_consumed; _ } ->
-    probe a_consumed a_depth
-      (Indexes.range_lookup indexes a_cls a_attr ~lo:a_lo ~hi:a_hi)
+  let r = execute db indexes cid (Compile.compile db cid pred) in
+  Metrics.add m_rows_scanned r.r_scanned;
+  if r.r_residual = [] then r.r_scanned
+  else
+    Oid.Set.fold
+      (fun o n -> if residual_eval r.r_residual o then n + 1 else n)
+      r.r_candidates 0
 
 let kind_name = function Hash -> "hash" | Range -> "range"
 
@@ -375,12 +362,11 @@ let pp_plan ppf = function
 let pp_explain ppf e =
   Format.fprintf ppf
     "@[<v>plan: %a@ index: %s@ key cardinality: %s@ conjunct order: %s@ \
-     plan cache: %s@ pushdown depth: %d@ rows scanned: %d@ rows returned: %d@]"
+     pushdown depth: %d@ rows scanned: %d@ rows returned: %d@]"
     pp_plan e.ex_plan
     (Option.value e.chosen_index ~default:"-")
     (match e.key_cardinality with Some n -> string_of_int n | None -> "-")
     (match e.conjunct_order with
     | [] -> "-"
-    | cs -> String.concat "; " cs)
-    (if e.plan_cache_hit then "hit" else "miss")
+    | cs -> String.concat "; " (List.map Expr.to_string cs))
     e.pushdown_depth e.rows_scanned e.rows_returned

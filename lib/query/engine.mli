@@ -1,14 +1,14 @@
 (** The query processor for extent selections.
 
     Evaluates [select from <class> where <predicate>] queries against a
-    database through a compiled pipeline: the predicate is lowered once
-    per schema state (constant folding, cost-ordered conjuncts, compiled
-    closures — see {!Compile}) and cached; per execution the planner
-    extracts equality and range (sargable) conjuncts, considers indexes
-    on the class and on its Select ancestors (predicate pushdown through
-    the derivation DAG), and picks index probe vs. extent scan by
-    estimated candidate cardinality. {!explain} exposes the execution for
-    tests and tuning. *)
+    database through a compiled pipeline. Each execution lowers the
+    predicate once (constant folding, cost-ordered conjuncts, compiled
+    closures — see {!Compile}) against the schema state it runs on; the
+    planner then extracts equality and range (sargable) conjuncts,
+    considers indexes on the class and on its Select ancestors (predicate
+    pushdown through the derivation DAG), and picks index probe vs.
+    extent scan by estimated candidate cardinality. {!explain} exposes
+    the execution for tests and tuning. *)
 
 type cid = Tse_schema.Klass.cid
 
@@ -24,7 +24,7 @@ type plan =
   | Extent_scan
 
 val plan : Tse_db.Database.t -> Indexes.t -> cid -> Tse_schema.Expr.t -> plan
-(** The plan the engine would choose right now (warms the plan cache). *)
+(** The plan the engine would choose right now. *)
 
 val choose :
   ?scan_cost:int ->
@@ -50,8 +50,9 @@ val select :
 (** Members of the class satisfying the predicate. *)
 
 val count : Tse_db.Database.t -> Indexes.t -> cid -> Tse_schema.Expr.t -> int
-(** Same planning as {!select}, but folds the compiled evaluator over the
-    candidates without materializing a result set. *)
+(** Same planning and execution as {!select}, but folds the residual
+    conjuncts over the candidates without materializing a result set.
+    Counts [query.rows_scanned] only: no [query.selects], no span. *)
 
 type explain = {
   ex_plan : plan;  (** the plan that actually ran (a concurrently dropped
@@ -59,10 +60,8 @@ type explain = {
   chosen_index : string option;  (** indexed attribute used, if any *)
   key_cardinality : int option;
       (** distinct keys in the chosen index at execution time *)
-  conjunct_order : string list;
-      (** the compiled conjuncts in evaluation (cost) order *)
-  plan_cache_hit : bool;
-      (** whether the compiled plan came from the cache *)
+  conjunct_order : Tse_schema.Expr.t list;
+      (** the const-folded conjuncts in evaluation (cost) order *)
   pushdown_depth : int;
       (** how many Select derivation levels the chosen index probe was
           pushed through (0 = an index on the queried class itself) *)

@@ -25,7 +25,6 @@ type entry = {
 type t = {
   db : Database.t;
   mutable entries : entry list;
-  plans : Compile.cache;
 }
 
 let key_matches e cid attr = Oid.equal e.e_cid cid && String.equal e.e_attr attr
@@ -109,11 +108,9 @@ let on_event t event =
     ()
 
 let create db =
-  let t = { db; entries = []; plans = Compile.create_cache () } in
+  let t = { db; entries = [] } in
   Database.add_listener db ~owner:t on_event;
   t
-
-let plan_cache t = t.plans
 
 let ensure ?(kind = Hash) t cid attr =
   let graph = Database.graph t.db in

@@ -7,11 +7,7 @@
     reclassification). Two backings share that maintenance contract:
     [Hash] answers equality probes, [Ordered] additionally answers range
     lookups. Section 4.2 counts such structures among the managerial
-    storage; {!overhead_bytes} reports it.
-
-    The structure also hosts the query engine's plan cache
-    ({!plan_cache}), so one value carries everything a session's query
-    pipeline needs. *)
+    storage; {!overhead_bytes} reports it. *)
 
 type cid = Tse_schema.Klass.cid
 
@@ -70,7 +66,3 @@ val entry_count : t -> cid -> string -> int option
 
 val overhead_bytes : t -> int
 val index_count : t -> int
-
-val plan_cache : t -> Compile.cache
-(** The plan cache the query engine consults for this index set's
-    database. *)
