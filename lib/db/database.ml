@@ -50,6 +50,7 @@ and event =
   | Attr_set of Oid.t * string * Value.t
   | Reclassified of Oid.t
   | Membership_delta of Oid.t * cid list * cid list
+  | Class_populated of cid * Oid.Set.t
   | Bases_changed of Oid.t
 
 (* A callback and the owner it maintains. The owner is held weakly, so a
@@ -609,7 +610,9 @@ let derived_extent t (k : Klass.t) =
 (* Joining a class nobody was a member of changes an object's other
    memberships only through a select that observes the class, or through
    an ancestor the object is not yet in. With neither, the new extent is
-   the whole answer and every member gains exactly [cid]. *)
+   the whole answer and every member gains exactly [cid]: each gets its
+   slice, the extent is set in one step, and one [Class_populated]
+   announces the members together. *)
 let populate_class t cid =
   let k = Schema_graph.find_exn t.graph cid in
   let fixpoint () =
@@ -630,15 +633,18 @@ let populate_class t cid =
     in
     if not (Oid.Set.for_all within (Schema_graph.ancestors t.graph cid)) then
       fixpoint ()
-    else
+    else begin
       Oid.Set.iter
         (fun o ->
-          Metrics.incr m_populated;
           Slicing.add_to_class t.model o cid;
-          Oid.Tbl.remove t.resolve_cache o;
-          extent_add t cid o;
-          notify t (Membership_delta (o, [ cid ], [])))
-        members
+          Oid.Tbl.remove t.resolve_cache o)
+        members;
+      Metrics.add m_populated (Oid.Set.cardinal members);
+      let e = extent_rec t cid in
+      e.members <- Oid.Set.union e.members members;
+      e.size <- Oid.Set.cardinal e.members;
+      notify t (Class_populated (cid, e.members))
+    end
   end
 
 (* ------------------------------------------------------------------ *)

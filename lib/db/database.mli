@@ -186,6 +186,12 @@ type event =
           [Reclassified], only when the membership set actually changed.
           Derived structures (per-class indexes, extent observers) can
           maintain themselves from the delta instead of rescanning. *)
+  | Class_populated of cid * Tse_store.Oid.Set.t
+      (** class, its members — fired once by {!populate_class} when it
+          fills a new class by set algebra, after every member has its
+          slice and the extent is set. Each member gained exactly the
+          class, so it stands for one [Membership_delta (o, [cid], [])]
+          per member, which that path does not fire. *)
   | Bases_changed of Tse_store.Oid.t
       (** the object's explicit base-class membership set changed (fires
           on creation and on add/remove of a base membership) *)
@@ -217,8 +223,10 @@ val populate_class : t -> cid -> unit
     the source objects its predicate holds for (only that predicate is
     evaluated, compiled); hide and refine take the source's extent,
     refine_from the target's; union, intersect and difference are the
-    set operations. Each member gains the class and fires exactly one
-    [Membership_delta (o, [cid], [])]; no other object is touched.
+    set operations. Each member gains the class, and one
+    [Class_populated (cid, members)] announces them all, with [members]
+    the new [extent t cid]; no other object is touched and no
+    [Membership_delta] fires.
 
     That is the whole answer only when joining the class moves no other
     membership, which two guards check once for the class:
@@ -230,8 +238,9 @@ val populate_class : t -> cid -> unit
 
     When either guard fails, or under {!full_reclassify}, every object
     of the union of the source extents runs the {!reclassify} fixpoint
-    instead. Either way the memberships are settled afterwards, and the
-    translator runs no further fixpoint over the members. *)
+    instead, with its per-object [Membership_delta] events. Either way
+    the memberships are settled afterwards, and the translator runs no
+    further fixpoint over the members. *)
 
 val derivation_order : t -> cid list
 (** Virtual classes ordered so every class follows its sources. *)

@@ -209,7 +209,8 @@ let attach t =
       | Database.Bases_changed o | Database.Object_destroyed o ->
         Oid.Tbl.replace t.dirty_bases o ()
       | Database.Object_created _ | Database.Attr_set _
-      | Database.Reclassified _ | Database.Membership_delta _ ->
+      | Database.Reclassified _ | Database.Membership_delta _
+      | Database.Class_populated _ ->
         (* already captured as physical heap ops *)
         ())
 

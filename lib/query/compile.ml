@@ -3,7 +3,8 @@
    Each execution lowers its (class, predicate) pair into the artifacts
    the planner and executor consume: the cost-ordered conjunct breakdown
    with per-conjunct compiled closures and sargability facts, and the
-   Select-derivation ancestry the planner can push the query through.
+   Select-derivation ancestry the planner can push the query through
+   (sargability facts only: nothing evaluates those conjuncts).
    Nothing is kept between executions, so a plan can never outlive the
    schema state it was compiled against. *)
 
@@ -24,10 +25,17 @@ type sarg =
   | Sarg_cmp of string * Expr.cmp * Value.t
       (* attr on the left; cmp is one of Lt/Le/Gt/Ge *)
 
-type conjunct = {
+(* What the planner reads of a conjunct. *)
+type fact = {
   c_expr : Expr.t;  (* const-folded *)
-  c_cost : int;
   c_sarg : sarg option;
+}
+
+(* A conjunct of the query itself: a fact the executor may also have to
+   check on a candidate. *)
+type conjunct = {
+  c_fact : fact;
+  c_cost : int;
   c_eval : Oid.t -> bool;
       (* compiled, raises like Expr.eval_bool; the executor absorbs
          errors over the whole residual chain *)
@@ -35,13 +43,14 @@ type conjunct = {
 
 type compiled = {
   cp_conjuncts : conjunct list;  (* cost-ordered, cheapest first *)
-  cp_chain : (cid * conjunct list) list;
+  cp_chain : (cid * fact list) list;
       (* Select ancestry of the queried class, nearest source first:
          [(src, conjuncts of the select's predicate); ...]. Because the
          queried extent is maintained as a subset of every ancestor's
          extent filtered by these predicates, an index on an ancestor can
          serve the query once candidates are intersected back with the
-         queried extent. *)
+         queried extent; membership discharges them, so they are never
+         evaluated and carry no closure. *)
 }
 
 let flip_cmp = function
@@ -65,15 +74,18 @@ let sarg_of = function
 
 let chain_depth_cap = 8
 
+let fact e =
+  let e = Expr_compile.const_fold e in
+  { c_expr = e; c_sarg = sarg_of e }
+
 let compile db cid pred =
   let binder = Database.compiled_binder db in
   let mk e =
-    let e = Expr_compile.const_fold e in
+    let f = fact e in
     {
-      c_expr = e;
-      c_cost = Expr_compile.cost e;
-      c_sarg = sarg_of e;
-      c_eval = Expr_compile.compile_bool binder e;
+      c_fact = f;
+      c_cost = Expr_compile.cost f.c_expr;
+      c_eval = Expr_compile.compile_bool binder f.c_expr;
     }
   in
   let order cs =
@@ -85,7 +97,7 @@ let compile db cid pred =
     else
       match (Schema_graph.find_exn graph c).Klass.kind with
       | Klass.Virtual (Klass.Select (src, p)) ->
-        (src, List.map mk (Expr_compile.conjuncts p)) :: chain src (depth + 1)
+        (src, List.map fact (Expr_compile.conjuncts p)) :: chain src (depth + 1)
       | Klass.Base | Klass.Virtual _ -> []
       | exception _ -> []
   in

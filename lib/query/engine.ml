@@ -34,7 +34,7 @@ type access =
       a_attr : string;
       a_kind : Indexes.kind;
       a_value : Value.t;
-      a_consumed : Compile.conjunct list;
+      a_consumed : Compile.fact list;
     }
   | A_range of {
       a_cls : cid;
@@ -42,7 +42,7 @@ type access =
       a_attr : string;
       a_lo : Tse_store.Ord_index.bound option;
       a_hi : Tse_store.Ord_index.bound option;
-      a_consumed : Compile.conjunct list;
+      a_consumed : Compile.fact list;
     }
   | A_scan
 
@@ -58,7 +58,10 @@ let levels (compiled : Compile.compiled) cid =
     | [] -> List.rev acc
     | (src, cs) :: rest -> go src (depth + 1) (conjs @ cs) rest acc
   in
-  go cid 0 compiled.Compile.cp_conjuncts compiled.Compile.cp_chain []
+  let own =
+    List.map (fun (c : Compile.conjunct) -> c.c_fact) compiled.cp_conjuncts
+  in
+  go cid 0 own compiled.Compile.cp_chain []
 
 let bound_of_cmp op v =
   match op with
@@ -78,7 +81,7 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
   (* equality probes: both index kinds answer them *)
   let eqs =
     List.filter_map
-      (fun (c : Compile.conjunct) ->
+      (fun (c : Compile.fact) ->
         match c.c_sarg with
         | Some (Compile.Sarg_eq (a, v)) -> begin
           match Indexes.kind_of indexes cls a with
@@ -104,7 +107,7 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
      attribute stay in the residual *)
   let range_attrs =
     List.filter_map
-      (fun (c : Compile.conjunct) ->
+      (fun (c : Compile.fact) ->
         match c.c_sarg with
         | Some (Compile.Sarg_cmp (a, _, _))
           when Indexes.kind_of indexes cls a = Some Indexes.Ordered ->
@@ -118,7 +121,7 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
       (fun a ->
         let lo = ref None and hi = ref None and consumed = ref [] in
         List.iter
-          (fun (c : Compile.conjunct) ->
+          (fun (c : Compile.fact) ->
             match c.c_sarg with
             | Some (Compile.Sarg_cmp (a', op, v)) when String.equal a a' -> begin
               match bound_of_cmp op v with
@@ -211,7 +214,7 @@ let depth_of_access = function
    conjuncts cannot change the verdict; an extent scan checks them all. *)
 let residual_conjuncts (compiled : Compile.compiled) consumed =
   List.filter
-    (fun (c : Compile.conjunct) -> not (List.memq c consumed))
+    (fun (c : Compile.conjunct) -> not (List.memq c.c_fact consumed))
     compiled.Compile.cp_conjuncts
 
 let residual_eval cs o =
@@ -326,7 +329,7 @@ let select_explain db indexes cid pred =
             Indexes.key_cardinality indexes cls attr);
       conjunct_order =
         List.map
-          (fun (c : Compile.conjunct) -> c.Compile.c_expr)
+          (fun (c : Compile.conjunct) -> c.c_fact.c_expr)
           compiled.Compile.cp_conjuncts;
       pushdown_depth = r.r_depth;
       rows_scanned = r.r_scanned;

@@ -97,6 +97,15 @@ let on_event t event =
       (fun e ->
         if delta_touches graph e added removed then refresh_object e t.db o)
       t.entries
+  | Database.Class_populated (cid, members) ->
+    (* every member gained exactly [cid], so one test per entry decides
+       for all of them *)
+    let graph = Database.graph t.db in
+    List.iter
+      (fun e ->
+        if delta_touches graph e [ cid ] [] then
+          Oid.Set.iter (refresh_object e t.db) members)
+      t.entries
   | Database.Attr_set (o, attr, _) ->
     (* a stored-attribute write can only move entries indexing that name *)
     List.iter
@@ -104,7 +113,7 @@ let on_event t event =
       t.entries
   | Database.Reclassified _ ->
     (* reclassification that changed nothing changes no index; real
-       changes arrive as [Membership_delta] *)
+       changes arrive as [Membership_delta] or [Class_populated] *)
     ()
 
 let create db =

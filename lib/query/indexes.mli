@@ -3,8 +3,8 @@
     GemStone-style associative access for the select operator: an index
     on [(class, attribute)] maps attribute values to the members of the
     class holding them, and is kept current by listening to the database's
-    change events (attribute writes, object creation/destruction and
-    reclassification). Two backings share that maintenance contract:
+    change events (attribute writes, object creation/destruction,
+    reclassification and the population of a new class). Two backings share that maintenance contract:
     [Hash] answers equality probes, [Ordered] additionally answers range
     lookups. Section 4.2 counts such structures among the managerial
     storage; {!overhead_bytes} reports it. *)

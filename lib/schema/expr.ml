@@ -196,10 +196,7 @@ let to_string e = Format.asprintf "%a" pp e
 (* Catalog text encoding: one tag character per constructor, operands in
    sequence; strings are length-prefixed like Value's. *)
 
-let add_str buf s =
-  Buffer.add_string buf (string_of_int (String.length s));
-  Buffer.add_char buf ':';
-  Buffer.add_string buf s
+let add_str = Tse_store.Codec.add_str
 
 let cmp_tag = function Eq -> 'e' | Ne -> 'n' | Lt -> 'l' | Le -> 'm' | Gt -> 'g' | Ge -> 'h'
 let arith_tag = function Add -> 'a' | Sub -> 's' | Mul -> 'm' | Div -> 'd'

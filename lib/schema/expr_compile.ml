@@ -187,9 +187,13 @@ let rec compile_value : 'o. 'o binder -> t -> 'o -> Value.t =
 and compile_bool : 'o. 'o binder -> t -> 'o -> bool =
   fun binder e ->
   match e with
-  | Const v ->
-    let b = as_bool v in
-    fun _ -> b
+  | Const v -> begin
+    (* a non-boolean constant raises where it is evaluated, as in
+       Expr.eval, so the caller's error absorption sees it *)
+    match as_bool v with
+    | b -> fun _ -> b
+    | exception (Type_error _ as err) -> fun _ -> raise err
+  end
   | Not a ->
     let fa = compile_bool binder a in
     fun o -> not (fa o)

@@ -2,12 +2,28 @@ exception Corrupt of string * int
 
 let fail_at pos what = raise (Corrupt (what, pos))
 
+(* Digits of the non-positive [n], most significant first. [-|i|]
+   exists for every int, [min_int] included, and for [n <= 0] both
+   [n / 10] and [n mod 10] round toward zero, so [n mod 10] is in
+   [-9, 0]. Division by a constant compiles to a multiply. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* The bytes of [string_of_int i], written straight into [buf]. *)
+let add_decimal buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let add_int buf i =
-  Buffer.add_string buf (string_of_int i);
+  add_decimal buf i;
   Buffer.add_char buf ';'
 
 let add_str buf s =
-  Buffer.add_string buf (string_of_int (String.length s));
+  add_decimal buf (String.length s);
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 

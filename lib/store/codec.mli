@@ -10,6 +10,11 @@ exception Corrupt of string * int
     recovery catches it to truncate at the offending record; snapshot
     loaders convert it to [Failure]. *)
 
+val add_decimal : Buffer.t -> int -> unit
+(** [add_decimal buf i] appends the bytes of [string_of_int i] (sign and
+    digits, no terminator) without allocating; [min_int] included. Every
+    decimal field of the persisted formats goes through it. *)
+
 val add_int : Buffer.t -> int -> unit
 val add_str : Buffer.t -> string -> unit
 val add_bool : Buffer.t -> bool -> unit

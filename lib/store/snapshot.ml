@@ -46,12 +46,18 @@ let encode_cell buf (c : Heap.cell) =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.slots []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Buffer.add_string buf
-    (Printf.sprintf "obj %d %s %d\n" (Oid.to_int c.oid) (escape c.tag)
-       (List.length slots));
+  Buffer.add_string buf "obj ";
+  Codec.add_decimal buf (Oid.to_int c.oid);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (escape c.tag);
+  Buffer.add_char buf ' ';
+  Codec.add_decimal buf (List.length slots);
+  Buffer.add_char buf '\n';
   List.iter
     (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf "slot %s " (escape k));
+      Buffer.add_string buf "slot ";
+      Buffer.add_string buf (escape k);
+      Buffer.add_char buf ' ';
       Value.encode buf v;
       Buffer.add_char buf '\n')
     slots

@@ -115,7 +115,7 @@ let rec encode buf = function
   | Bool b -> Buffer.add_string buf (if b then "T" else "F")
   | Int i ->
     Buffer.add_char buf 'I';
-    Buffer.add_string buf (string_of_int i);
+    Codec.add_decimal buf i;
     Buffer.add_char buf ';'
   | Float f ->
     Buffer.add_char buf 'D';
@@ -123,16 +123,16 @@ let rec encode buf = function
     Buffer.add_char buf ';'
   | String s ->
     Buffer.add_char buf 'S';
-    Buffer.add_string buf (string_of_int (String.length s));
+    Codec.add_decimal buf (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
   | Ref o ->
     Buffer.add_char buf 'R';
-    Buffer.add_string buf (string_of_int (Oid.to_int o));
+    Codec.add_decimal buf (Oid.to_int o);
     Buffer.add_char buf ';'
   | List vs ->
     Buffer.add_char buf 'L';
-    Buffer.add_string buf (string_of_int (List.length vs));
+    Codec.add_decimal buf (List.length vs);
     Buffer.add_char buf ':';
     List.iter (encode buf) vs
 
@@ -182,7 +182,7 @@ let rec encode_ty buf = function
   | TString -> Buffer.add_char buf 's'
   | TRef c ->
     Buffer.add_char buf 'r';
-    Buffer.add_string buf (string_of_int (String.length c));
+    Codec.add_decimal buf (String.length c);
     Buffer.add_char buf ':';
     Buffer.add_string buf c
   | TList t ->

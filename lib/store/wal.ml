@@ -151,30 +151,17 @@ let read_entry s pos =
 
 let header_len = 8
 
-let put_u32le buf (v : int32) =
-  for shift = 0 to 3 do
-    Buffer.add_char buf
-      (Char.chr
-         (Int32.to_int (Int32.shift_right_logical v (shift * 8)) land 0xFF))
-  done
-
-let get_u32le s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 let encode_record ~seq entries =
   let payload = Buffer.create 256 in
   Codec.add_int payload seq;
   Codec.add_list payload add_entry entries;
   let payload = Buffer.contents payload in
-  let buf = Buffer.create (String.length payload + header_len) in
-  put_u32le buf (Int32.of_int (String.length payload));
-  put_u32le buf (Crc32.string payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let n = String.length payload in
+  let record = Bytes.create (header_len + n) in
+  Bytes.set_int32_le record 0 (Int32.of_int n);
+  Bytes.set_int32_le record 4 (Crc32.string payload);
+  Bytes.blit_string payload 0 record header_len n;
+  Bytes.unsafe_to_string record
 
 (* ---------- appending ---------- *)
 
@@ -343,11 +330,11 @@ let scan_string s =
     else if pos + header_len > len then
       (List.rev acc, pos, Some "torn record header")
     else
-      let n = Int32.to_int (get_u32le s pos) in
+      let n = Int32.to_int (String.get_int32_le s pos) in
       if n < 0 || pos + header_len + n > len then
         (List.rev acc, pos, Some "torn record body")
       else
-        let crc = get_u32le s (pos + 4) in
+        let crc = String.get_int32_le s (pos + 4) in
         let payload = String.sub s (pos + header_len) n in
         if Crc32.string payload <> crc then
           (List.rev acc, pos, Some "checksum mismatch")

@@ -263,6 +263,51 @@ let delete_edge_reattach () =
   Alcotest.(check (list string)) "S'' = S'" []
     (Verify.diff_views (uni.db, evolved) (oracle.db, direct))
 
+(* A non-boolean constant conjunct. [Expr_compile.compile_bool] called
+   [as_bool] on a [Const] while compiling, so [select ... where age >= 0
+   and 3] raised [Type_error] from [Engine.select], [Engine.count] and
+   [Database.compile_pred], while [Database.holds] answered false for
+   every object. The error now surfaces where the constant is evaluated,
+   and the holds contract absorbs it there. *)
+let constant_conjunct () =
+  let uni = University.build () in
+  ignore (University.populate uni ~n:24);
+  let db = uni.db in
+  let cls = uni.person in
+  let plain = Tse_query.Indexes.create db in
+  let indexed = Tse_query.Indexes.create db in
+  Tse_query.Indexes.ensure ~kind:Tse_query.Indexes.Ordered indexed cls "age";
+  let three = Expr.Const (Value.Int 3) in
+  List.iter
+    (fun (what, pred) ->
+      let extent = Database.extent db cls in
+      let oracle = Oid.Set.filter (fun o -> Database.holds db o pred) extent in
+      Alcotest.(check int) (what ^ ": holds answers false") 0
+        (Oid.Set.cardinal oracle);
+      let compiled = Database.compile_pred db pred in
+      Alcotest.(check bool) (what ^ ": compile_pred == holds") true
+        (Oid.Set.for_all
+           (fun o -> Bool.equal (compiled o) (Database.holds db o pred))
+           extent);
+      List.iter
+        (fun (how, idx) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: select == holds (%s)" what how)
+            true
+            (Oid.Set.equal (Tse_query.Engine.select db idx cls pred) oracle);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: count == holds (%s)" what how)
+            (Oid.Set.cardinal oracle)
+            (Tse_query.Engine.count db idx cls pred))
+        [ ("scan", plain); ("age index", indexed) ])
+    Expr.
+      [
+        ("age >= 0 and 3", attr "age" >= int 0 && three);
+        ("3", three);
+        ("age >= 0 and not 3", attr "age" >= int 0 && Not three);
+        ("3 or age >= 0", three || attr "age" >= int 0);
+      ]
+
 let () =
   let corpus =
     [
@@ -297,4 +342,7 @@ let () =
       ( "durable-evolve",
         [ Alcotest.test_case "unknown view is an error, empty list too"
             `Quick unknown_view ] );
+      ( "constant-conjunct",
+        [ Alcotest.test_case "a non-boolean constant reads false everywhere"
+            `Quick constant_conjunct ] );
     ]

@@ -448,7 +448,8 @@ let test_membership_delta_events () =
    caches): creation is announced before any init write is visible, and
    each logical change fires exactly one event — one Membership_delta
    even when a write crosses several class predicates at once, one
-   Bases_changed per base-membership edit. *)
+   Bases_changed per base-membership edit, one Class_populated per newly
+   populated class. *)
 let test_event_exactly_once () =
   let u = uni () in
   let db = u.db in
@@ -519,8 +520,10 @@ let test_event_exactly_once () =
   events := [];
   Database.remove_base_membership db p u.staff;
   check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
-  (* populating a new class: one delta per member, gaining exactly that
-     class, and none for any other object *)
+  (* populating a new class: exactly one Class_populated naming the class
+     and its whole new extent, and no per-object delta. The oracle mode
+     runs the fixpoint instead: one delta per member, gaining exactly the
+     class, and no Class_populated. *)
   ignore
     (Database.create_object db u.student
        ~init:[ ("name", Value.String "s"); ("age", Value.Int 20) ]);
@@ -530,24 +533,43 @@ let test_event_exactly_once () =
   let populates new_class =
     events := [];
     let cid = new_class () in
-    let deltas =
+    let populated =
       List.filter_map
         (function
-          | Database.Membership_delta (o, added, removed) ->
-            Some (o, added, removed)
+          | Database.Class_populated (c, members) -> Some (c, members)
           | _ -> None)
         !events
     in
     let members = Database.extent db cid in
-    check Alcotest.int "one delta per member" (Oid.Set.cardinal members)
-      (List.length deltas);
-    List.iter
-      (fun (o, added, removed) ->
-        Alcotest.(check bool) "delta names a member" true (Oid.Set.mem o members);
-        Alcotest.(check bool) "gains exactly the new class" true
-          (List.equal Oid.equal added [ cid ]);
-        check Alcotest.int "loses nothing" 0 (List.length removed))
-      deltas;
+    if Database.full_reclassify db then begin
+      check Alcotest.int "oracle: no Class_populated" 0 (List.length populated);
+      let deltas =
+        List.filter_map
+          (function
+            | Database.Membership_delta (o, added, removed) ->
+              Some (o, added, removed)
+            | _ -> None)
+          !events
+      in
+      check Alcotest.int "oracle: one delta per member"
+        (Oid.Set.cardinal members) (List.length deltas);
+      List.iter
+        (fun (o, added, removed) ->
+          Alcotest.(check bool) "delta names a member" true
+            (Oid.Set.mem o members);
+          Alcotest.(check bool) "gains exactly the new class" true
+            (List.equal Oid.equal added [ cid ]);
+          check Alcotest.int "loses nothing" 0 (List.length removed))
+        deltas
+    end
+    else begin
+      check Alcotest.int "one Class_populated" 1 (List.length populated);
+      let c, announced = List.hd populated in
+      Alcotest.(check bool) "names the new class" true (Oid.equal c cid);
+      Alcotest.(check bool) "announces the whole extent" true
+        (Oid.Set.equal announced members);
+      check Alcotest.int "no Membership_delta" 0 (n_deltas ())
+    end;
     Oid.Set.cardinal members
   in
   check Alcotest.int "refine populates every student" 2

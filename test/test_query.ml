@@ -710,6 +710,75 @@ let test_delta_into_local_declaration () =
   check Alcotest.bool "agrees with a fresh build" true
     (agrees_with_fresh u.db idx (ranked, "rank"))
 
+(* A class populated by set algebra declares the indexed attribute
+   locally: one Class_populated stands for every member's delta, and the
+   entry must refresh all of them, since the attribute now resolves
+   ambiguously for each. Probes on the maintained index must match a
+   fresh build and the [Database.holds] filter. *)
+let test_populated_local_declaration () =
+  let u, idx = fixture () in
+  let stored name default =
+    Prop.stored ~origin:(Oid.of_int 0) ~default name Value.TInt
+  in
+  let ranked =
+    Tse_algebra.Ops.refine u.db ~name:"Ranked" ~src:u.person
+      ~props:[ stored "rank" (Value.Int 5) ]
+  in
+  let senior =
+    Tse_algebra.Ops.select u.db ~name:"Senior" ~src:u.person
+      Expr.(attr "age" >= int 65)
+  in
+  List.iter
+    (fun age ->
+      ignore
+        (Database.create_object u.db u.person ~init:[ ("age", Value.Int age) ]))
+    [ 30; 66; 70; 81 ];
+  Indexes.ensure idx ranked "rank";
+  let populated = ref 0 in
+  Database.add_listener u.db ~owner:populated (fun n -> function
+    | Database.Class_populated _ -> incr n
+    | _ -> ());
+  ignore
+    (Tse_algebra.Ops.refine u.db ~name:"RankedSenior" ~src:senior
+       ~props:[ stored "rank" (Value.Int 9) ]);
+  (* the oracle mode populates through the per-object fixpoint instead *)
+  check Alcotest.int "populated by set algebra"
+    (if Database.full_reclassify u.db then 0 else 1)
+    !populated;
+  let fresh = Indexes.create u.db in
+  Indexes.ensure fresh ranked "rank";
+  List.iter
+    (fun v ->
+      let probe idx =
+        Option.value ~default:Oid.Set.empty
+          (Indexes.lookup idx ranked "rank" (Value.Int v))
+      in
+      let pred = Expr.(attr "rank" === int v) in
+      let oracle =
+        Oid.Set.filter (fun o -> Database.holds u.db o pred)
+          (Database.extent u.db ranked)
+      in
+      check Alcotest.bool
+        (Printf.sprintf "rank = %d: maintained probe == fresh probe" v)
+        true
+        (Oid.Set.equal (probe idx) (probe fresh));
+      check Alcotest.bool
+        (Printf.sprintf "rank = %d: maintained probe == holds filter" v)
+        true
+        (Oid.Set.equal (probe idx) oracle);
+      check Alcotest.bool
+        (Printf.sprintf "rank = %d: indexed select == holds filter" v)
+        true
+        (Oid.Set.equal (Engine.select u.db idx ranked pred) oracle))
+    [ 5; 9 ];
+  check Alcotest.bool "seniors left the index" true
+    (Oid.Set.is_empty
+       (Oid.Set.inter (Database.extent u.db senior)
+          (Option.value ~default:Oid.Set.empty
+             (Indexes.lookup idx ranked "rank" (Value.Int 5)))));
+  check Alcotest.bool "agrees with a fresh build" true
+    (agrees_with_fresh u.db idx (ranked, "rank"))
+
 let prop_maintained_equals_fresh =
   QCheck.Test.make ~name:"maintained indexes == freshly built, across evolution"
     ~count:25
@@ -818,4 +887,6 @@ let suite =
     Alcotest.test_case "delta into a local declaration refreshes" `Quick
       test_delta_into_local_declaration;
     Qcheck_det.to_alcotest prop_maintained_equals_fresh;
+    Alcotest.test_case "populating a local declaration refreshes" `Quick
+      test_populated_local_declaration;
   ]

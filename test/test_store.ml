@@ -354,6 +354,131 @@ let test_ord_index_distinct_keys () =
   check Alcotest.int "of_seq: distinct keys" 3 (Ord_index.distinct_keys built);
   check Alcotest.int "of_seq: entries" 4 (Ord_index.cardinal built)
 
+(* --- byte-exact codecs: CRC-32, decimal fields, WAL records ------------- *)
+
+(* The byte-at-a-time table loop the WAL shipped with, kept as the
+   reference the sliced implementation must match. *)
+let crc32_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  fun crc s pos len ->
+    let crc = ref (Int32.lognot crc) in
+    for i = pos to pos + len - 1 do
+      let idx =
+        Int32.to_int
+          (Int32.logand
+             (Int32.logxor !crc (Int32.of_int (Char.code s.[i])))
+             0xFFl)
+      in
+      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+    done;
+    Int32.lognot !crc
+
+let test_crc32_check_value () =
+  check Alcotest.int32 "CRC-32 check value" 0xCBF43926l
+    (Crc32.string "123456789");
+  check Alcotest.int32 "empty" 0l (Crc32.string "")
+
+(* Lengths 0-17 cover every tail length on both sides of one and two
+   8-byte blocks; the generator adds random lengths, a random split
+   point and a random seed CRC. *)
+let prop_crc32_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = oneof [ int_bound 17; int_bound 300 ] in
+      let* s = string_size ~gen:char (return len) in
+      let* k = int_bound len in
+      let* seed = map Int32.of_int (int_bound 0x3FFFFFFF) in
+      return (s, k, seed))
+  in
+  QCheck.Test.make ~name:"sliced CRC-32 == byte-at-a-time reference"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (s, k, seed) -> Printf.sprintf "%S split %d seed %ld" s k seed)
+       gen)
+    (fun (s, k, seed) ->
+      let n = String.length s in
+      Int32.equal (Crc32.string s) (crc32_reference 0l s 0 n)
+      && Int32.equal
+           (Crc32.update (Crc32.update 0l s 0 k) s k (n - k))
+           (Crc32.string s)
+      && Int32.equal (Crc32.update seed s k (n - k))
+           (crc32_reference seed s k (n - k)))
+
+let test_crc32_short_lengths () =
+  let s = String.init 40 (fun i -> Char.chr (((i * 37) + 11) land 0xFF)) in
+  for pos = 0 to 5 do
+    for len = 0 to 17 do
+      check Alcotest.int32
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc32_reference 0l s pos len)
+        (Crc32.update 0l s pos len)
+    done
+  done
+
+let decimal i =
+  let b = Buffer.create 24 in
+  Codec.add_decimal b i;
+  Buffer.contents b
+
+let test_add_decimal_edges () =
+  List.iter
+    (fun i -> check Alcotest.string (string_of_int i) (string_of_int i) (decimal i))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let prop_add_decimal_matches_string_of_int =
+  QCheck.Test.make ~name:"add_decimal == string_of_int" ~count:1000
+    QCheck.(oneof [ int; small_signed_int ])
+    (fun i -> String.equal (decimal i) (string_of_int i))
+
+(* A record of every entry kind, with every value constructor, encoded
+   by the build before the decimal and CRC rewrites. Equal bytes mean
+   logs written by that build still replay. *)
+let golden_record_entries =
+  let o = Oid.of_int in
+  Wal.
+    [
+      Op (Heap.Alloc (o 7, "Person"));
+      Op (Heap.Set_tag (o 7, "Stu dent\n"));
+      Op (Heap.Set_slot (o 7, "age", Value.Int (-42)));
+      Op (Heap.Set_slot (o 7, "min", Value.Int min_int));
+      Op (Heap.Set_slot (o 7, "max", Value.Int max_int));
+      Op (Heap.Set_slot (o 7, "zero", Value.Int 0));
+      Op (Heap.Set_slot (o 7, "gpa", Value.Float 3.75));
+      Op (Heap.Set_slot (o 7, "neg", Value.Float (-0.1)));
+      Op (Heap.Set_slot (o 7, "name", Value.String "a;b:c"));
+      Op (Heap.Set_slot (o 7, "ok", Value.Bool true));
+      Op (Heap.Set_slot (o 7, "no", Value.Bool false));
+      Op (Heap.Set_slot (o 7, "nil", Value.Null));
+      Op (Heap.Set_slot (o 7, "boss", Value.Ref (o 1234567)));
+      Op
+        (Heap.Set_slot
+           ( o 7,
+             "xs",
+             Value.List [ Value.Int (-1); Value.List []; Value.String "" ] ));
+      Op (Heap.Remove_slot (o 7, "nil"));
+      Op (Heap.Swap (o 7, o 10));
+      Op (Heap.Free (o 10));
+      Gen 1000001;
+      Ext ("schema", "blob\000with\255bytes");
+    ]
+
+let golden_record =
+  "1\001\000\000\018\230\131\214123456789;19;A7;6:PersonT7;9:Stu \
+   dent\nS7;3:ageI-42;S7;3:minI-4611686018427387904;S7;3:maxI4611686018427387903;S7;4:zeroI0;S7;3:gpaD0x1.ep+1;S7;3:negD-0x1.999999999999ap-4;S7;4:nameS5:a;b:cS7;2:okTS7;2:noFS7;3:nilNS7;4:bossR1234567;S7;2:xsL3:I-1;L0:S0:R7;3:nilW7;10;F10;G1000001;X6:schema15:blob\000with\255bytes"
+
+let test_wal_record_golden () =
+  check Alcotest.string "record bytes unchanged" golden_record
+    (Wal.encode_record ~seq:123456789 golden_record_entries)
+
 let suite =
   [
     Alcotest.test_case "oid generator" `Quick test_oid_gen;
@@ -383,3 +508,13 @@ let suite =
   ]
   @ List.map Qcheck_det.to_alcotest
       [ prop_value_roundtrip; prop_value_compare_total ]
+  @ [
+      Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+      Alcotest.test_case "crc32 short lengths == reference" `Quick
+        test_crc32_short_lengths;
+      Qcheck_det.to_alcotest prop_crc32_matches_reference;
+      Alcotest.test_case "add_decimal edge values" `Quick test_add_decimal_edges;
+      Qcheck_det.to_alcotest prop_add_decimal_matches_string_of_int;
+      Alcotest.test_case "wal record bytes == golden" `Quick
+        test_wal_record_golden;
+    ]
