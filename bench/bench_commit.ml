@@ -39,7 +39,6 @@ let mk_fixture ~policy ~objects =
       ~props:[ Prop.stored ~origin:(Oid.of_int 0) "n" Value.TInt ]
       ~supers:[]
   in
-  Database.note_new_class db item;
   let objs =
     Array.init objects (fun i ->
         Database.create_object db item ~init:[ ("n", Value.Int i) ])

@@ -29,7 +29,6 @@ let mk_fixture ~objects =
     ]
   in
   let item = Schema_graph.register_base g ~name:"Item" ~props ~supers:[] in
-  Database.note_new_class db item;
   for j = 0 to objects - 1 do
     ignore
       (Database.create_object db item

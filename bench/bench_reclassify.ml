@@ -27,7 +27,6 @@ let mk_fixture ~full ~objects n =
              Value.TInt)
   in
   let item = Schema_graph.register_base g ~name:"Item" ~props ~supers:[] in
-  Database.note_new_class db item;
   for i = 0 to n - 1 do
     ignore
       (Tse_algebra.Ops.select db

@@ -317,7 +317,6 @@ let ablation_durability () =
         ]
       ~supers:[]
   in
-  Database.note_new_class db person;
   let objs =
     List.init 100 (fun i ->
         Database.create_object db person

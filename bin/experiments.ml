@@ -203,9 +203,7 @@ let fig11 () =
   let db = Database.create () in
   let g = Database.graph db in
   let reg name supers =
-    let c = Schema_graph.register_base g ~name ~props:[] ~supers in
-    Database.note_new_class db c;
-    c
+    Schema_graph.register_base g ~name ~props:[] ~supers
   in
   let v = reg "V" [] in
   let csup = reg "Csup" [ v ] in

@@ -24,9 +24,7 @@ let () =
   let g = Database.graph db in
   let stored = Prop.stored ~origin:(Oid.of_int 0) in
   let reg name props supers =
-    let cid = Schema_graph.register_base g ~name ~props ~supers in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_base g ~name ~props ~supers
   in
   let component =
     reg "Component"

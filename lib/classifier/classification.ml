@@ -14,11 +14,6 @@ let fp_integrate = "evolve.integrate"
 let fp_reclassify = "evolve.reclassify"
 let () = List.iter Failpoint.declare [ fp_classify; fp_integrate; fp_reclassify ]
 
-let usable_props graph cid =
-  Type_info.full_type graph cid
-  |> List.filter_map (fun (_, e) ->
-         match e with Type_info.Single p -> Some p | Type_info.Conflict _ -> None)
-
 (* Common properties of two types: the same property (uid) in both, or two
    signature-equal definitions — the lowest common supertype (Section 3.2). *)
 let common_props a_props b_props =
@@ -31,7 +26,7 @@ let common_props a_props b_props =
 
 let intended_type db derivation =
   let graph = Database.graph db in
-  let ft = usable_props graph in
+  let ft = Type_info.usable_props graph in
   match derivation with
   | Klass.Select (src, _) -> ft src
   | Klass.Hide (names, src) ->
@@ -128,7 +123,7 @@ let link_by_derivation graph cid derivation intended =
           List.exists
             (fun (q : Prop.t) -> Prop.same_prop p q || Prop.signature_equal p q)
             intended)
-        (usable_props graph sup)
+        (Type_info.usable_props graph sup)
     in
     let candidates =
       Oid.Set.filter covered (Schema_graph.ancestors graph src)
@@ -159,22 +154,20 @@ let link_by_derivation graph cid derivation intended =
 
 (* Materialize intended properties the class does not inherit at its
    position: MultiView code promotion. Shares the uid so diamond paths and
-   local/inherited duplicates resolve to a single property. The class is
-   mutated in place, which moves no stamp by itself: [cid] was registered
-   by the evolution being integrated, and that registration moved the
-   graph version (hence [Database.compile_stamp]) before the same
-   evolution's commit. *)
+   local/inherited duplicates resolve to a single property. The edits touch
+   the class's own properties only, never its supers', so what it inherits
+   is looked up once. *)
 let materialize_props graph cid intended =
   let k = Schema_graph.find_exn graph cid in
+  let inherited = Type_info.inherited_candidates graph cid in
   List.iter
     (fun (p : Prop.t) ->
-      let inherited =
-        List.exists (Prop.same_prop p) (Type_info.inherited_candidates graph cid p.name)
-      in
-      let local = Klass.has_local_prop k p.name in
-      if (not inherited) && not local then
-        let p = if Oid.equal p.origin cid then p else Prop.promote p in
-        Klass.add_local_prop k p)
+      if
+        (not (List.exists (Prop.same_prop p) (inherited p.name)))
+        && not (Klass.has_local_prop k p.name)
+      then
+        Schema_graph.add_local_prop graph cid
+          (if Oid.equal p.origin cid then p else Prop.promote p))
     intended
 
 let integrate db cid =
@@ -203,15 +196,13 @@ let integrate db cid =
   match placement with
   | `Duplicate existing ->
     Schema_graph.remove graph cid;
-    Database.note_removed_class db cid;
     existing
   | `Placed intended ->
     (* integrate: promote properties and repair inheritance edges *)
     (Trace.with_span "evolve.integrate" @@ fun () ->
      Failpoint.hit fp_integrate;
      materialize_props graph cid intended;
-     repair_edges graph cid;
-     Database.note_new_class db cid);
+     repair_edges graph cid);
     (* reclassify: populate the new class's extent from its sources *)
     (Trace.with_span "evolve.reclassify" @@ fun () ->
      Failpoint.hit fp_reclassify;

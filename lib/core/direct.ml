@@ -19,8 +19,7 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
   let cls = resolve view cls_name in
   if Type_info.has_prop graph cls prop_name then
     rejected "%s already defined for %s" prop_name cls_name;
-  let k = Schema_graph.find_exn graph cls in
-  Klass.add_local_prop k (Prop.reoriginate (mk_prop ()) cls);
+  Schema_graph.add_local_prop graph cls (Prop.reoriginate (mk_prop ()) cls);
   Database.reclassify_all db;
   view
 
@@ -37,7 +36,7 @@ let delete_property db view ~cls_name ~prop_name =
     rejected
       "direct oracle limitation: %s is not local to %s in the global schema"
       prop_name cls_name;
-  Klass.remove_local_prop k prop_name;
+  Schema_graph.remove_local_prop graph cls prop_name;
   (* the suppressed inherited property, if any, reappears automatically *)
   Database.reclassify_all db;
   view
@@ -107,7 +106,6 @@ let rec apply db view change =
       | Some s -> [ resolve view s ]
     in
     let cid = Schema_graph.register_base graph ~name:cls ~props:[] ~supers in
-    Database.note_new_class db cid;
     let view' = View_schema.copy view in
     View_schema.add_class view' ~as_name:cls graph cid;
     view'

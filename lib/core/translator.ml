@@ -409,15 +409,8 @@ let delete_edge db view ~sup_name ~sub_name ~connected_to =
           | [] ->
             (* nothing to restore: v' is just the difference, under v's
                primed name *)
-            let v' = d in
-            let k = Schema_graph.find_exn graph v' in
-            (* in-place rename: [Ops.difference] just above registered a
-               class (and removed it again if [d] is an existing
-               duplicate), which moved the graph version, hence the
-               compile stamp, within this same evolution; its commit
-               re-encodes the schema *)
-            k.Klass.name <- Ops.primed_name db vname;
-            v'
+            Schema_graph.rename graph d (Ops.primed_name db vname);
+            d
           | xs ->
             let x =
               List.fold_left
@@ -505,40 +498,29 @@ let add_class db view ~cls_name ~connected_to =
     match connected_to with
     | None ->
       (* no anchor: a fresh empty base class under the root *)
-      let cid =
-        Schema_graph.register_base graph ~name:global_name ~props:[] ~supers:[]
-      in
-      Database.note_new_class db cid;
-      cid
+      Schema_graph.register_base graph ~name:global_name ~props:[] ~supers:[]
     | Some sup_name ->
       let csup = resolve view sup_name in
       let origins = Macros.origin_classes db csup in
       let subst =
         List.map
           (fun origin ->
-            let x =
+            ( Oid.to_int origin,
               Schema_graph.register_base graph
                 ~name:(Ops.fresh_name db (cls_name ^ "$x"))
-                ~props:[] ~supers:[ origin ]
-            in
-            Database.note_new_class db x;
-            (Oid.to_int origin, x))
+                ~props:[] ~supers:[ origin ] ))
           origins
       in
-      (* the in-place renames below touch classes this same change
-         produced ([subst], [replay]); producing them registered classes,
-         which moved the graph version, hence the compile stamp a durable
-         commit checks *)
       let cadd =
         match Schema_graph.find_exn graph csup with
         | { Klass.kind = Klass.Base; _ } ->
           (* base anchor: the substituted class itself is the new class *)
           let x = List.assoc (Oid.to_int csup) subst in
-          (Schema_graph.find_exn graph x).Klass.name <- global_name;
+          Schema_graph.rename graph x global_name;
           x
         | _ ->
           let c = replay db ~subst ~basename:(cls_name ^ "$r") csup in
-          (Schema_graph.find_exn graph c).Klass.name <- global_name;
+          Schema_graph.rename graph c global_name;
           c
       in
       (* guaranteed subclass (Section 6.7.3): make the view edge real *)

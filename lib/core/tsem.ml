@@ -38,7 +38,7 @@ type checked = {
   c_view : string;
   old_view : View_schema.t;
   change : Change.t;
-  stamp : int;  (* Database.compile_stamp the checks ran against *)
+  stamp : int;  (* Schema_graph.version the checks ran against *)
 }
 
 let precheck t ~view change =
@@ -49,16 +49,14 @@ let precheck t ~view change =
     c_view = view;
     old_view;
     change;
-    stamp = Database.compile_stamp t.db;
+    stamp = Schema_graph.version (Database.graph t.db);
   }
 
 let pp_change oc c = output_string oc (Change.to_string c)
 
 let translate t { c_view = view; old_view; change; stamp } =
   let graph = Database.graph t.db in
-  (* the compile stamp, not the graph version: in-place [Direct] surgery
-     moves only the former (through [reclassify_all]) *)
-  if Database.compile_stamp t.db <> stamp || current t view != old_view then
+  if Schema_graph.version graph <> stamp || current t view != old_view then
     invalid_arg "Tsem.evolve_checked: the schema changed after precheck";
   Tse_obs.Log.info "tsem" "evolving view %s (v%d): %a" view
     old_view.View_schema.version pp_change change;

@@ -21,6 +21,18 @@ let reclassify_fuel = 4
    planner reads. [check] asserts [size = Oid.Set.cardinal members]. *)
 type extent = { mutable members : Oid.Set.t; mutable size : int }
 
+(* Everything derived from the schema, valid for one graph version [at]:
+   the derivation order, the dependency index, the compiled select
+   predicates (by select cid) and the per-object property resolution
+   tables. [derived] drops the whole record when the version moves. *)
+type derived = {
+  at : int;
+  order : cid list Lazy.t;
+  deps : Deps.t Lazy.t;
+  preds : (Oid.t -> bool) Oid.Tbl.t;
+  resolved : (string, (cid * Prop.t) option) Hashtbl.t Oid.Tbl.t;
+}
+
 type t = {
   heap : Heap.t;
   graph : Schema_graph.t;
@@ -28,16 +40,8 @@ type t = {
   stats : Stats.t;
   extents : extent Oid.Tbl.t;
   base_member : Oid.Set.t ref Oid.Tbl.t;  (* object -> base classes *)
-  mutable deriv_order : cid list option;  (* cache *)
   mutable listeners : listener list;
-  (* --- incremental reclassification engine --- *)
-  mutable deps : Deps.t option;  (* cache, keyed on graph version *)
-  mutable deps_version : int;
-  mutable cache_gen : int;  (* bumped when per-object caches must die *)
-  resolve_cache : (int * (string, (cid * Prop.t) option) Hashtbl.t) Oid.Tbl.t;
-  (* compiled select predicates, keyed by select cid; entries carry the
-     compile stamp they were built under (see [compile_stamp]) *)
-  pred_cache : (int * (Oid.t -> bool)) Oid.Tbl.t;
+  mutable derived : derived;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
   mutable formula_evals : int;
   mutable nonconverge_warned : bool;
@@ -86,11 +90,45 @@ let env_full_reclassify () =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let create () =
-  let heap = Heap.create () in
-  let graph = Schema_graph.create ~gen:(Heap.gen heap) in
-  let stats = Stats.create () in
-  let model = Slicing.create ~graph ~heap ~stats in
+(* Virtual classes topologically sorted by the derivation DAG (sources
+   first). Base classes do not appear. *)
+let compute_derivation_order graph =
+  let virtuals =
+    List.filter Klass.is_virtual (Schema_graph.classes graph)
+  in
+  let pending = Oid.Tbl.create 16 in
+  List.iter (fun (k : Klass.t) -> Oid.Tbl.replace pending k.cid k) virtuals;
+  let order = ref [] in
+  let rec emit (k : Klass.t) =
+    if Oid.Tbl.mem pending k.cid then begin
+      Oid.Tbl.remove pending k.cid;
+      List.iter
+        (fun src ->
+          match Oid.Tbl.find_opt pending src with
+          | Some ksrc -> emit ksrc
+          | None -> ())
+        (Klass.sources k);
+      order := k.cid :: !order
+    end
+  in
+  List.iter emit virtuals;
+  List.rev !order
+
+let fresh_derived graph =
+  {
+    at = Schema_graph.version graph;
+    order = lazy (compute_derivation_order graph);
+    deps = lazy (Deps.compute graph);
+    preds = Oid.Tbl.create 16;
+    resolved = Oid.Tbl.create 256;
+  }
+
+let derived t =
+  if t.derived.at <> Schema_graph.version t.graph then
+    t.derived <- fresh_derived t.graph;
+  t.derived
+
+let make ~heap ~graph ~stats ~model =
   {
     heap;
     graph;
@@ -98,18 +136,19 @@ let create () =
     stats;
     extents = Oid.Tbl.create 64;
     base_member = Oid.Tbl.create 256;
-    deriv_order = None;
     listeners = [];
-    deps = None;
-    deps_version = -1;
-    cache_gen = 0;
-    resolve_cache = Oid.Tbl.create 256;
-    pred_cache = Oid.Tbl.create 16;
+    derived = fresh_derived graph;
     full_reclassify = env_full_reclassify ();
     formula_evals = 0;
     nonconverge_warned = false;
     nonconvergence_hook = default_nonconvergence_hook;
   }
+
+let create () =
+  let heap = Heap.create () in
+  let graph = Schema_graph.create ~gen:(Heap.gen heap) in
+  let stats = Stats.create () in
+  make ~heap ~graph ~stats ~model:(Slicing.create ~graph ~heap ~stats)
 
 let add_listener t ~owner f =
   let w = Weak.create 1 in
@@ -188,61 +227,10 @@ let extent t cid = (extent_rec t cid).members
 let extent_list t cid = Oid.Set.elements (extent t cid)
 let extent_size t cid = (extent_rec t cid).size
 
-let note_new_class t cid =
-  ignore (extent_rec t cid);
-  t.deriv_order <- None;
-  t.deps <- None
+let note_new_class _ _ = ()
 
-let note_removed_class t cid =
-  Oid.Tbl.remove t.extents cid;
-  t.deriv_order <- None;
-  t.deps <- None
-
-(* Virtual classes topologically sorted by the derivation DAG (sources
-   first). Base classes do not appear. *)
-let compute_derivation_order t =
-  let virtuals =
-    List.filter Klass.is_virtual (Schema_graph.classes t.graph)
-  in
-  let pending = Oid.Tbl.create 16 in
-  List.iter (fun (k : Klass.t) -> Oid.Tbl.replace pending k.cid k) virtuals;
-  let order = ref [] in
-  let rec emit (k : Klass.t) =
-    if Oid.Tbl.mem pending k.cid then begin
-      Oid.Tbl.remove pending k.cid;
-      List.iter
-        (fun src ->
-          match Oid.Tbl.find_opt pending src with
-          | Some ksrc -> emit ksrc
-          | None -> ())
-        (Klass.sources k);
-      order := k.cid :: !order
-    end
-  in
-  List.iter emit virtuals;
-  List.rev !order
-
-let derivation_order t =
-  match t.deriv_order with
-  | Some o -> o
-  | None ->
-    let o = compute_derivation_order t in
-    t.deriv_order <- Some o;
-    o
-
-(* The dependency index, recomputed whenever the schema graph moved under
-   it. A recompute also retires every per-object cache: predicates,
-   resolution orders and carrier classes may all have changed. *)
-let deps t =
-  let v = Schema_graph.version t.graph in
-  match t.deps with
-  | Some d when t.deps_version = v -> d
-  | _ ->
-    let d = Deps.compute t.graph in
-    t.deps <- Some d;
-    t.deps_version <- v;
-    t.cache_gen <- t.cache_gen + 1;
-    d
+let derivation_order t = Lazy.force (derived t).order
+let deps t = Lazy.force (derived t).deps
 
 let base_membership t o =
   match Oid.Tbl.find_opt t.base_member o with
@@ -313,16 +301,20 @@ let resolve_prop_uncached t o name =
 (* Memoized per object: formula evaluation otherwise re-resolves every
    property linearly over the member classes. The memo is keyed on the
    membership signature implicitly — any membership change for the object
-   drops its table, any schema change retires it via [cache_gen]. The
-   ambiguous case raises and is deliberately not cached. *)
+   drops its table ([forget_resolution]), any schema change drops them all
+   with the derived record. The ambiguous case raises and is deliberately
+   not cached. *)
 let resolve_tbl t o =
-  ignore (deps t);
-  match Oid.Tbl.find_opt t.resolve_cache o with
-  | Some (g, tbl) when g = t.cache_gen -> tbl
-  | _ ->
+  let resolved = (derived t).resolved in
+  match Oid.Tbl.find_opt resolved o with
+  | Some tbl -> tbl
+  | None ->
     let tbl = Hashtbl.create 8 in
-    Oid.Tbl.replace t.resolve_cache o (t.cache_gen, tbl);
+    Oid.Tbl.replace resolved o tbl;
     tbl
+
+(* A stale record needs no care: it is dropped whole. *)
+let forget_resolution t o = Oid.Tbl.remove t.derived.resolved o
 
 let resolve_prop t o name =
   let tbl = resolve_tbl t o in
@@ -366,14 +358,6 @@ let holds t o e =
 (* ------------------------------------------------------------------ *)
 (* Compiled predicate evaluation                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Anything compiled against this database is valid only while the stamp
-   is unchanged. The graph version covers every Tsem-mediated evolution
-   (they all register or remove classes); [cache_gen] additionally covers
-   direct schema surgery, which mutates class records in place and then
-   bumps it via [reclassify_all]. Both components only grow, so their sum
-   changes whenever either does. *)
-let compile_stamp t = Schema_graph.version t.graph + t.cache_gen
 
 (* Binder for Expr_compile: names are resolved once at compile time.
 
@@ -429,12 +413,12 @@ let compile_pred t pred =
    interpreted [eval_pred] so differential tests compare compiled against
    interpreted evaluation. *)
 let compiled_select_pred t cid pred =
-  let stamp = compile_stamp t in
-  match Oid.Tbl.find_opt t.pred_cache cid with
-  | Some (s, fn) when s = stamp -> fn
-  | _ ->
+  let preds = (derived t).preds in
+  match Oid.Tbl.find_opt preds cid with
+  | Some fn -> fn
+  | None ->
     let fn = compile_pred t pred in
-    Oid.Tbl.replace t.pred_cache cid (stamp, fn);
+    Oid.Tbl.replace preds cid fn;
     fn
 
 (* ------------------------------------------------------------------ *)
@@ -506,7 +490,7 @@ let remove_from_extents t o =
    resolution memo honest: a membership change invalidates it. *)
 let set_membership_sync t o next =
   Slicing.set_membership t.model o (Oid.Set.elements next);
-  Oid.Tbl.remove t.resolve_cache o
+  forget_resolution t o
 
 (* The Section 3.2 fixpoint, one loop for the oracle and the engine. They
    differ in two places. A select's verdict: the oracle evaluates the
@@ -577,15 +561,7 @@ let verdict_moved t o cid =
     && not (Bool.equal (eval_pred_compiled t o cid pred) (is_member t o cid))
   | Klass.Base | Klass.Virtual _ -> false
 
-(* The recompute-the-world entry point. Direct (destructive) schema
-   surgery mutates class properties without going through the graph's
-   versioned mutators, so every derived cache is dropped first. *)
-let reclassify_all t =
-  t.deriv_order <- None;
-  t.deps <- None;
-  t.deps_version <- -1;
-  t.cache_gen <- t.cache_gen + 1;
-  List.iter (reclassify t) (objects t)
+let reclassify_all t = List.iter (reclassify t) (objects t)
 
 (* --- populating a new class ----------------------------------------- *)
 
@@ -637,7 +613,7 @@ let populate_class t cid =
       Oid.Set.iter
         (fun o ->
           Slicing.add_to_class t.model o cid;
-          Oid.Tbl.remove t.resolve_cache o)
+          forget_resolution t o)
         members;
       Metrics.add m_populated (Oid.Set.cardinal members);
       let e = extent_rec t cid in
@@ -719,7 +695,7 @@ let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
   else List.iter (fun c -> extent_remove t c o) (member_classes t o);
   Oid.Tbl.remove t.base_member o;
-  Oid.Tbl.remove t.resolve_cache o;
+  forget_resolution t o;
   Slicing.destroy_object t.model o;
   notify t (Object_destroyed o)
 
@@ -754,31 +730,10 @@ let remove_base_membership t o cid =
   notify t (Bases_changed o);
   reclassify t o
 
-
 let restore ~heap ~graph ~bases =
   let stats = Stats.create () in
   let model = Slicing.rebuild ~graph ~heap ~stats in
-  let t =
-    {
-      heap;
-      graph;
-      model;
-      stats;
-      extents = Oid.Tbl.create 64;
-      base_member = Oid.Tbl.create 256;
-      deriv_order = None;
-      listeners = [];
-      deps = None;
-      deps_version = -1;
-      cache_gen = 0;
-      resolve_cache = Oid.Tbl.create 256;
-      pred_cache = Oid.Tbl.create 16;
-      full_reclassify = env_full_reclassify ();
-      formula_evals = 0;
-      nonconverge_warned = false;
-      nonconvergence_hook = default_nonconvergence_hook;
-    }
-  in
+  let t = make ~heap ~graph ~stats ~model in
   List.iter
     (fun (o, cids) ->
       Oid.Tbl.replace t.base_member o

@@ -142,28 +142,12 @@ val holds : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> bool
     conjunct ordering, fast-path attribute getters bound against the
     current schema) and the resulting closure is reused per object. *)
 
-val compile_stamp : t -> int
-(** Validity stamp for anything derived from this database's schema
-    state. Strictly increases on every schema evolution (graph version)
-    and on direct schema surgery / cache retirement ([reclassify_all]);
-    callers caching compiled artifacts must discard them when the stamp
-    they were built under no longer matches. Its consumers: compiled
-    predicates and plans, [Tsem.precheck]'s staleness check, and
-    {!Durable.commit}, which re-encodes the schema graph only when the
-    stamp moved since its last durable image.
-
-    The rule that keeps all of them sound: every schema mutation moves
-    the stamp. The graph's own mutators bump the version. A class record
-    mutated in place ([Klass.add_local_prop], a name assignment) must
-    either belong to a class the same operation registered, whose
-    registration already moved the version, or be followed by
-    {!reclassify_all}. *)
-
 val compile_pred : t -> Tse_schema.Expr.t -> Tse_store.Oid.t -> bool
 (** Compile a predicate into a per-object membership test with exactly
     the {!holds} semantics (evaluation errors absorbed into [false]).
     The closure reads live object state but binds schema facts at compile
-    time — it must be discarded when {!compile_stamp} changes. *)
+    time — it must be discarded when {!Tse_schema.Schema_graph.version}
+    moves. *)
 
 val compiled_binder : t -> Tse_store.Oid.t Tse_schema.Expr_compile.binder
 (** The name binder {!compile_pred} uses (fast-path attribute getters,
@@ -208,13 +192,16 @@ val add_listener : t -> owner:'a -> ('a -> event -> unit) -> unit
 val listener_count : t -> int
 (** Listeners whose owner has not been reclaimed. *)
 
-(** {2 Registration hooks} *)
+(** {2 Schema changes}
+
+    Nothing needs announcing: the kernel keys everything it derives from
+    the schema (derivation order, {!Tse_schema.Deps} index, compiled
+    select predicates, per-object property resolution) on
+    {!Tse_schema.Schema_graph.version} and drops it when the version
+    moves, and an extent is created on first use. *)
 
 val note_new_class : t -> cid -> unit
-(** Tell the kernel a class was added to the graph (invalidates the cached
-    derivation order and creates an empty extent). *)
-
-val note_removed_class : t -> cid -> unit
+(** Does nothing; kept for tsebench's fixtures. *)
 
 val populate_class : t -> cid -> unit
 (** Give a virtual class that no object is a member of yet (it was just

@@ -7,7 +7,6 @@ module Wal = Tse_store.Wal
 module Recovery = Tse_store.Recovery
 module Schema_graph = Tse_schema.Schema_graph
 module Schema_codec = Tse_schema.Schema_codec
-module Klass = Tse_schema.Klass
 module Metrics = Tse_obs.Metrics
 module Trace = Tse_obs.Trace
 
@@ -27,7 +26,7 @@ type t = {
   mutable pending : Heap.op list;  (* newest first *)
   dirty_bases : unit Oid.Tbl.t;
   mutable last_schema : string;  (* last durable schema image *)
-  mutable last_stamp : int;  (* compile stamp [last_schema] was encoded at *)
+  mutable last_stamp : int;  (* graph version [last_schema] was encoded at *)
   ext_last : (string, string) Hashtbl.t;  (* last durable blob per ext tag *)
   ext_staged : (string, string) Hashtbl.t;  (* staged for the next commit *)
   mutable policy : sync_policy;
@@ -274,9 +273,6 @@ let open_dir ?policy ~dir () =
       bases_tbl []
   in
   let database = Database.restore ~heap ~graph ~bases in
-  List.iter
-    (fun (k : Klass.t) -> Database.note_new_class database k.cid)
-    (Schema_graph.classes graph);
   let seq = max snap_seq report.Recovery.last_seq in
   let t =
     {
@@ -287,7 +283,7 @@ let open_dir ?policy ~dir () =
       pending = [];
       dirty_bases = Oid.Tbl.create 16;
       last_schema = encode_schema database;
-      last_stamp = Database.compile_stamp database;
+      last_stamp = Schema_graph.version graph;
       ext_last;
       ext_staged = Hashtbl.create 4;
       policy;
@@ -363,11 +359,10 @@ let commit t =
       [ Wal.Ext ("bases", Buffer.contents buf) ]
     end
   in
-  (* the schema is re-encoded only when the compile stamp moved since the
-     last durable image: every schema mutation moves it (versioned graph
-     mutators, and [reclassify_all] after in-place surgery). A moved stamp
-     with byte-identical bytes still logs nothing. *)
-  let stamp = Database.compile_stamp db in
+  (* the schema is re-encoded only when the graph version moved since the
+     last durable image; a moved version with byte-identical bytes still
+     logs nothing *)
+  let stamp = Schema_graph.version (Database.graph db) in
   let schema =
     if stamp = t.last_stamp then t.last_schema else encode_schema db
   in

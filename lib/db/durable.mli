@@ -13,8 +13,8 @@
     the physical heap ops, an OID-generator watermark, the base
     memberships that changed, and — only when it differs from the last
     durable image — the encoded schema graph. The graph is re-encoded
-    only when {!Database.compile_stamp} moved since that image was
-    taken (a data-only commit encodes nothing); a moved stamp whose
+    only when {!Tse_schema.Schema_graph.version} moved since that image
+    was taken (a data-only commit encodes nothing); a moved version whose
     encoding is byte-identical to the image still logs no schema.
     Every encode counts in the [durable.schema_encodes] metric.
 

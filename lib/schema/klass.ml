@@ -16,7 +16,7 @@ type kind = Base | Virtual of derivation
 type t = {
   cid : cid;
   mutable name : string;
-  mutable kind : kind;
+  kind : kind;
   mutable local_props : Prop.t list;
   mutable supers : cid list;
   mutable subs : cid list;
@@ -49,21 +49,6 @@ let local_prop t name =
   List.find_opt (fun (p : Prop.t) -> String.equal p.name name) t.local_props
 
 let has_local_prop t name = Option.is_some (local_prop t name)
-
-let add_local_prop t p =
-  if has_local_prop t p.Prop.name then
-    invalid_arg
-      (Printf.sprintf "Klass.add_local_prop: %s already defines %s" t.name
-         p.Prop.name);
-  t.local_props <- t.local_props @ [ p ]
-
-let remove_local_prop t name =
-  t.local_props <-
-    List.filter (fun (p : Prop.t) -> not (String.equal p.name name)) t.local_props
-
-let replace_local_prop t p =
-  remove_local_prop t p.Prop.name;
-  t.local_props <- t.local_props @ [ p ]
 
 let derivation_equal a b =
   match a, b with

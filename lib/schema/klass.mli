@@ -26,10 +26,12 @@ type derivation =
 
 type kind = Base | Virtual of derivation
 
+(** A class record. Only {!Schema_graph}'s functions write its mutable
+    fields: each write moves {!Schema_graph.version}. *)
 type t = {
   cid : cid;
   mutable name : string;
-  mutable kind : kind;
+  kind : kind;
   mutable local_props : Prop.t list;
       (** properties introduced or promoted at this class; inherited
           properties are {e not} listed here *)
@@ -49,11 +51,6 @@ val sources : t -> cid list
 
 val local_prop : t -> string -> Prop.t option
 val has_local_prop : t -> string -> bool
-val add_local_prop : t -> Prop.t -> unit
-(** @raise Invalid_argument if a local property with that name exists. *)
-
-val remove_local_prop : t -> string -> unit
-val replace_local_prop : t -> Prop.t -> unit
 
 val derivation_equal : derivation -> derivation -> bool
 (** Structural equality of derivations (same operator, same sources, same

@@ -9,8 +9,8 @@ type t = {
   (* reachability caches, flushed on any edge or class mutation *)
   anc_cache : Oid.Set.t Oid.Tbl.t;
   desc_cache : Oid.Set.t Oid.Tbl.t;
-  (* monotone stamp for derived structures (dependency index, derivation
-     order) to detect that the class set or topology changed under them *)
+  (* moved by every mutator below: anything derived from the schema is
+     valid for one version *)
   mutable version : int;
 }
 
@@ -58,8 +58,10 @@ let closure next start =
   visit start;
   !seen
 
+let touch t = t.version <- t.version + 1
+
 let flush_caches t =
-  t.version <- t.version + 1;
+  touch t;
   Oid.Tbl.reset t.anc_cache;
   Oid.Tbl.reset t.desc_cache
 
@@ -148,8 +150,7 @@ let register_virtual t ~name derivation props =
   let props = List.map (fun p -> Prop.reoriginate p cid) props in
   let k = Klass.make_virtual ~cid ~name derivation props in
   Oid.Tbl.replace t.classes cid k;
-  (* no edge is linked yet, so flush_caches never runs: bump explicitly *)
-  t.version <- t.version + 1;
+  touch t;
   cid
 
 let remove t cid =
@@ -158,8 +159,31 @@ let remove t cid =
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
   Oid.Tbl.remove t.classes cid;
-  (* an edgeless class reaches neither link nor unlink: bump explicitly *)
-  t.version <- t.version + 1
+  touch t
+
+(* In-place class edits: no edge moves, so the reachability caches stay. *)
+let add_local_prop t cid (p : Prop.t) =
+  let k = find_exn t cid in
+  if Klass.has_local_prop k p.name then
+    invalid_arg
+      (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
+         k.name p.name);
+  k.local_props <- k.local_props @ [ p ];
+  touch t
+
+let remove_local_prop t cid name =
+  let k = find_exn t cid in
+  k.local_props <-
+    List.filter
+      (fun (p : Prop.t) -> not (String.equal p.name name))
+      k.local_props;
+  touch t
+
+let rename t cid name =
+  let k = find_exn t cid in
+  if not (String.equal k.name name) then check_fresh_name t name;
+  k.name <- name;
+  touch t
 
 let subclasses_within t cid ~in_set =
   let seen = ref Oid.Set.empty in

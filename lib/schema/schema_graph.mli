@@ -13,9 +13,10 @@ val create : gen:Tse_store.Oid.Gen.t -> t
 val gen : t -> Tse_store.Oid.Gen.t
 
 val version : t -> int
-(** Monotone mutation stamp: bumped on every class registration/removal
-    and every is-a edge change. Derived structures (the {!Deps} index,
-    cached derivation orders) compare it to detect staleness. *)
+(** The schema's one stamp. Every mutator of this module moves it,
+    and nothing else edits a class record, so anything derived from the
+    schema (the {!Deps} index, derivation orders, compiled predicates,
+    durable schema images) is valid exactly while it is unchanged. *)
 
 val root : t -> cid
 (** The system root class, named ["Object"]. *)
@@ -47,6 +48,20 @@ val size : t -> int
 val remove : t -> cid -> unit
 (** Unlink the class from all neighbours and drop it. The root cannot be
     removed. *)
+
+(** {2 Class edits} *)
+
+val add_local_prop : t -> cid -> Prop.t -> unit
+(** Append a local property to the class, as given (its [origin] is not
+    rewritten).
+    @raise Invalid_argument if the class already defines that name
+    locally. *)
+
+val remove_local_prop : t -> cid -> string -> unit
+(** Drop the class's local property of that name, if any. *)
+
+val rename : t -> cid -> string -> unit
+(** @raise Invalid_argument if another class uses the name. *)
 
 (** {2 Generalization edges} *)
 

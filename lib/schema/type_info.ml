@@ -13,29 +13,32 @@ let add_candidate (p : Prop.t) cs =
 
 let merge_candidates a b = List.fold_left (fun acc p -> add_candidate p acc) a b
 
-(* visible g cid: name -> candidates, with local definitions overriding. *)
-let visible graph cid =
+(* The supers' merged visible maps: what a class inherits, before its own
+   definitions override any of it. [go] answers a super's visible map. *)
+let inherited go (k : Klass.t) =
+  List.fold_left
+    (fun acc sup ->
+      SMap.union (fun _ a b -> Some (merge_candidates a b)) acc (go sup))
+    SMap.empty k.supers
+
+(* visible g: cid -> (name -> candidates), with local definitions
+   overriding; memoized across the classes one call visits. *)
+let visible graph =
   let memo = Oid.Tbl.create 16 in
   let rec go cid =
     match Oid.Tbl.find_opt memo cid with
     | Some m -> m
     | None ->
       let k = Schema_graph.find_exn graph cid in
-      let inherited =
-        List.fold_left
-          (fun acc sup ->
-            SMap.union (fun _ a b -> Some (merge_candidates a b)) acc (go sup))
-          SMap.empty k.supers
-      in
       let m =
         List.fold_left
           (fun acc (p : Prop.t) -> SMap.add p.name [ p ] acc)
-          inherited k.local_props
+          (inherited go k) k.local_props
       in
       Oid.Tbl.replace memo cid m;
       m
   in
-  go cid
+  go
 
 let resolve (cs : candidates) =
   match cs with
@@ -71,14 +74,9 @@ let usable_props graph cid =
 let stored_attrs graph cid = List.filter Prop.is_stored (usable_props graph cid)
 let methods graph cid = List.filter Prop.is_method (usable_props graph cid)
 
-let inherited_candidates graph cid name =
-  let k = Schema_graph.find_exn graph cid in
-  List.fold_left
-    (fun acc sup ->
-      match SMap.find_opt name (visible graph sup) with
-      | Some cs -> merge_candidates acc cs
-      | None -> acc)
-    [] k.supers
+let inherited_candidates graph cid =
+  let m = inherited (visible graph) (Schema_graph.find_exn graph cid) in
+  fun name -> Option.value (SMap.find_opt name m) ~default:[]
 
 let is_uppermost_in graph ~view cid name =
   has_prop graph cid name

@@ -35,6 +35,9 @@ val has_prop : Schema_graph.t -> cid -> string -> bool
 
 val prop_names : Schema_graph.t -> cid -> string list
 
+val usable_props : Schema_graph.t -> cid -> Prop.t list
+(** Every property of the full type whose name resolves unambiguously. *)
+
 val stored_attrs : Schema_graph.t -> cid -> Prop.t list
 (** Unambiguous stored attributes of the full type. *)
 
@@ -44,7 +47,10 @@ val inherited_candidates : Schema_graph.t -> cid -> string -> Prop.t list
 (** Candidates for the name contributed by superclasses only — i.e. what
     the class {e would} inherit, ignoring its own local definition. The
     delete-attribute algorithm uses this to find a suppressed attribute to
-    restore (Section 6.2.2). *)
+    restore (Section 6.2.2). [inherited_candidates graph cid] merges the
+    superclasses' types once and returns the lookup by name, so a caller
+    asking about many names applies it partially; the lookup reflects the
+    supers as they were at that application. *)
 
 val is_uppermost_in :
   Schema_graph.t -> view:Tse_store.Oid.Set.t -> cid -> string -> bool

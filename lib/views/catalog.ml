@@ -97,7 +97,6 @@ let of_string text =
         blob pos
     in
     let db = Database.restore ~heap ~graph ~bases in
-    List.iter (fun (k : Klass.t) -> Database.note_new_class db k.cid) classes;
     let history, _pos = History_codec.read_history blob pos in
     (db, history)
   with Codec.Corrupt (what, pos) ->

@@ -72,7 +72,6 @@ let generate ~seed ~classes ?(attrs_per_class = 3) ?(objects = 0)
     let cid =
       Schema_graph.register_base g ~name:(Printf.sprintf "C%d" i) ~props ~supers
     in
-    Database.note_new_class db cid;
     made := cid :: !made
   done;
   let classes_list = List.rev !made in

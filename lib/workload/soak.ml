@@ -123,7 +123,6 @@ let build_base ~classes ~objects db =
         ~name:(Printf.sprintf "C%d" i)
         ~props ~supers
     in
-    Database.note_new_class db cid;
     made := cid :: !made
   done;
   let arr = Array.of_list (List.rev !made) in

@@ -27,9 +27,7 @@ let build () =
   let db = Database.create () in
   let g = Database.graph db in
   let reg name props supers =
-    let cid = Schema_graph.register_base g ~name ~props ~supers in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_base g ~name ~props ~supers
   in
   let person =
     reg "Person"

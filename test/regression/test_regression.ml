@@ -183,7 +183,6 @@ let listener_leak () =
       ~props:[ Prop.stored ~origin:(Oid.of_int 0) "a" Value.TInt ]
       ~supers:[]
   in
-  Database.note_new_class db c;
   let objs =
     List.init 10 (fun i -> Database.create_object db c ~init:[ ("a", Value.Int i) ])
   in

@@ -163,13 +163,9 @@ let test_union_promotes_common_locals () =
   let db = u.db in
   let g = Database.graph db in
   let mk name =
-    let cid =
-      Schema_graph.register_base g ~name
-        ~props:[ Prop.stored ~origin:(Oid.of_int 0) "tag" Value.TString ]
-        ~supers:[]
-    in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_base g ~name
+      ~props:[ Prop.stored ~origin:(Oid.of_int 0) "tag" Value.TString ]
+      ~supers:[]
   in
   let a = mk "Aa" and b = mk "Bb" in
   let ab = Ops.union db ~name:"AB" a b in

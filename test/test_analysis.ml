@@ -39,7 +39,7 @@ let check_code name c report =
 let test_e101_undefined () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.attr "nope"));
   let r = Analysis.analyze g in
   check_code "undefined attr" "E101" r;
@@ -52,28 +52,27 @@ let test_e102_ambiguous () =
   let p2 = Schema_graph.register_base g ~name:"P2"
       ~props:[ stored "x" Value.TInt ] ~supers:[] in
   let c = Schema_graph.register_base g ~name:"C" ~props:[] ~supers:[ p1; p2 ] in
-  Klass.add_local_prop (Schema_graph.find_exn g c)
+  Schema_graph.add_local_prop g c
     (method_ "m" (Expr.attr "x"));
   check_code "conflict-ambiguous attr" "E102" (Analysis.analyze g)
 
 let test_e103_unknown_class () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.In_class "Ghost"));
   check_code "In_class nonexistent" "E103" (Analysis.analyze g)
 
 let test_e104_type_mismatches () =
   let g = mk_graph () in
   let a = base_abc g in
-  let k = Schema_graph.find_exn g a in
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g a
     (method_ "bad_arith" (Expr.Arith (Expr.Add, Expr.attr "s", Expr.int 1)));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g a
     (method_ "bad_cmp" Expr.(attr "i" === attr "s"));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g a
     (method_ "bad_and" Expr.(attr "i" && attr "b"));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g a
     (method_ "null_order" Expr.(attr "i" < Const Value.Null));
   let r = Analysis.analyze g in
   Alcotest.(check int) "four E104s" 4
@@ -82,14 +81,14 @@ let test_e104_type_mismatches () =
 let test_e105_concat () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.Concat (Expr.attr "i", Expr.str "x")));
   check_code "concat non-string" "E105" (Analysis.analyze g)
 
 let test_e106_div_zero () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.Arith (Expr.Div, Expr.attr "i", Expr.int 0)));
   check_code "constant division by zero" "E106" (Analysis.analyze g)
 
@@ -116,9 +115,8 @@ let test_e110_dangling_source () =
 let test_e111_method_cycle () =
   let g = mk_graph () in
   let a = base_abc g in
-  let k = Schema_graph.find_exn g a in
-  Klass.add_local_prop k (method_ "m1" (Expr.attr "m2"));
-  Klass.add_local_prop k (method_ "m2" (Expr.attr "m1"));
+  Schema_graph.add_local_prop g a (method_ "m1" (Expr.attr "m2"));
+  Schema_graph.add_local_prop g a (method_ "m2" (Expr.attr "m1"));
   let r = Analysis.analyze g in
   check_code "derived-method cycle" "E111" r;
   (* the cycle is one diagnostic, and the guarded recursion means the
@@ -142,7 +140,7 @@ let test_e112_invisible_attr () =
 let test_w201_dead_branch () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.If (Expr.bool true, Expr.int 1, Expr.int 2)));
   let r = Analysis.analyze g in
   check_code "constant if condition" "W201" r;
@@ -173,8 +171,7 @@ let test_methods_followed_for_type () =
   (* a predicate over a derived method gets the method's inferred type *)
   let g = mk_graph () in
   let a = base_abc g in
-  let k = Schema_graph.find_exn g a in
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g a
     (method_ "double" (Expr.Arith (Expr.Mul, Expr.attr "i", Expr.int 2)));
   ignore
     (Schema_graph.register_virtual g ~name:"Big"
@@ -414,7 +411,7 @@ let test_policy_of_string () =
 let test_report_json_shape () =
   let g = mk_graph () in
   let a = base_abc g in
-  Klass.add_local_prop (Schema_graph.find_exn g a)
+  Schema_graph.add_local_prop g a
     (method_ "m" (Expr.attr "nope"));
   let json = Analysis.report_to_json (Analysis.analyze g) in
   List.iter
@@ -458,7 +455,7 @@ let test_report_byte_stability () =
           (Schema_graph.register_virtual g ~name:"Hid"
              (Klass.Hide ([ "s" ], a)) [])
       | `Bad ->
-        Klass.add_local_prop (Schema_graph.find_exn g a)
+        Schema_graph.add_local_prop g a
           (method_ "m" (Expr.attr "nope"))
     in
     List.iter mk order;
@@ -484,16 +481,15 @@ let test_code_exhaustiveness () =
   (* expression typechecking + derivation lints, E101..E112/W201/W202 *)
   let g1 = mk_graph () in
   let a = base_abc g1 in
-  let k = Schema_graph.find_exn g1 a in
-  Klass.add_local_prop k (method_ "m_undef" (Expr.attr "nope"));
-  Klass.add_local_prop k (method_ "m_ghost" (Expr.In_class "Ghost"));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g1 a (method_ "m_undef" (Expr.attr "nope"));
+  Schema_graph.add_local_prop g1 a (method_ "m_ghost" (Expr.In_class "Ghost"));
+  Schema_graph.add_local_prop g1 a
     (method_ "m_arith" (Expr.Arith (Expr.Add, Expr.attr "s", Expr.int 1)));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g1 a
     (method_ "m_concat" (Expr.Concat (Expr.attr "i", Expr.str "x")));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g1 a
     (method_ "m_div" (Expr.Arith (Expr.Div, Expr.attr "i", Expr.int 0)));
-  Klass.add_local_prop k
+  Schema_graph.add_local_prop g1 a
     (method_ "m_if" (Expr.If (Expr.bool true, Expr.int 1, Expr.int 2)));
   ignore
     (Schema_graph.register_virtual g1 ~name:"NonBool"
@@ -514,10 +510,9 @@ let test_code_exhaustiveness () =
       ~supers:[]
   in
   let c = Schema_graph.register_base g2 ~name:"C" ~props:[] ~supers:[ p1; p2 ] in
-  Klass.add_local_prop (Schema_graph.find_exn g2 c) (method_ "m" (Expr.attr "x"));
-  let kc = Schema_graph.find_exn g2 c in
-  Klass.add_local_prop kc (method_ "m1" (Expr.attr "m2"));
-  Klass.add_local_prop kc (method_ "m2" (Expr.attr "m1"));
+  Schema_graph.add_local_prop g2 c (method_ "m" (Expr.attr "x"));
+  Schema_graph.add_local_prop g2 c (method_ "m1" (Expr.attr "m2"));
+  Schema_graph.add_local_prop g2 c (method_ "m2" (Expr.attr "m1"));
   note (codes (Analysis.analyze g2));
   let g3 = mk_graph () in
   let a3 = base_abc g3 in
@@ -548,9 +543,7 @@ let test_code_exhaustiveness () =
   let ldb = Database.create () in
   let lg = Database.graph ldb in
   let reg name props supers =
-    let cid = Schema_graph.register_base lg ~name ~props ~supers in
-    Database.note_new_class ldb cid;
-    cid
+    Schema_graph.register_base lg ~name ~props ~supers
   in
   let b0 =
     reg "B0"

@@ -245,7 +245,6 @@ let test_retry_commits_through_durable () =
       ~props:[ Tse_schema.Prop.stored ~origin:(Oid.of_int 0) "age" Value.TInt ]
       ~supers:[]
   in
-  Database.note_new_class db person;
   let o = Database.create_object db person ~init:[ ("age", Value.Int 1) ] in
   let occ = Occ.create db in
   let v, attempt =

@@ -55,8 +55,7 @@ let test_method_evaluation () =
   let u = uni () in
   let db = u.db in
   (* add a derived method adult() = age >= 18 to Person *)
-  let kp = Schema_graph.find_exn (Database.graph db) u.person in
-  Klass.add_local_prop kp
+  Schema_graph.add_local_prop (Database.graph db) u.person
     (Prop.method_ ~origin:u.person "adult" Expr.(attr "age" >= int 18));
   let p =
     Database.create_object db u.person
@@ -118,7 +117,6 @@ let test_select_class_membership () =
       []
   in
   Schema_graph.add_edge g ~sup:u.person ~sub:adult;
-  Database.note_new_class db adult;
   let young = Database.create_object db u.person ~init:[ ("age", Value.Int 10) ] in
   let old = Database.create_object db u.person ~init:[ ("age", Value.Int 40) ] in
   Alcotest.(check bool) "young not adult" false (Database.is_member db young adult);
@@ -129,6 +127,39 @@ let test_select_class_membership () =
   Alcotest.(check bool) "young grew up" true (Database.is_member db young adult);
   Database.set_attr db old "age" (Value.Int 5);
   Alcotest.(check bool) "old un-classified" false (Database.is_member db old adult);
+  Alcotest.(check (list string)) "consistent" [] (Database.check db)
+
+(* Registering, linking and populating a class is the whole protocol:
+   the kernel notices the new class through the graph version, even when
+   it had derived its order before. *)
+let test_new_class_needs_no_announcement () =
+  let u = uni () in
+  let db = u.db in
+  let g = Database.graph db in
+  let first =
+    Database.create_object db u.person ~init:[ ("age", Value.Int 30) ]
+  in
+  ignore (Database.derivation_order db);
+  let adult =
+    Schema_graph.register_virtual g ~name:"Adult"
+      (Klass.Select (u.person, Expr.(attr "age" >= int 18)))
+      []
+  in
+  Schema_graph.add_edge g ~sup:u.person ~sub:adult;
+  Alcotest.(check bool) "Adult is in the derivation order" true
+    (List.exists (Oid.equal adult) (Database.derivation_order db));
+  Alcotest.(check (list string)) "unpopulated: the first person is missing"
+    [ Printf.sprintf "object %s should be a member of Adult by its derivation"
+        (Oid.to_string first) ]
+    (Database.check db);
+  Database.populate_class db adult;
+  let second =
+    Database.create_object db u.person ~init:[ ("age", Value.Int 40) ]
+  in
+  Alcotest.(check bool) "the second person holds" true
+    (Database.holds db second Expr.(attr "age" >= int 18));
+  Alcotest.(check bool) "the second person is an Adult" true
+    (Database.is_member db second adult);
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
 let test_refine_class_membership () =
@@ -143,7 +174,6 @@ let test_refine_class_membership () =
       [ register ]
   in
   Schema_graph.add_edge g ~sup:u.student ~sub:student';
-  Database.note_new_class db student';
   let s = Database.create_object db u.student ~init:[ ("age", Value.Int 20) ] in
   (* every Student is automatically a member of the refine class *)
   Alcotest.(check bool) "student in Student'" true
@@ -159,9 +189,7 @@ let test_set_ops_membership () =
   let db = u.db in
   let g = Database.graph db in
   let mk name d =
-    let cid = Schema_graph.register_virtual g ~name d [] in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_virtual g ~name d []
   in
   let union = mk "StudentsOrStaff" (Klass.Union (u.student, u.staff)) in
   Schema_graph.add_edge g ~sup:u.person ~sub:union;
@@ -197,14 +225,12 @@ let test_derived_on_derived () =
       [ credits ]
   in
   Schema_graph.add_edge g ~sup:u.student ~sub:student';
-  Database.note_new_class db student';
   let heavy =
     Schema_graph.register_virtual g ~name:"HeavyLoad"
       (Klass.Select (student', Expr.(attr "credits" >= int 12)))
       []
   in
   Schema_graph.add_edge g ~sup:student' ~sub:heavy;
-  Database.note_new_class db heavy;
   let s = Database.create_object db u.student ~init:[] in
   Alcotest.(check bool) "default 0 credits: not heavy" false
     (Database.is_member db s heavy);
@@ -312,7 +338,6 @@ let test_select_chain_matches_oracle () =
         ~props:[ stored "flag" Value.TInt; stored "grp" Value.TInt ]
         ~supers:[]
     in
-    Database.note_new_class db item;
     let objs =
       List.init 20 (fun i ->
           Database.create_object db item
@@ -372,7 +397,6 @@ let test_nonconvergence_hook () =
       []
   in
   Schema_graph.add_edge g ~sup:u.person ~sub:v;
-  Database.note_new_class db v;
   ignore (Database.create_object db u.person ~init:[]);
   check Alcotest.int "hook fired" 1 !fired;
   ignore (Database.create_object db u.person ~init:[]);
@@ -796,4 +820,6 @@ let suite =
       test_extent_counts_maintained;
     Alcotest.test_case "stale twins match the oracle" `Quick
       test_stale_twin_reclassify_all;
+    Alcotest.test_case "a new class needs no announcement" `Quick
+      test_new_class_needs_no_announcement;
   ]

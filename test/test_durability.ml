@@ -50,9 +50,7 @@ let fingerprint db =
 let stored = Prop.stored ~origin:(Oid.of_int 0)
 
 let reg db name props supers =
-  let cid = Schema_graph.register_base (Database.graph db) ~name ~props ~supers in
-  Database.note_new_class db cid;
-  cid
+  Schema_graph.register_base (Database.graph db) ~name ~props ~supers
 
 (* Person <- Student plus one person, one student. *)
 let build_small db =

@@ -47,11 +47,7 @@ let stored = Prop.stored ~origin:(Oid.of_int 0)
    fingerprints — align. *)
 let build_fixture db =
   let reg name props supers =
-    let cid =
-      Schema_graph.register_base (Database.graph db) ~name ~props ~supers
-    in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_base (Database.graph db) ~name ~props ~supers
   in
   let person =
     reg "Person" [ stored "name" Value.TString; stored "age" Value.TInt ] []

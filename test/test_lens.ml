@@ -37,11 +37,7 @@ let stored = Prop.stored ~origin:o0
 let fresh_db () =
   let db = Database.create () in
   let reg name props supers =
-    let cid =
-      Schema_graph.register_base (Database.graph db) ~name ~props ~supers
-    in
-    Database.note_new_class db cid;
-    cid
+    Schema_graph.register_base (Database.graph db) ~name ~props ~supers
   in
   (db, reg)
 

@@ -16,9 +16,7 @@ let diamond () =
   let db = Database.create () in
   let g = Database.graph db in
   let reg name props supers =
-    let c = Schema_graph.register_base g ~name ~props ~supers in
-    Database.note_new_class db c;
-    c
+    Schema_graph.register_base g ~name ~props ~supers
   in
   let o0 = Oid.of_int 0 in
   let v = reg "V" [ Prop.stored ~origin:o0 "top" Value.TInt ] [] in
@@ -46,9 +44,7 @@ let test_common_sub_empty_when_no_other_path () =
   let db = Database.create () in
   let g = Database.graph db in
   let reg name supers =
-    let c = Schema_graph.register_base g ~name ~props:[] ~supers in
-    Database.note_new_class db c;
-    c
+    Schema_graph.register_base g ~name ~props:[] ~supers
   in
   let v = reg "V" [] in
   let csup = reg "Csup" [ v ] in

@@ -156,6 +156,51 @@ let test_graph_copy_isolation () =
   check Alcotest.int "original size" 2 (Schema_graph.size g);
   check Alcotest.int "copy size" 3 (Schema_graph.size g')
 
+(* Anything derived from the schema keys on the graph version, so every
+   mutator must move it. *)
+let test_every_mutator_moves_version () =
+  let g = graph () in
+  let moves what f =
+    let before = Schema_graph.version g in
+    let r = f () in
+    if Schema_graph.version g <= before then
+      Alcotest.failf "%s left the version at %d" what before;
+    r
+  in
+  let a =
+    moves "register_base" (fun () ->
+        Schema_graph.register_base g ~name:"A" ~props:[] ~supers:[])
+  in
+  let b =
+    moves "register_base" (fun () ->
+        Schema_graph.register_base g ~name:"B" ~props:[] ~supers:[])
+  in
+  let v =
+    moves "register_virtual" (fun () ->
+        Schema_graph.register_virtual g ~name:"V"
+          (Klass.Select (a, Expr.bool true))
+          [])
+  in
+  moves "add_edge" (fun () -> Schema_graph.add_edge g ~sup:a ~sub:v);
+  moves "remove_edge" (fun () -> Schema_graph.remove_edge g ~sup:a ~sub:v);
+  moves "add_local_prop" (fun () ->
+      Schema_graph.add_local_prop g b (stored "x" Value.TInt));
+  moves "remove_local_prop" (fun () -> Schema_graph.remove_local_prop g b "x");
+  moves "rename" (fun () -> Schema_graph.rename g b "B2");
+  moves "remove" (fun () -> Schema_graph.remove g v);
+  let c = Oid.Gen.fresh (Schema_graph.gen g) in
+  moves "install" (fun () ->
+      Schema_graph.install g
+        { (Klass.make_base ~cid:c ~name:"C" ~props:[]) with
+          supers = [ Schema_graph.root g ] });
+  moves "relink_subs" (fun () -> Schema_graph.relink_subs g);
+  check Alcotest.string "renamed" "B2" (Schema_graph.name_of g b);
+  Alcotest.check_raises "rename onto a used name"
+    (Invalid_argument
+       (Printf.sprintf "Schema_graph: class name A already used by %s"
+          (Oid.to_string a)))
+    (fun () -> Schema_graph.rename g b "A")
+
 let test_inheritance_basic () =
   let g = graph () in
   let a =
@@ -240,8 +285,8 @@ let test_inheritance_real_conflict () =
   (* user disambiguates by renaming one candidate at its origin *)
   let ka = Schema_graph.find_exn g a in
   let px = Option.get (Klass.local_prop ka "x") in
-  Klass.replace_local_prop ka (Prop.rename px "ax");
-  Klass.remove_local_prop ka "x";
+  Schema_graph.add_local_prop g a (Prop.rename px "ax");
+  Schema_graph.remove_local_prop g a "x";
   (match Type_info.find g c "x" with
   | Some (Type_info.Single p) ->
     Alcotest.(check bool) "B's survives" true (p.Prop.origin = b)
@@ -435,6 +480,8 @@ let suite =
     Alcotest.test_case "uppermost-in-view (view-relative local)" `Quick
       test_uppermost_in_view;
     Alcotest.test_case "type signatures" `Quick test_type_signature_stability;
+    Alcotest.test_case "every graph mutator moves the version" `Quick
+      test_every_mutator_moves_version;
     Alcotest.test_case "invariant: cycle" `Quick test_invariant_cycle;
     Alcotest.test_case "invariant: missing superclass" `Quick
       test_invariant_missing_superclass;

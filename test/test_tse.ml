@@ -217,8 +217,7 @@ let test_delete_attribute_restores_suppressed () =
       ~props:[ Prop.stored ~origin:o0 "x" Value.TString ]
       ~supers:[ top ]
   in
-  let leaf = Schema_graph.register_base g ~name:"Leaf" ~props:[] ~supers:[ mid ] in
-  List.iter (Database.note_new_class db) [ top; mid; leaf ];
+  ignore (Schema_graph.register_base g ~name:"Leaf" ~props:[] ~supers:[ mid ]);
   let tsem = Tsem.of_database db in
   ignore (Tsem.define_view_by_names tsem ~name:"V" [ "Top"; "Mid"; "Leaf" ]);
   let v1 =
@@ -269,8 +268,9 @@ let test_delete_method_prop_a () =
   (* install a method first, on both twins, then delete it *)
   let fx = fixture () in
   let mk u =
-    Klass.add_local_prop
-      (Schema_graph.find_exn (Database.graph u.Tse_workload.University.db) u.student)
+    Schema_graph.add_local_prop
+      (Database.graph u.Tse_workload.University.db)
+      u.student
       (Prop.method_ ~origin:u.student "standing" Expr.(attr "gpa" >= Const (Value.Float 3.0)))
   in
   mk fx.uni;
@@ -373,9 +373,7 @@ let test_common_sub_fig11 () =
   let db = Database.create () in
   let g = Database.graph db in
   let reg name supers =
-    let c = Schema_graph.register_base g ~name ~props:[] ~supers in
-    Database.note_new_class db c;
-    c
+    Schema_graph.register_base g ~name ~props:[] ~supers
   in
   let v = reg "V" [] in
   let csup = reg "Csup" [ v ] in

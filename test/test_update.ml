@@ -69,7 +69,6 @@ let test_create_required_attribute () =
       ~props:[ Prop.stored ~origin:(Oid.of_int 0) ~required:true "code" Value.TString ]
       ~supers:[]
   in
-  Database.note_new_class u.db c;
   (try
      ignore (Generic.create u.db c ~init:[]);
      Alcotest.fail "expected rejection for missing required"

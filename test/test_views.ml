@@ -73,8 +73,7 @@ let test_type_closure () =
   let u = uni () in
   let g = Database.graph u.db in
   (* add a class-typed attribute: Student.advisor : ref<Staff> *)
-  Klass.add_local_prop
-    (Schema_graph.find_exn g u.student)
+  Schema_graph.add_local_prop g u.student
     (Prop.stored ~origin:u.student "advisor" (Value.TRef "Staff"));
   (* Person is deliberately absent: no view class covers Staff *)
   let v = view_of u [ "Student" ] in
@@ -93,8 +92,7 @@ let test_type_closure () =
 let test_type_closure_covered_by_ancestor () =
   let u = uni () in
   let g = Database.graph u.db in
-  Klass.add_local_prop
-    (Schema_graph.find_exn g u.student)
+  Schema_graph.add_local_prop g u.student
     (Prop.stored ~origin:u.student "advisor" (Value.TRef "Staff"));
   (* Person (an ancestor of Staff) is in the view: the reference target is
      representable, so the view counts as closed *)
