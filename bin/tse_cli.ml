@@ -359,14 +359,8 @@ let cmd_save s rest =
 let cmd_load s rest =
   match words rest with
   | [ path ] ->
-    let db', history' = Catalog.load path in
-    let tsem' = Tsem.of_database db' in
-    List.iter
-      (fun name ->
-        List.iter
-          (fun v -> History.register (Tsem.history tsem') v)
-          (History.versions history' name))
-      (History.view_names history');
+    let db', history = Catalog.load path in
+    let tsem' = Tsem.of_database ~history db' in
     s.tsem <- tsem';
     s.indexes <- Tse_query.Indexes.create db';
     Printf.printf "catalog loaded: %d classes, %d objects, %d view version(s)\n"
@@ -549,7 +543,7 @@ let checkpoint dir =
 
 (* ---------------- chaos soak ---------------- *)
 
-let soak dir steps crashes seed out save_catalog =
+let soak dir steps crashes seed out =
   let dir =
     match dir with
     | Some d -> d
@@ -570,18 +564,6 @@ let soak dir steps crashes seed out save_catalog =
     output_string oc (Tse_workload.Soak.to_json cfg o);
     close_out oc;
     Printf.printf "wrote %s\n" path);
-  (match save_catalog with
-  | None -> ()
-  | Some path ->
-    (* re-open the survivor and export it as a portable catalog, so the
-       soak-evolved schema can be fed back through [lint --catalog] *)
-    let t, _ = Tse_core.Durable_tse.open_dir ~dir () in
-    Catalog.save
-      ~history:(Tse_core.Durable_tse.history t)
-      (Tse_core.Durable_tse.db t)
-      path;
-    Tse_core.Durable_tse.close t;
-    Printf.printf "catalog written to %s\n" path);
   if o.Tse_workload.Soak.violations <> [] then exit 1
 
 (* ---------------- live telemetry ---------------- *)
@@ -738,8 +720,9 @@ let lint_format_arg =
 
 let catalog_arg =
   let doc =
-    "Lint the schema of a saved catalog (see the repl's save command) \
-     instead of a built-in one."
+    "Lint the schema of a saved catalog (see the repl's save command), \
+     or of a durable directory's checkpoint (DIR/snapshot), instead of \
+     a built-in one."
   in
   Arg.(value & opt (some string) None & info [ "catalog" ] ~docv:"PATH" ~doc)
 
@@ -799,17 +782,6 @@ let soak_out_arg =
   let doc = "Write the BENCH_scenarios.json document to this path." in
   Arg.(value & opt (some string) None & info [ "out" ] ~docv:"PATH" ~doc)
 
-let soak_save_catalog_arg =
-  let doc =
-    "After the soak, save the surviving database (schema + objects + \
-     view history) as a catalog at this path, suitable for \
-     $(b,lint --catalog)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "save-catalog" ] ~docv:"PATH" ~doc)
-
 let soak_cmd =
   Cmd.v
     (Cmd.info "soak"
@@ -822,7 +794,7 @@ let soak_cmd =
           violation.")
     Term.(
       const soak $ soak_dir_arg $ soak_steps_arg $ soak_crashes_arg
-      $ soak_seed_arg $ soak_out_arg $ soak_save_catalog_arg)
+      $ soak_seed_arg $ soak_out_arg)
 
 let addr_arg =
   let doc =

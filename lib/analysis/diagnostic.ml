@@ -16,7 +16,6 @@ let makef ?cls ?prop severity ~code fmt =
 
 let is_error d = d.severity = Error
 let is_warning d = d.severity = Warning
-let is_info d = d.severity = Info
 
 let severity_to_string = function
   | Error -> "error"

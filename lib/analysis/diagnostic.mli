@@ -30,7 +30,6 @@ val makef :
 
 val is_error : t -> bool
 val is_warning : t -> bool
-val is_info : t -> bool
 
 val severity_to_string : severity -> string
 

@@ -37,8 +37,7 @@ let create db =
       | Database.Attr_set (o, _, _)
       | Database.Bases_changed o ->
         bump t o
-      | Database.Reclassified _ | Database.Membership_delta _
-      | Database.Class_populated _ ->
+      | Database.Membership_delta _ | Database.Class_populated _ ->
         (* membership recomputation follows an attribute change that
            already bumped; reclassification alone does not invalidate *)
         ());

@@ -33,23 +33,6 @@ type t =
 
 exception Rejected of string
 
-let is_primitive = function
-  | Add_attribute _ | Delete_attribute _ | Add_method _ | Delete_method _
-  | Add_edge _ | Delete_edge _ | Add_class _ | Delete_class _
-  | Rename_class _ ->
-    true
-  | Insert_class _ | Delete_class_2 _ | Partition_class _ | Coalesce_classes _
-    ->
-    false
-
-let is_capacity_augmenting = function
-  | Add_attribute _ -> true
-  | Add_edge _ -> true (* subclasses acquire the superclass's stored attributes *)
-  | Delete_attribute _ | Add_method _ | Delete_method _ | Delete_edge _
-  | Add_class _ | Delete_class _ | Insert_class _ | Delete_class_2 _
-  | Rename_class _ | Partition_class _ | Coalesce_classes _ ->
-    false
-
 let pp ppf = function
   | Add_attribute { cls; def } ->
     Format.fprintf ppf "add_attribute %s:%a to %s" def.attr_name Value.pp_ty

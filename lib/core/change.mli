@@ -61,9 +61,5 @@ exception Rejected of string
 (** A schema change refused by its preconditions (e.g. adding an attribute
     that already exists, deleting a non-local attribute). *)
 
-val is_primitive : t -> bool
-val is_capacity_augmenting : t -> bool
-(** Does the change add stored capacity to the database (Section 2.1)? *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -25,15 +25,14 @@ type t = {
   policy : Durable.sync_policy option;
 }
 
-let views_tag = "views"
-
 let stage_views d tsem =
-  Durable.stage_ext d ~tag:views_tag (History_codec.encode (Tsem.history tsem))
+  Durable.stage_ext d ~tag:History_codec.tag
+    (History_codec.encode (Tsem.history tsem))
 
 let open_dir ?policy ~dir () =
   let d, report = Durable.open_dir ?policy ~dir () in
   let history =
-    match Durable.ext d views_tag with
+    match Durable.ext d History_codec.tag with
     | Some blob -> History_codec.decode blob
     | None -> History.create ()
   in

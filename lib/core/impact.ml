@@ -4,8 +4,6 @@ module Database = Tse_db.Database
 module View_schema = Tse_views.View_schema
 module History = Tse_views.History
 
-type cid = Tse_schema.Klass.cid
-
 let resolve view name =
   match View_schema.cid_of view name with Some c -> Some c | None -> None
 
@@ -54,10 +52,6 @@ let affected_set db view change =
   | Change.Delete_class _ | Change.Rename_class _ ->
     (* view-only or purely additive *)
     Oid.Set.empty
-
-let affected_classes db view change =
-  Oid.Set.elements
-    (Oid.Set.remove (Database.root db) (affected_set db view change))
 
 type report = {
   change : Change.t;

@@ -11,16 +11,6 @@
     Under TSE the answer is always "none" (Proposition B); the analyzer
     quantifies what the virtual change avoids. *)
 
-type cid = Tse_schema.Klass.cid
-
-val affected_classes :
-  Tse_db.Database.t -> Tse_views.View_schema.t -> Change.t -> cid list
-(** The global classes whose type or extent a {e destructive} application
-    of the change (through the given view) would modify: the target class
-    and its global descendants for content changes; both sides' ancestors
-    and descendants for hierarchy changes. Empty for view-only changes
-    (delete_class, rename_class). *)
-
 type report = {
   change : Change.t;
   classes_touched : string list;  (** global class names *)

@@ -745,18 +745,3 @@ let rec apply db view change =
         view sups
     in
     apply db view (Change.Delete_class { cls })
-
-let class_mapping db view change =
-  (* re-run on a context to surface the mapping; apply builds it anew *)
-  let before = View_schema.classes view in
-  let after = apply db view change in
-  List.filter_map
-    (fun old_cid ->
-      match View_schema.local_name view old_cid with
-      | None -> None
-      | Some lname -> (
-        match View_schema.cid_of after lname with
-        | Some new_cid when not (Oid.equal new_cid old_cid) ->
-          Some (old_cid, new_cid)
-        | Some _ | None -> None))
-    before

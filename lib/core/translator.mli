@@ -32,12 +32,3 @@ val apply :
     6's semantics subsections) — by {!validate} before any mutation, or
     mid-translation when a composite change (insert_class,
     delete_class_2) fails a later step. *)
-
-val class_mapping :
-  Tse_db.Database.t ->
-  Tse_views.View_schema.t ->
-  Change.t ->
-  (Tse_schema.Klass.cid * Tse_schema.Klass.cid) list
-(** Dry-run variant for inspection: the (old class, primed class) pairs
-    the translation would create. Mutates the database exactly like
-    {!apply} but returns the mapping instead of the view. *)

@@ -90,8 +90,3 @@ let evolve t ~view change =
 let evolve_many t ~view changes =
   List.iter (fun c -> ignore (evolve t ~view c)) changes;
   current t view
-
-let all_views_fingerprints t ~except =
-  History.view_names t.history
-  |> List.filter (fun n -> not (String.equal n except))
-  |> List.map (fun n -> (n, Verify.view_fingerprint t.db (current t n)))

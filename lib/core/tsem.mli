@@ -59,7 +59,3 @@ val evolve_checked : t -> checked -> Tse_views.View_schema.t
     the {!precheck}. *)
 
 val evolve_many : t -> view:string -> Change.t list -> Tse_views.View_schema.t
-
-val all_views_fingerprints : t -> except:string -> (string * string) list
-(** Fingerprints of the current version of every view other than [except]
-    — the Proposition B instrumentation. *)

@@ -52,7 +52,6 @@ and event =
   | Object_created of Oid.t
   | Object_destroyed of Oid.t
   | Attr_set of Oid.t * string * Value.t
-  | Reclassified of Oid.t
   | Membership_delta of Oid.t * cid list * cid list
   | Class_populated of cid * Oid.Set.t
   | Bases_changed of Oid.t
@@ -543,7 +542,6 @@ let run_fixpoint t ~oracle o =
     Oid.Set.iter (fun c -> extent_add t c o) added;
     Oid.Set.iter (fun c -> extent_remove t c o) removed
   end;
-  notify t (Reclassified o);
   if not (Oid.Set.is_empty added && Oid.Set.is_empty removed) then
     notify t
       (Membership_delta (o, Oid.Set.elements added, Oid.Set.elements removed))

@@ -164,11 +164,11 @@ type event =
   | Object_destroyed of Tse_store.Oid.t
   | Attr_set of Tse_store.Oid.t * string * Tse_store.Value.t
       (** object, attribute, new value *)
-  | Reclassified of Tse_store.Oid.t
   | Membership_delta of Tse_store.Oid.t * cid list * cid list
-      (** object, classes gained, classes lost — fired after
-          [Reclassified], only when the membership set actually changed.
-          Derived structures (per-class indexes, extent observers) can
+      (** object, classes gained, classes lost — fired by a
+          reclassification, only when the membership set actually
+          changed (one that changes nothing fires nothing). Derived
+          structures (per-class indexes, extent observers) can
           maintain themselves from the delta instead of rescanning. *)
   | Class_populated of cid * Tse_store.Oid.Set.t
       (** class, its members — fired once by {!populate_class} when it

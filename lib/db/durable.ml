@@ -78,16 +78,13 @@ let env_policy () =
 let () = Storage.declare_failpoints "checkpoint"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot format                                                     *)
+(* The database image                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let encode_bases db =
+(* per-object base memberships: the image's BASES section and the log's
+   ["bases"] entries share this codec *)
+let encode_bases bases =
   let buf = Buffer.create 256 in
-  let bases =
-    List.map
-      (fun o -> (o, Oid.Set.elements (Database.base_membership db o)))
-      (List.sort Oid.compare (Database.objects db))
-  in
   Codec.add_list buf
     (fun buf (o, cids) ->
       Schema_codec.add_cid buf o;
@@ -107,24 +104,29 @@ let decode_bases s =
   if pos <> String.length s then Codec.fail_at pos "trailing bases bytes";
   bases
 
-(* only {!checkpoint} calls this, right after a commit: the last durable
-   schema image is the current one *)
-let snapshot_string t =
-  let db = t.database in
-  let schema = t.last_schema in
-  let bases = encode_bases db in
+(* a destroyed object's entry is empty: replay drops its memberships *)
+let base_entry db o =
+  ( o,
+    if Database.mem_object db o then
+      Oid.Set.elements (Database.base_membership db o)
+    else [] )
+
+let image_to_string ~seq ~schema ~exts db =
+  let bases =
+    encode_bases
+      (List.map (base_entry db) (List.sort Oid.compare (Database.objects db)))
+  in
   let heap_text = Snapshot.to_string (Database.heap db) in
   let buf = Buffer.create (String.length heap_text + 256) in
   Buffer.add_string buf "TSE-DB 1\n";
-  Buffer.add_string buf (Printf.sprintf "seq %d\n" t.seq);
+  Buffer.add_string buf (Printf.sprintf "seq %d\n" seq);
   Buffer.add_string buf (Printf.sprintf "SCHEMA %d\n" (String.length schema));
   Buffer.add_string buf schema;
   Buffer.add_string buf (Printf.sprintf "\nBASES %d\n" (String.length bases));
   Buffer.add_string buf bases;
   (* upper-layer extension blobs (e.g. the view history), keyed by the same
      tags the log's [Ext] entries use, in a stable order *)
-  Hashtbl.fold (fun tag blob acc -> (tag, blob) :: acc) t.ext_last []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  List.sort (fun (a, _) (b, _) -> String.compare a b) exts
   |> List.iter (fun (tag, blob) ->
          Buffer.add_string buf
            (Printf.sprintf "\nEXT %s %d\n" tag (String.length blob));
@@ -133,35 +135,47 @@ let snapshot_string t =
   Buffer.add_string buf heap_text;
   Buffer.contents buf
 
-(* [seq, schema blob, bases blob, heap text] *)
-let parse_snapshot text =
-  let fail what = failwith ("Durable: snapshot: " ^ what) in
+type sections = {
+  seq : int;
+  schema : string option;  (* [None]: a fresh directory, nothing yet *)
+  bases : (Oid.t * Oid.t list) list;
+  exts : (string * string) list;
+  heap : Heap.t;
+}
+
+(* raises [Failure] naming the bad section, or [Codec.Corrupt] *)
+let parse_image text =
   let header = "TSE-DB 1\n" in
   if String.length text < String.length header
      || String.sub text 0 (String.length header) <> header
-  then fail "bad header";
+  then failwith "bad header";
   let pos = String.length header in
-  let line_end pos = String.index_from text pos '\n' in
+  let line_end pos =
+    match String.index_from_opt text pos '\n' with
+    | Some nl -> nl
+    | None -> failwith "truncated header line"
+  in
   let nl = line_end pos in
   let seq =
     match String.split_on_char ' ' (String.sub text pos (nl - pos)) with
-    | [ "seq"; n ] -> ( try int_of_string n with _ -> fail "bad seq line")
-    | _ -> fail "bad seq line"
+    | [ "seq"; n ] -> (
+      try int_of_string n with _ -> failwith "bad seq line")
+    | _ -> failwith "bad seq line"
   in
   let sized pos keyword =
     let nl = line_end pos in
     let len =
       match String.split_on_char ' ' (String.sub text pos (nl - pos)) with
       | [ k; n ] when String.equal k keyword -> (
-        try int_of_string n with _ -> fail ("bad " ^ keyword ^ " line"))
-      | _ -> fail ("bad " ^ keyword ^ " line")
+        try int_of_string n with _ -> failwith ("bad " ^ keyword ^ " line"))
+      | _ -> failwith ("bad " ^ keyword ^ " line")
     in
-    if String.length text < nl + 1 + len then fail (keyword ^ " truncated");
+    if String.length text < nl + 1 + len then failwith (keyword ^ " truncated");
     (String.sub text (nl + 1) len, nl + 1 + len)
   in
   let schema, pos = sized (nl + 1) "SCHEMA" in
   if pos >= String.length text || text.[pos] <> '\n' then
-    fail "missing newline after SCHEMA";
+    failwith "missing newline after SCHEMA";
   let bases, pos = sized (pos + 1) "BASES" in
   (* zero or more "\nEXT <tag> <len>\n<blob>" sections precede the heap *)
   let exts = ref [] in
@@ -177,24 +191,43 @@ let parse_snapshot text =
        String.split_on_char ' ' (String.sub text line_start (nl - line_start))
      with
     | [ "EXT"; tag; n ] ->
-      let len = try int_of_string n with _ -> fail "bad EXT line" in
-      if String.length text < nl + 1 + len then fail "EXT truncated";
+      let len = try int_of_string n with _ -> failwith "bad EXT line" in
+      if String.length text < nl + 1 + len then failwith "EXT truncated";
       exts := (tag, String.sub text (nl + 1) len) :: !exts;
       pos := nl + 1 + len
-    | _ -> fail "bad EXT line")
+    | _ -> failwith "bad EXT line")
   done;
-  let pos = !pos in
   let heap_marker = "\nHEAP\n" in
-  if
-    String.length text < pos + String.length heap_marker
-    || String.sub text pos (String.length heap_marker) <> heap_marker
-  then fail "missing HEAP section";
-  let heap_text =
-    String.sub text
-      (pos + String.length heap_marker)
-      (String.length text - pos - String.length heap_marker)
+  if not (starts_with heap_marker) then failwith "missing HEAP section";
+  let heap_start = !pos + String.length heap_marker in
+  {
+    seq;
+    schema = Some schema;
+    bases = decode_bases bases;
+    exts = List.rev !exts;
+    heap =
+      Snapshot.of_string
+        (String.sub text heap_start (String.length text - heap_start));
+  }
+
+(* the graph decodes against the heap's OID generator; memberships of
+   objects the heap no longer holds are dropped *)
+let restore ~heap ~schema ~bases =
+  let gen = Heap.gen heap in
+  let graph =
+    match schema with
+    | Some blob -> Schema_codec.decode_graph ~gen blob
+    | None -> Schema_graph.create ~gen
   in
-  (seq, schema, bases, List.rev !exts, heap_text)
+  Database.restore ~heap ~graph
+    ~bases:(List.filter (fun (o, _) -> Heap.mem heap o) bases)
+
+let image_of_string text =
+  try
+    let s = parse_image text in
+    (s.seq, restore ~heap:s.heap ~schema:s.schema ~bases:s.bases, s.exts)
+  with Codec.Corrupt (what, pos) ->
+    failwith (Printf.sprintf "%s at %d" what pos)
 
 (* ------------------------------------------------------------------ *)
 (* Open = snapshot + log replay                                        *)
@@ -208,8 +241,7 @@ let attach t =
       | Database.Bases_changed o | Database.Object_destroyed o ->
         Oid.Tbl.replace t.dirty_bases o ()
       | Database.Object_created _ | Database.Attr_set _
-      | Database.Reclassified _ | Database.Membership_delta _
-      | Database.Class_populated _ ->
+      | Database.Membership_delta _ | Database.Class_populated _ ->
         (* already captured as physical heap ops *)
         ())
 
@@ -223,30 +255,28 @@ let open_dir ?policy ~dir () =
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let snap_file = snapshot_path dir in
-  let snap_seq, snap_schema, snap_bases, snap_exts, heap =
+  let snap =
     if Sys.file_exists snap_file then begin
-      match Storage.read_file snap_file with
-      | text ->
-        let seq, schema, bases, exts, heap_text = parse_snapshot text in
-        let heap =
-          try Snapshot.of_string heap_text
-          with Failure msg -> failwith ("Durable: snapshot: " ^ msg)
-        in
-        (seq, Some schema, decode_bases bases, exts, heap)
+      match parse_image (Storage.read_file snap_file) with
+      | s -> s
       | exception Sys_error msg ->
         failwith (Printf.sprintf "Durable.open_dir %S: %s" snap_file msg)
+      | exception Failure msg -> failwith ("Durable: snapshot: " ^ msg)
+      | exception Codec.Corrupt (what, pos) ->
+        failwith (Printf.sprintf "Durable: snapshot: %s at %d" what pos)
     end
-    else (0, None, [], [], Heap.create ())
+    else { seq = 0; schema = None; bases = []; exts = []; heap = Heap.create () }
   in
+  let heap = snap.heap in
   (* replay the log tail: heap ops directly, extension entries into the
      latest schema image, a base-membership overlay, and an opaque
      last-blob-wins table for every other tag (upper layers interpret
      those through {!ext}) *)
-  let latest_schema = ref snap_schema in
+  let latest_schema = ref snap.schema in
   let bases_tbl = Oid.Tbl.create 64 in
-  List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids) snap_bases;
+  List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids) snap.bases;
   let ext_last : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  List.iter (fun (tag, blob) -> Hashtbl.replace ext_last tag blob) snap_exts;
+  List.iter (fun (tag, blob) -> Hashtbl.replace ext_last tag blob) snap.exts;
   let on_ext kind blob =
     match kind with
     | "schema" -> latest_schema := Some blob
@@ -256,24 +286,15 @@ let open_dir ?policy ~dir () =
     | other -> Hashtbl.replace ext_last other blob
   in
   let report =
-    Recovery.replay ~heap ~path:(wal_path dir) ~after:snap_seq ~on_ext
+    Recovery.replay ~heap ~path:(wal_path dir) ~after:snap.seq ~on_ext
   in
-  let graph =
-    match !latest_schema with
-    | Some blob -> (
-      try Schema_codec.decode_graph ~gen:(Heap.gen heap) blob
-      with Codec.Corrupt (what, pos) ->
-        failwith (Printf.sprintf "Durable: schema: %s at %d" what pos))
-    | None -> Schema_graph.create ~gen:(Heap.gen heap)
+  let bases = Oid.Tbl.fold (fun o cids acc -> (o, cids) :: acc) bases_tbl [] in
+  let database =
+    try restore ~heap ~schema:!latest_schema ~bases
+    with Codec.Corrupt (what, pos) ->
+      failwith (Printf.sprintf "Durable: schema: %s at %d" what pos)
   in
-  (* drop memberships of objects destroyed later in the log *)
-  let bases =
-    Oid.Tbl.fold
-      (fun o cids acc -> if Heap.mem heap o then (o, cids) :: acc else acc)
-      bases_tbl []
-  in
-  let database = Database.restore ~heap ~graph ~bases in
-  let seq = max snap_seq report.Recovery.last_seq in
+  let seq = max snap.seq report.Recovery.last_seq in
   let t =
     {
       dir;
@@ -283,7 +304,7 @@ let open_dir ?policy ~dir () =
       pending = [];
       dirty_bases = Oid.Tbl.create 16;
       last_schema = encode_schema database;
-      last_stamp = Schema_graph.version graph;
+      last_stamp = Schema_graph.version (Database.graph database);
       ext_last;
       ext_staged = Hashtbl.create 4;
       policy;
@@ -340,24 +361,12 @@ let commit t =
   let ops = List.rev_map (fun op -> Wal.Op op) t.pending in
   let bases_entry =
     if Oid.Tbl.length t.dirty_bases = 0 then []
-    else begin
-      let buf = Buffer.create 64 in
+    else
       let dirty =
         Oid.Tbl.fold (fun o () acc -> o :: acc) t.dirty_bases []
         |> List.sort Oid.compare
       in
-      Codec.add_list buf
-        (fun buf o ->
-          Schema_codec.add_cid buf o;
-          let cids =
-            if Database.mem_object db o then
-              Oid.Set.elements (Database.base_membership db o)
-            else []
-          in
-          Codec.add_list buf Schema_codec.add_cid cids)
-        dirty;
-      [ Wal.Ext ("bases", Buffer.contents buf) ]
-    end
+      [ Wal.Ext ("bases", encode_bases (List.map (base_entry db) dirty)) ]
   in
   (* the schema is re-encoded only when the graph version moved since the
      last durable image; a moved version with byte-identical bytes still
@@ -424,7 +433,9 @@ let checkpoint t =
      must be on disk first: a checkpoint is always a sync barrier *)
   sync t;
   Storage.write_atomic ~fp:"checkpoint" ~path:(snapshot_path t.dir)
-    (snapshot_string t);
+    (image_to_string ~seq:t.seq ~schema:t.last_schema
+       ~exts:(Hashtbl.fold (fun tag blob acc -> (tag, blob) :: acc) t.ext_last [])
+       t.database);
   (* a crash before this reset is benign: replay skips seq <= snapshot's *)
   Wal.reset t.wal
 

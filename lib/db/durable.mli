@@ -2,10 +2,15 @@
 
     A durable database lives in a directory holding two files:
 
-    - [snapshot] — a checkpoint image (header with the last folded batch
-      sequence number, the encoded schema graph, the per-object base
-      memberships, and a heap snapshot), replaced atomically;
+    - [snapshot] — a database image (see {!image_to_string}: the last
+      folded batch sequence number, the encoded schema graph, the
+      per-object base memberships, the extension blobs and a heap
+      snapshot), replaced atomically;
     - [wal] — the write-ahead log of every commit since that snapshot.
+
+    The image is the one whole-database format: a catalog
+    ({!Tse_views.Catalog}) is an image at sequence number 0, so a
+    catalog file opens as a snapshot and a snapshot loads as a catalog.
 
     Every committed change is captured through the heap's mutation
     observer ({!Tse_store.Heap.set_logger}) and the database's change
@@ -59,6 +64,38 @@ val open_dir :
     snapshot is written atomically, so this means outside interference,
     not a crash), or if a structurally valid log batch contradicts the
     snapshot. *)
+
+(** {2 Images} *)
+
+val image_to_string :
+  seq:int -> schema:string -> exts:(string * string) list -> Database.t -> string
+(** A whole-database image:
+
+    {v
+    TSE-DB 1
+    seq <n>
+    SCHEMA <len>
+    <schema image>
+    BASES <len>
+    <base memberships>
+    EXT <tag> <len>
+    <blob>
+    ...
+    HEAP
+    <heap snapshot>
+    v}
+
+    [seq] is the last log batch the image folds (0 outside a durable
+    directory); [schema] is [Tse_schema.Schema_codec.encode_graph] of the
+    database's graph, passed in because {!checkpoint} holds it already;
+    [exts] are the extension blobs, written sorted by tag. The base
+    memberships use the codec of the log's ["bases"] entries. *)
+
+val image_of_string :
+  string -> int * Database.t * (string * string) list
+(** Decode an image: its [seq], the restored database and the extension
+    blobs in file order. @raise Failure naming the bad section (["bad
+    header"], ["missing HEAP section"], ...) or the bad byte offset. *)
 
 val db : t -> Database.t
 val dir : t -> string

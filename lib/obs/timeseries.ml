@@ -14,7 +14,6 @@ type t = {
   mu : Mutex.t;
   series : (string, series) Hashtbl.t;
   baselines : (string, int) Hashtbl.t;  (* counter/hist-count last values *)
-  mutable last_ts : int;  (* monotone clamp for tick timestamps *)
   mutable last_tick_us : int;  (* 0 until the first tick *)
   mutable period_ms : int;
   mutable runner : runner option;
@@ -32,7 +31,6 @@ let create ?(capacity = 600) () =
     mu = Mutex.create ();
     series = Hashtbl.create 64;
     baselines = Hashtbl.create 64;
-    last_ts = 0;
     last_tick_us = 0;
     period_ms = default_interval_ms ();
     runner = None;
@@ -69,9 +67,9 @@ let delta_of t key value =
 let sample t =
   let samples = Metrics.snapshot () in
   locked t (fun () ->
-      let wall = int_of_float (Unix.gettimeofday () *. 1e6) in
-      let now = if wall > t.last_ts then wall else t.last_ts + 1 in
-      t.last_ts <- now;
+      (* ticks are strictly increasing: the rates below divide by dt *)
+      let clock = Trace.now_us () in
+      let now = if clock > t.last_tick_us then clock else t.last_tick_us + 1 in
       let first = t.last_tick_us = 0 in
       let dt_s = float_of_int (now - t.last_tick_us) /. 1e6 in
       t.last_tick_us <- now;

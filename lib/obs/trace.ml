@@ -60,8 +60,6 @@ let set_sink = function
   | Some emit -> state := Emit (emit, fun () -> ())
   | None -> state := Uninitialized
 
-let enabled () = match sink () with Emit _ -> true | _ -> false
-
 let flush () = match !state with Emit (_, fl) -> fl () | _ -> ()
 
 let json_escape = Metrics.json_escape

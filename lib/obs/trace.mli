@@ -5,8 +5,8 @@
 
     {v {"name":"durable.commit","start_us":1722850000000000,"dur_us":123,"attrs":{"batches":"2"}} v}
 
-    Timing uses a monotonic-clamped wall clock in microseconds.  When
-    disabled, [with_span] costs one flag check plus the closure call. *)
+    Timing uses a monotonic-clamped wall clock in microseconds ({!now_us}).
+    When disabled, [with_span] costs one flag check plus the closure call. *)
 
 type span = {
   name : string;
@@ -18,7 +18,11 @@ type span = {
   attrs : (string * string) list;
 }
 
-val enabled : unit -> bool
+val now_us : unit -> int
+(** Wall clock in microseconds since the Unix epoch, clamped so that it
+    never goes backwards within the process (across domains too). The
+    one clock every duration is measured with: a backward step of the
+    system clock reads as a zero-length interval, never a negative one. *)
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk and, if tracing is on, emit a span covering it.  A

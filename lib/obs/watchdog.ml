@@ -31,9 +31,9 @@ let observe_fsync ~ms =
   end
 
 let time_evolution ~view f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_us () in
   let record () =
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let ms = float_of_int (Trace.now_us () - t0) /. 1000. in
     Metrics.observe h_evolve_ms ms;
     if ms > Atomic.get evolve_budget then begin
       Metrics.incr m_slow_evolutions;

@@ -19,7 +19,7 @@ val observe_fsync : ms:float -> unit
 (** Record one fsync duration; warn [W301] when over threshold. *)
 
 val time_evolution : view:string -> (unit -> 'a) -> 'a
-(** Run an evolution thunk under the wall clock; record its duration
+(** Run an evolution thunk under {!Trace.now_us}; record its duration
     and warn [W302] when over budget.  Lives here so [lib/core] needs
     no Unix dependency — exceptions propagate after recording. *)
 

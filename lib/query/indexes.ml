@@ -111,10 +111,6 @@ let on_event t event =
     List.iter
       (fun e -> if String.equal e.e_attr attr then refresh_object e t.db o)
       t.entries
-  | Database.Reclassified _ ->
-    (* reclassification that changed nothing changes no index; real
-       changes arrive as [Membership_delta] or [Class_populated] *)
-    ()
 
 let create db =
   let t = { db; entries = [] } in
@@ -193,4 +189,3 @@ let overhead_bytes t =
       | B_ord i -> Ord_index.overhead_bytes i)
     0 t.entries
 
-let index_count t = List.length t.entries

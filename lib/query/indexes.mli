@@ -65,4 +65,3 @@ val entry_count : t -> cid -> string -> int option
     {!key_cardinality} to estimate bucket sizes. *)
 
 val overhead_bytes : t -> int
-val index_count : t -> int

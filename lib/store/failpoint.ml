@@ -31,7 +31,6 @@ let site_of name =
     s
 
 let declare name = ignore (site_of name)
-let is_declared name = Hashtbl.mem declared name
 
 let all () =
   Hashtbl.fold (fun name _ acc -> name :: acc) declared []
@@ -48,7 +47,6 @@ let arm name action =
     invalid_arg (Printf.sprintf "Failpoint.arm: unknown failpoint %s" name);
   Hashtbl.replace armed name action
 
-let disarm name = Hashtbl.remove armed name
 let reset () = Hashtbl.reset armed
 
 let note_hit name =

@@ -21,8 +21,6 @@ val declare : string -> unit
 (** Register a failpoint name (idempotent). Production call sites declare
     every point they guard so tests can enumerate them. *)
 
-val is_declared : string -> bool
-
 val all : unit -> string list
 (** Every declared failpoint, sorted — the crash-matrix test iterates
     this to prove it covers each one. *)
@@ -30,7 +28,6 @@ val all : unit -> string list
 val arm : string -> action -> unit
 (** @raise Invalid_argument on an undeclared name (catches typos). *)
 
-val disarm : string -> unit
 val reset : unit -> unit
 
 val hit : string -> unit

@@ -183,10 +183,6 @@ let remove_slot t oid name =
         Hashtbl.replace cell.slots name old;
         log t (Set_slot (oid, name, old)))
 
-let slot_names t oid =
-  Hashtbl.fold (fun k _ acc -> k :: acc) (find_exn t oid).slots []
-  |> List.sort String.compare
-
 let slots t oid =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) (find_exn t oid).slots []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -76,7 +76,6 @@ val slot_reader : t -> string -> Oid.t -> Value.t
 
 val set_slot : t -> Oid.t -> string -> Value.t -> unit
 val remove_slot : t -> Oid.t -> string -> unit
-val slot_names : t -> Oid.t -> string list
 val slots : t -> Oid.t -> (string * Value.t) list
 
 val copy_slots : t -> src:Oid.t -> dst:Oid.t -> unit

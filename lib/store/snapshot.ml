@@ -138,15 +138,6 @@ let of_string s =
   Tse_obs.Metrics.incr m_decodes;
   of_string s
 
-let () = Storage.declare_failpoints "snapshot"
-let save heap path = Storage.write_atomic ~fp:"snapshot" ~path (to_string heap)
-
-let load path =
-  match Storage.read_file path with
-  | s -> of_string s
-  | exception Sys_error msg ->
-    failwith (Printf.sprintf "Snapshot.load %S: %s" path msg)
-
 let roundtrip_equal a b =
   let cells heap =
     Heap.fold heap ~init:[] ~f:(fun acc (c : Heap.cell) ->

@@ -1,4 +1,5 @@
-(** Text snapshots of a heap.
+(** Text snapshots of a heap: the [HEAP] section of the database image
+    that a checkpoint or a catalog writes ([Tse_db.Durable]).
 
     A stable, diffable line format (no [Marshal]) so that persisted
     databases survive compiler upgrades and can be inspected by hand:
@@ -19,14 +20,6 @@ val to_string : Heap.t -> string
 
 val of_string : string -> Heap.t
 (** @raise Failure on malformed input, naming the offending line number. *)
-
-val save : Heap.t -> string -> unit
-(** [save heap path] writes atomically (temp file + fsync + rename),
-    guarded by the ["snapshot.*"] failpoints (see {!Storage}). *)
-
-val load : string -> Heap.t
-(** @raise Failure if the file cannot be read (the message names the
-    path) or on malformed content. *)
 
 val roundtrip_equal : Heap.t -> Heap.t -> bool
 (** Structural equality of two heaps (same cells, tags and slots); used by

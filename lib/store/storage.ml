@@ -47,5 +47,3 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let remove_if_exists path = if Sys.file_exists path then Sys.remove path

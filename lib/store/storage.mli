@@ -18,4 +18,3 @@ val write_all : Unix.file_descr -> string -> int -> int -> unit
 (** Loop [Unix.write_substring] to completion. *)
 
 val read_file : string -> string
-val remove_if_exists : string -> unit

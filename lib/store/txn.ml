@@ -12,6 +12,3 @@ let with_txn heap f =
   | exception e ->
     Heap.pop_journal_abort heap;
     raise e
-
-let atomically heap f =
-  match with_txn heap f with Some v -> v | None -> raise Abort

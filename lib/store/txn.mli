@@ -13,6 +13,3 @@ val with_txn : Heap.t -> (unit -> 'a) -> 'a option
 (** [with_txn heap f] runs [f] journaled. Returns [Some (f ())] on success;
     on {!Abort} rolls back and returns [None]; on any other exception rolls
     back and re-raises. *)
-
-val atomically : Heap.t -> (unit -> 'a) -> 'a
-(** Like {!with_txn} but {!Abort} is re-raised rather than swallowed. *)

@@ -1,4 +1,5 @@
 module Metrics = Tse_obs.Metrics
+module Trace = Tse_obs.Trace
 module Watchdog = Tse_obs.Watchdog
 
 type entry =
@@ -204,9 +205,9 @@ let frame t ~seq entries =
    as a W301 warning and in the wal.fsync_ms histogram rather than as
    silent tail latency. *)
 let timed_fsync fd =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_us () in
   Unix.fsync fd;
-  Watchdog.observe_fsync ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
+  Watchdog.observe_fsync ~ms:(float_of_int (Trace.now_us () - t0) /. 1000.)
 
 let append_nosync t ~seq entries =
   ignore (fd_exn t);

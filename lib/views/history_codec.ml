@@ -2,8 +2,10 @@ module Codec = Tse_store.Codec
 module Schema_codec = Tse_schema.Schema_codec
 
 (* Binary codec for a full view-schema history: every version of every
-   view, flat. Shared between the catalog container format and the
-   durable layer's "views" extension blob. *)
+   view, flat. It is the ["views"] extension blob of the database image
+   and of the log. *)
+
+let tag = "views"
 
 let add_view buf (v : View_schema.t) =
   Codec.add_str buf v.view_name;
@@ -27,28 +29,18 @@ let read_view s pos =
   in
   ({ View_schema.view_name = name; version; members }, pos)
 
-let add_history buf h =
-  let views =
-    List.concat_map (fun name -> History.versions h name) (History.view_names h)
-  in
-  Codec.add_list buf add_view views
-
-let read_history s pos =
-  let views, pos = Codec.read_list read_view s pos in
-  let h = History.create () in
-  List.iter
-    (fun (v : View_schema.t) -> History.register h v)
-    (List.sort
-       (fun (a : View_schema.t) b -> Int.compare a.version b.version)
-       views);
-  (h, pos)
-
 let encode h =
   let buf = Buffer.create 256 in
-  add_history buf h;
+  Codec.add_list buf add_view
+    (List.concat_map (History.versions h) (History.view_names h));
   Buffer.contents buf
 
 let decode s =
-  let h, pos = read_history s 0 in
+  let views, pos = Codec.read_list read_view s 0 in
   if pos <> String.length s then Codec.fail_at pos "trailing history bytes";
+  let h = History.create () in
+  List.iter (History.register h)
+    (List.sort
+       (fun (a : View_schema.t) b -> Int.compare a.version b.version)
+       views);
   h

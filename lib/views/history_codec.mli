@@ -1,18 +1,14 @@
 (** Binary codec for the view-schema {!History}: every version of every
-    view. One encoding shared by the catalog container format and the
-    durable layer's ["views"] extension blob, so the history a recovery
-    reconstructs is byte-compatible with the one a catalog round-trip
-    produces. *)
+    view. The encoding is the ["views"] extension blob that the durable
+    layer logs and that every database image (checkpoint or catalog)
+    carries. *)
 
-val add_view : Buffer.t -> View_schema.t -> unit
-val read_view : string -> int -> View_schema.t * int
-
-val add_history : Buffer.t -> History.t -> unit
-val read_history : string -> int -> History.t * int
-(** Versions are re-registered oldest-first, so the decoded history
-    satisfies {!History.register}'s sequencing invariant. *)
+val tag : string
+(** ["views"]: the extension tag the history is stored under. *)
 
 val encode : History.t -> string
 
 val decode : string -> History.t
-(** @raise Tse_store.Codec.Corrupt on malformed or trailing bytes. *)
+(** Versions are re-registered oldest-first, so the decoded history
+    satisfies {!History.register}'s sequencing invariant.
+    @raise Tse_store.Codec.Corrupt on malformed or trailing bytes. *)

@@ -19,6 +19,7 @@ module Durable_tse = Tse_core.Durable_tse
 module Verify = Tse_core.Verify
 module Metrics = Tse_obs.Metrics
 module Timeseries = Tse_obs.Timeseries
+module Trace = Tse_obs.Trace
 
 (* Chaos soak: a seeded scenario generator drives hundreds of view
    evolutions (long version chains) against a durable database while OCC
@@ -288,9 +289,9 @@ let reattach st =
   st.occ <- Occ.create (Durable_tse.db st.t)
 
 let recover st ~policy ctx =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_us () in
   let t, report = Durable_tse.open_dir ?policy ~dir:(Durable_tse.dir st.t) () in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let ms = float_of_int (Trace.now_us () - t0) /. 1000. in
   Metrics.observe recovery_hist ms;
   st.recovery_ms <- ms :: st.recovery_ms;
   st.t <- t;

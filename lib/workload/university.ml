@@ -87,9 +87,3 @@ let populate t ~n =
     created := o :: !created
   done;
   List.rev !created
-
-let names_of_fig2 =
-  [
-    "Person"; "Student"; "Staff"; "TeachingStaff"; "SupportStaff"; "TA";
-    "Grad"; "Grader";
-  ]

@@ -39,6 +39,3 @@ val populate : t -> n:int -> Tse_store.Oid.t list
     classes (persons, students, grads, TAs, graders, support staff), with
     name/age/gpa/salary values derived from the index. Returns the created
     objects in creation order. *)
-
-val names_of_fig2 : string list
-(** The class names, for display in the experiment transcripts. *)

@@ -122,6 +122,58 @@ let test_file_roundtrip () =
     (Database.object_count db');
   check Alcotest.int "view versions" 3 (List.length (History.versions history' "VS"))
 
+let test_load_missing_file () =
+  let path = Filename.temp_file "tse_catalog" ".gone" in
+  Sys.remove path;
+  (* the error must name the file *)
+  match Catalog.load path with
+  | _ -> Alcotest.fail "expected load of a missing file to fail"
+  | exception Failure msg ->
+    let prefix = Printf.sprintf "Catalog.load %S" path in
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the path" msg)
+      true
+      (String.length msg >= String.length prefix
+      && String.sub msg 0 (String.length prefix) = prefix)
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* A catalog is a database image at sequence number 0: saved as a
+   directory's snapshot it opens as a durable database, and a
+   checkpoint's snapshot loads as a catalog. *)
+let test_catalog_is_checkpoint () =
+  let u, tsem = evolved_fixture () in
+  let history = Tsem.history tsem in
+  let dir = Filename.temp_dir "tse_catalog" "" in
+  let snapshot = Filename.concat dir "snapshot" in
+  Catalog.save ~history u.db snapshot;
+  let t, _ = Durable_tse.open_dir ~dir () in
+  check Alcotest.string "catalog opens as a checkpoint"
+    (Verify.db_fingerprint ~history u.db)
+    (Verify.db_fingerprint ~history:(Durable_tse.history t) (Durable_tse.db t));
+  check Alcotest.int "view versions" 3
+    (List.length (History.versions (Durable_tse.history t) "VS"));
+  (* evolve and write through the durable handle, then checkpoint *)
+  (match
+     Durable_tse.evolve t ~view:"VS"
+       (Change.Add_attribute { cls = "TA"; def = Change.attr "badge" Value.TInt })
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "evolve rejected: %s" msg);
+  let db = Durable_tse.db t in
+  let o = List.hd (Database.extent_list db u.student) in
+  Database.set_attr db o "register" (Value.Bool true);
+  Durable_tse.checkpoint t;
+  let db', history' = Catalog.load snapshot in
+  check Alcotest.string "checkpoint loads as a catalog"
+    (Verify.db_fingerprint ~history:(Durable_tse.history t) db)
+    (Verify.db_fingerprint ~history:history' db');
+  Alcotest.(check (list string)) "consistent" [] (Database.check db');
+  Durable_tse.close t;
+  rm_dir dir
+
 let test_malformed () =
   Alcotest.check_raises "bad header" (Failure "Catalog: bad header") (fun () ->
       ignore (Catalog.of_string "garbage"))
@@ -159,6 +211,9 @@ let suite =
     Alcotest.test_case "select predicates survive reload" `Quick
       test_select_classes_still_classify;
     Alcotest.test_case "file save/load" `Quick test_file_roundtrip;
+    Alcotest.test_case "load names missing file" `Quick test_load_missing_file;
+    Alcotest.test_case "a catalog is a checkpoint" `Quick
+      test_catalog_is_checkpoint;
     Alcotest.test_case "malformed input" `Quick test_malformed;
     Alcotest.test_case "expression codec" `Quick test_expr_codec_roundtrip;
   ]

@@ -215,15 +215,6 @@ let test_snapshot_roundtrip () =
   let o3 = Heap.alloc h' ~tag:"New" in
   Alcotest.(check bool) "no oid collision" true (Oid.to_int o3 > Oid.to_int o1)
 
-let test_snapshot_file () =
-  let h = Heap.create () in
-  ignore (Heap.alloc_with h ~tag:"T" [ ("x", Value.Int 1) ]);
-  let path = Filename.temp_file "tse_snap" ".db" in
-  Snapshot.save h path;
-  let h' = Snapshot.load path in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true (Snapshot.roundtrip_equal h h')
-
 let test_snapshot_malformed () =
   Alcotest.check_raises "missing end" (Failure "Snapshot: missing end marker")
     (fun () -> ignore (Snapshot.of_string "TSE-HEAP 1\ngen 3\n"));
@@ -232,19 +223,6 @@ let test_snapshot_malformed () =
     (Failure "Snapshot: line 3: unrecognized line in \"cell nonsense\"")
     (fun () ->
       ignore (Snapshot.of_string "TSE-HEAP 1\ngen 3\ncell nonsense\nend\n"))
-
-let test_snapshot_load_missing_file () =
-  let path = Filename.temp_file "tse_snap" ".gone" in
-  Sys.remove path;
-  (* the error must name the file *)
-  match Snapshot.load path with
-  | _ -> Alcotest.fail "expected load of a missing file to fail"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%S mentions the path" msg)
-      true
-      (String.length msg >= String.length path
-      && String.sub msg 0 14 = "Snapshot.load ")
 
 let test_stats () =
   let s = Stats.create () in
@@ -500,10 +478,7 @@ let suite =
     Alcotest.test_case "ordered index distinct-key count" `Quick
       test_ord_index_distinct_keys;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
-    Alcotest.test_case "snapshot file save/load" `Quick test_snapshot_file;
     Alcotest.test_case "snapshot malformed input" `Quick test_snapshot_malformed;
-    Alcotest.test_case "snapshot load names missing file" `Quick
-      test_snapshot_load_missing_file;
     Alcotest.test_case "storage accounting" `Quick test_stats;
   ]
   @ List.map Qcheck_det.to_alcotest
