@@ -136,7 +136,7 @@ let fig6 () =
       "        |                 View Schema History (Tse_views.History)";
       "  Global Schema Manager (Tse_db.Database)";
       "  TSE object model: object slicing (Tse_objmodel.Slicing)";
-      "  persistent store standing in for GemStone (Tse_store.{Heap,Txn,Snapshot})";
+      "  persistent store standing in for GemStone (Tse_store.{Heap,Snapshot,Wal})";
     ]
 
 let fig8 () =

@@ -506,16 +506,18 @@ let repl schema seed script =
 let print_report report =
   Format.printf "%a@." Tse_store.Recovery.pp_report report
 
-(* A corrupt snapshot or an unusable path is an expected operator-facing
+(* A corrupt image or an unusable path is an expected operator-facing
    error, not a crash: report it and exit 2. *)
-let open_durable dir =
-  try Durable.open_dir ~dir () with
+let or_exit_2 f x =
+  try f x with
   | Failure msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 2
   | Unix.Unix_error (e, _, path) ->
     Printf.eprintf "error: %s: %s\n" path (Unix.error_message e);
     exit 2
+
+let open_durable = or_exit_2 (fun dir -> Durable.open_dir ~dir ())
 
 let recover dir =
   let d, report = open_durable dir in
@@ -680,7 +682,7 @@ let trace_analyze file mode as_json top_n =
 let lint format schema seed catalog =
   let db =
     match catalog with
-    | Some path -> fst (Catalog.load path)
+    | Some path -> fst (or_exit_2 Catalog.load path)
     | None -> db (make_session schema seed)
   in
   let report = Tse_analysis.Analysis.analyze (Database.graph db) in

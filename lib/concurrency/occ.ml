@@ -17,7 +17,7 @@ type t = {
 type session = {
   mgr : t;
   read_set : int Oid.Tbl.t;  (* object -> version when first read *)
-  (* buffered writes, newest last *)
+  (* buffered writes, newest first *)
   mutable write_log : (Oid.t * string * Value.t) list;
   mutable active : bool;
 }
@@ -58,18 +58,19 @@ let track_read s o =
 let read s o name =
   check_active s "read";
   track_read s o;
-  (* the session sees its own buffered writes *)
-  let own =
-    List.fold_left
-      (fun acc (o', n, v) -> if Oid.equal o o' && String.equal n name then Some v else acc)
-      None s.write_log
-  in
-  match own with Some v -> v | None -> Database.get_prop s.mgr.db o name
+  (* the session sees its own newest buffered write *)
+  match
+    List.find_opt
+      (fun (o', n, _) -> Oid.equal o o' && String.equal n name)
+      s.write_log
+  with
+  | Some (_, _, v) -> v
+  | None -> Database.get_prop s.mgr.db o name
 
 let write s o name v =
   check_active s "write";
   track_read s o;
-  s.write_log <- s.write_log @ [ (o, name, v) ]
+  s.write_log <- (o, name, v) :: s.write_log
 
 let validate s =
   Oid.Tbl.fold
@@ -81,9 +82,13 @@ let commit s =
   s.active <- false;
   match validate s with
   | [] ->
-    (* apply buffered writes; each bumps versions via the listener, which
-       is what makes this commit visible to concurrent validators *)
-    List.iter (fun (o, name, v) -> Database.set_attr s.mgr.db o name v) s.write_log;
+    let writes = List.rev s.write_log in
+    (* check every write before applying any, so a bad one raises with
+       nothing changed; then apply, each bumping versions via the
+       listener, which is what makes this commit visible to concurrent
+       validators *)
+    List.iter (fun (o, name, v) -> Database.check_set_attr s.mgr.db o name v) writes;
+    List.iter (fun (o, name, v) -> Database.set_attr s.mgr.db o name v) writes;
     Metrics.incr m_commits;
     Ok ()
   | objects ->

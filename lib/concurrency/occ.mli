@@ -1,15 +1,17 @@
 (** Optimistic concurrency control for multi-user sessions.
 
     The paper runs on GemStone, which supplies "persistent storage,
-    concurrency control, etc." (Section 5). The store's {!Tse_store.Txn}
-    gives heap-level atomicity; this module adds the multi-user layer:
-    GemStone-style optimistic sessions with commit-time validation.
+    concurrency control, etc." (Section 5). This module and the
+    durability layer's write-ahead log ({!Tse_db.Durable}) stand in for
+    GemStone's transactions: GemStone-style optimistic sessions with
+    commit-time validation.
 
     A session buffers its writes and records the version of every object
     it read. [commit] validates that no recorded object has since been
-    committed by another session (first-committer-wins); on success the
-    buffered writes are applied atomically, on conflict the session aborts
-    with the conflicting objects listed.
+    committed by another session (first-committer-wins); on conflict the
+    session aborts with the conflicting objects listed. A validated
+    commit then checks every buffered write before applying any (see
+    {!commit}).
 
     Object versions are maintained by listening to the database's change
     events, so direct (non-session) updates also invalidate concurrent
@@ -40,8 +42,22 @@ val write : session -> Tse_store.Oid.t -> string -> Tse_store.Value.t -> unit
     object joins the read set (write skew is thereby excluded). *)
 
 val commit : session -> (unit, conflict) result
-(** Validate and apply. After a result is returned the session is closed;
-    reusing it raises [Invalid_argument]. *)
+(** Validate, check, then apply. After the read set validates, every
+    buffered write is checked with {!Tse_db.Database.check_set_attr}
+    against the state the commit started from. A write that fails the
+    check raises what {!Tse_db.Database.set_attr} would raise, and the
+    commit changes nothing: not the database, not the object versions,
+    not the durability layer's pending log. Otherwise the writes are
+    applied in the order they were buffered.
+
+    One case is not covered: an earlier write of the same commit moves
+    the object out of a refine class that stores a later write's
+    attribute. The later write then raises while the earlier ones stay
+    applied. Only attributes a refine class stores are exposed, since an
+    attribute write never changes an object's base memberships.
+
+    Afterwards — returned or raised — the session is closed; reusing it
+    raises [Invalid_argument]. *)
 
 val abort : session -> unit
 

@@ -625,8 +625,11 @@ let populate_class t cid =
 (* Object lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let set_attr t o name v =
-  (match resolve_prop t o name with
+let check_set_attr t o name v =
+  if not (mem_object t o) then
+    invalid_arg
+      (Printf.sprintf "Database.set_attr: unknown object %s" (Oid.to_string o));
+  match resolve_prop t o name with
   | None -> raise (Expr.Unknown_property name)
   | Some (_, p) -> begin
     match p.Prop.body with
@@ -638,7 +641,10 @@ let set_attr t o name v =
           (Expr.Type_error
              (Format.asprintf "%a does not conform to %a for attribute %s"
                 Value.pp v Value.pp_ty ty name))
-  end);
+  end
+
+let set_attr t o name v =
+  check_set_attr t o name v;
   Slicing.set_attr t.model o name v;
   notify t (Attr_set (o, name, v));
   if t.full_reclassify then reclassify t o

@@ -122,11 +122,20 @@ val get_prop : t -> Tse_store.Oid.t -> string -> Tse_store.Value.t
     @raise Tse_schema.Expr.Type_error if the name is ambiguous for the
     object (unresolved multiple-inheritance conflict). *)
 
+val check_set_attr :
+  t -> Tse_store.Oid.t -> string -> Tse_store.Value.t -> unit
+(** The check {!set_attr} runs before it writes anything: the object is
+    live, [name] resolves for it to a stored attribute, and the value
+    conforms to the attribute's type. Changes nothing.
+    @raise Invalid_argument if the object is not live.
+    @raise Tse_schema.Expr.Unknown_property if [name] does not resolve.
+    @raise Tse_schema.Expr.Type_error on type mismatch, when the target is
+    a method, or when the name is ambiguous for the object. *)
+
 val set_attr : t -> Tse_store.Oid.t -> string -> Tse_store.Value.t -> unit
-(** Write a stored attribute (type-checked against its declaration), then
-    reclassify the object (its select-class memberships may change).
-    @raise Tse_schema.Expr.Type_error on type mismatch or when the target
-    is a method. *)
+(** Write a stored attribute, then reclassify the object (its
+    select-class memberships may change). Raises what {!check_set_attr}
+    raises, before any change. *)
 
 val env : t -> Tse_store.Oid.t -> Tse_schema.Expr.env
 val eval : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> Tse_store.Value.t

@@ -14,7 +14,6 @@ let m_writes = Metrics.counter "heap.slot_writes"
 let m_allocs = Metrics.counter "heap.allocs"
 let m_frees = Metrics.counter "heap.frees"
 let m_swaps = Metrics.counter "heap.identity_swaps"
-let m_rollbacks = Metrics.counter "heap.journal_aborts"
 
 type op =
   | Alloc of Oid.t * string
@@ -23,8 +22,6 @@ type op =
   | Set_slot of Oid.t * string * Value.t
   | Remove_slot of Oid.t * string
   | Swap of Oid.t * Oid.t
-
-type undo = unit -> unit
 
 (* OIDs are dense sequential ints (Oid.Gen), so the cell store is a
    growable array indexed by OID rather than a hash table: a lookup is
@@ -36,16 +33,12 @@ type t = {
   mutable cells : cell option array;
   mutable live : int;
   gen : Oid.Gen.t;
-  mutable journals : undo list ref list;
   mutable logger : (op -> unit) option;
 }
 
-let fp_rollback = "txn.rollback"
-let () = Failpoint.declare fp_rollback
-
 let create () =
   { cells = Array.make 256 None; live = 0; gen = Oid.Gen.create ();
-    journals = []; logger = None }
+    logger = None }
 
 let cell_opt t oid =
   let i = Oid.to_int oid in
@@ -63,54 +56,31 @@ let put_cell t oid cell =
   if t.cells.(i) = None then t.live <- t.live + 1;
   t.cells.(i) <- Some cell
 
-let drop_cell t oid =
-  if cell_opt t oid <> None then begin
-    t.cells.(Oid.to_int oid) <- None;
-    t.live <- t.live - 1
-  end
-
 let gen t = t.gen
 let set_logger t logger = t.logger <- logger
 
 let log t op = match t.logger with None -> () | Some f -> f op
 
-let record t undo =
-  match t.journals with
-  | [] -> ()
-  | j :: _ -> j := undo :: !j
-
-let alloc t ~tag =
-  let oid = Oid.Gen.fresh t.gen in
+let install t oid tag =
   put_cell t oid { oid; tag; slots = Hashtbl.create 4 };
   Metrics.incr m_allocs;
   log t (Alloc (oid, tag));
-  record t (fun () ->
-      drop_cell t oid;
-      log t (Free oid));
   oid
+
+let alloc t ~tag = install t (Oid.Gen.fresh t.gen) tag
 
 let alloc_raw t ~oid ~tag =
   if cell_opt t oid <> None then invalid_arg "Heap.alloc_raw: oid in use";
   Oid.Gen.mark_used t.gen oid;
-  put_cell t oid { oid; tag; slots = Hashtbl.create 4 };
-  Metrics.incr m_allocs;
-  log t (Alloc (oid, tag));
-  record t (fun () ->
-      drop_cell t oid;
-      log t (Free oid));
-  oid
+  install t oid tag
 
 let free t oid =
-  match cell_opt t oid with
-  | None -> ()
-  | Some cell ->
-    drop_cell t oid;
+  if cell_opt t oid <> None then begin
+    t.cells.(Oid.to_int oid) <- None;
+    t.live <- t.live - 1;
     Metrics.incr m_frees;
-    log t (Free oid);
-    record t (fun () ->
-        put_cell t oid cell;
-        log t (Alloc (oid, cell.tag));
-        Hashtbl.iter (fun k v -> log t (Set_slot (oid, k, v))) cell.slots)
+    log t (Free oid)
+  end
 
 let mem t oid = cell_opt t oid <> None
 let find t oid = cell_opt t oid
@@ -123,13 +93,8 @@ let find_exn t oid =
 let tag_of t oid = (find_exn t oid).tag
 
 let set_tag t oid tag =
-  let cell = find_exn t oid in
-  let old = cell.tag in
-  cell.tag <- tag;
-  log t (Set_tag (oid, tag));
-  record t (fun () ->
-      cell.tag <- old;
-      log t (Set_tag (oid, old)))
+  (find_exn t oid).tag <- tag;
+  log t (Set_tag (oid, tag))
 
 let get_slot t oid name =
   Metrics.incr m_reads;
@@ -152,19 +117,9 @@ let slot_reader t name =
       | None -> Value.Null)
 
 let set_slot t oid name v =
-  let cell = find_exn t oid in
-  let old = Hashtbl.find_opt cell.slots name in
-  Hashtbl.replace cell.slots name v;
+  Hashtbl.replace (find_exn t oid).slots name v;
   Metrics.incr m_writes;
-  log t (Set_slot (oid, name, v));
-  record t (fun () ->
-      match old with
-      | None ->
-        Hashtbl.remove cell.slots name;
-        log t (Remove_slot (oid, name))
-      | Some v ->
-        Hashtbl.replace cell.slots name v;
-        log t (Set_slot (oid, name, v)))
+  log t (Set_slot (oid, name, v))
 
 let alloc_with t ~tag bindings =
   let oid = alloc t ~tag in
@@ -173,15 +128,11 @@ let alloc_with t ~tag bindings =
 
 let remove_slot t oid name =
   let cell = find_exn t oid in
-  match Hashtbl.find_opt cell.slots name with
-  | None -> ()
-  | Some old ->
+  if Hashtbl.mem cell.slots name then begin
     Hashtbl.remove cell.slots name;
     Metrics.incr m_writes;
-    log t (Remove_slot (oid, name));
-    record t (fun () ->
-        Hashtbl.replace cell.slots name old;
-        log t (Set_slot (oid, name, old)))
+    log t (Remove_slot (oid, name))
+  end
 
 let slots t oid =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) (find_exn t oid).slots []
@@ -193,22 +144,16 @@ let copy_slots t ~src ~dst =
 
 let swap_identity t a b =
   let ca = find_exn t a and cb = find_exn t b in
-  let tag_a = ca.tag and tag_b = cb.tag in
-  let slots_a = Hashtbl.copy ca.slots and slots_b = Hashtbl.copy cb.slots in
+  let tag_a = ca.tag and slots_a = Hashtbl.copy ca.slots in
   let assign (c : cell) tag slots =
     c.tag <- tag;
     Hashtbl.reset c.slots;
     Hashtbl.iter (fun k v -> Hashtbl.replace c.slots k v) slots
   in
-  assign ca tag_b slots_b;
+  assign ca cb.tag cb.slots;
   assign cb tag_a slots_a;
   Metrics.incr m_swaps;
-  log t (Swap (a, b));
-  record t (fun () ->
-      assign ca tag_a slots_a;
-      assign cb tag_b slots_b;
-      (* swapping is an involution, so the compensation is the same op *)
-      log t (Swap (a, b)))
+  log t (Swap (a, b))
 
 (* Ascending-OID order (a strengthening of the old arbitrary hash
    order). *)
@@ -232,45 +177,3 @@ let fold_range t ~lo ~hi ~init ~f =
   !acc
 
 let cell_count t = t.live
-
-let data_bytes t =
-  fold t ~init:0 ~f:(fun acc c ->
-      Hashtbl.fold (fun _ v acc -> acc + Value.size_bytes v) c.slots acc)
-
-let push_journal t = t.journals <- ref [] :: t.journals
-
-let pop_journal_commit t =
-  match t.journals with
-  | [] -> invalid_arg "Heap.pop_journal_commit: no open journal"
-  | j :: rest ->
-    t.journals <- rest;
-    (* A committed nested journal folds its undo entries into the parent so
-       an outer abort still reverses them. *)
-    (match rest with
-    | [] -> ()
-    | parent :: _ -> parent := !j @ !parent)
-
-let pop_journal_abort t =
-  match t.journals with
-  | [] -> invalid_arg "Heap.pop_journal_abort: no open journal"
-  | j :: rest ->
-    Metrics.incr m_rollbacks;
-    (* Entries must not re-journal while undoing. *)
-    t.journals <- [];
-    (* An entry that fails to undo must not abandon the rest of the
-       rollback: later (= earlier-recorded) entries are still reversed and
-       the journal stack stays balanced; the first error is re-raised. *)
-    let deferred = ref None in
-    List.iter
-      (fun undo ->
-        match
-          Failpoint.hit fp_rollback;
-          undo ()
-        with
-        | () -> ()
-        | exception e -> if !deferred = None then deferred := Some e)
-      !j;
-    t.journals <- rest;
-    (match !deferred with Some e -> raise e | None -> ())
-
-let journal_depth t = List.length t.journals

@@ -27,6 +27,8 @@ let pp_report ppf r =
     (match r.reason with None -> "" | Some why -> ": " ^ why);
   Format.fprintf ppf "@]"
 
+(* Idempotent for re-allocation: an [Alloc] of a live OID just refreshes
+   the tag. *)
 let apply_op heap = function
   | Heap.Alloc (oid, tag) ->
     if Heap.mem heap oid then Heap.set_tag heap oid tag

@@ -34,7 +34,3 @@ val replay :
     (snapshot and log disagree about what exists — distinct from tail
     corruption, which is handled); the log is truncated before the
     offending batch first. *)
-
-val apply_op : Heap.t -> Heap.op -> unit
-(** Apply one physical op (idempotent for re-allocation: an [Alloc] of a
-    live OID just refreshes the tag). *)

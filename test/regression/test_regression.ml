@@ -307,6 +307,64 @@ let constant_conjunct () =
         ("3 or age >= 0", three || attr "age" >= int 0);
       ]
 
+(* Partial OCC commit. [Occ.commit] applied a session's buffered writes
+   one [set_attr] at a time, so a session that wrote [o1.age 99] and then
+   a non-integer age on [o2] raised [Type_error] with [o1.age] already 99
+   and its heap ops waiting in [Durable]'s pending list for the next
+   commit. Every write is now checked before any is applied: the raised
+   commit leaves the database, the log and a reopen as they were. *)
+let occ_partial_commit () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tse_regress_occ_%d" (Unix.getpid ()))
+  in
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end;
+  Unix.mkdir dir 0o755;
+  let uni = University.build () in
+  let o1, o2 =
+    match University.populate uni ~n:4 with
+    | o1 :: o2 :: _ -> (o1, o2)
+    | _ -> assert false
+  in
+  ignore
+    (Tse_algebra.Ops.select uni.db ~name:"Adult" ~src:uni.person
+       Expr.(attr "age" >= int 30));
+  let image db =
+    Durable.image_to_string ~seq:0
+      ~schema:(Schema_codec.encode_graph (Database.graph db))
+      ~exts:[] db
+  in
+  Out_channel.with_open_bin (Filename.concat dir "snapshot") (fun oc ->
+      output_string oc (image uni.db));
+  let d, _ = Durable.open_dir ~dir () in
+  let db = Durable.db d in
+  let before = image db in
+  let s = Tse_concurrency.Occ.begin_session (Tse_concurrency.Occ.create db) in
+  Tse_concurrency.Occ.write s o1 "age" (Value.Int 99);
+  Tse_concurrency.Occ.write s o2 "age" (Value.String "not an int");
+  (match Tse_concurrency.Occ.commit s with
+  | _ -> Alcotest.fail "expected the nonconforming write to raise"
+  | exception Expr.Type_error _ -> ());
+  Alcotest.(check bool) "session closed" false (Tse_concurrency.Occ.is_active s);
+  Alcotest.check
+    (Alcotest.testable Value.pp Value.equal)
+    "o1.age untouched" (Value.Int 18) (Database.get_prop db o1 "age");
+  Alcotest.(check (list string)) "consistent" [] (Database.check db);
+  let seq = Durable.seq d in
+  Durable.commit d;
+  Alcotest.(check int) "nothing pending to log" seq (Durable.seq d);
+  Durable.close d;
+  let d2, _ = Durable.open_dir ~dir () in
+  Alcotest.(check bool) "reopen matches the image before the session" true
+    (String.equal before (image (Durable.db d2)));
+  Durable.close d2;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let () =
   let corpus =
     [
@@ -344,4 +402,7 @@ let () =
       ( "constant-conjunct",
         [ Alcotest.test_case "a non-boolean constant reads false everywhere"
             `Quick constant_conjunct ] );
+      ( "occ-partial-commit",
+        [ Alcotest.test_case "a raised commit applies none of its writes"
+            `Quick occ_partial_commit ] );
     ]

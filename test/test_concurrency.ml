@@ -265,6 +265,117 @@ let test_retry_commits_through_durable () =
     (Database.get_prop (Durable.db d2) o "age");
   Durable.close d2
 
+(* All or nothing. Random sessions on a populated University with an
+   age-driven select class mix valid writes with nonconforming values, a
+   method name and unknown attributes — every name declared on a base
+   class, so no write of a session can move another out of the class
+   that stores it. A commit either raises with none of its writes
+   visible, or returns with all of them; the database stays consistent
+   either way, and a reader of a failed commit's object still
+   validates. *)
+type write_kind = Age | Name | Gpa | Bad_age | Method | Unknown
+
+let prop_commit_all_or_nothing =
+  let kind_gen = QCheck.Gen.oneofl [ Age; Name; Gpa; Bad_age; Method; Unknown ] in
+  let write_gen = QCheck.Gen.(triple (int_bound 11) kind_gen (int_bound 80)) in
+  let session_gen = QCheck.Gen.(list_size (int_range 1 5) write_gen) in
+  let print_write (i, k, n) =
+    let what =
+      match k with
+      | Age -> "age"
+      | Name -> "name"
+      | Gpa -> "gpa"
+      | Bad_age -> "age:string"
+      | Method -> "method"
+      | Unknown -> "nosuch"
+    in
+    Printf.sprintf "o%d.%s=%d" i what n
+  in
+  let print sessions =
+    String.concat " | "
+      (List.map (fun ws -> String.concat " " (List.map print_write ws)) sessions)
+  in
+  QCheck.Test.make ~name:"an OCC commit is all or nothing" ~count:100
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 6) session_gen))
+    (fun sessions ->
+      let u = Tse_workload.University.build () in
+      let db = u.db in
+      Tse_schema.Schema_graph.add_local_prop (Database.graph db) u.person
+        (Tse_schema.Prop.method_ ~origin:u.person "next_age"
+           (Tse_schema.Expr.int 1));
+      let objs = Array.of_list (Tse_workload.University.populate u ~n:12) in
+      ignore
+        (Tse_algebra.Ops.select db ~name:"Adult" ~src:u.person
+           Tse_schema.Expr.(attr "age" >= int 30));
+      let occ = Occ.create db in
+      let peek o name =
+        match Database.get_prop db o name with
+        | v -> Some v
+        | exception _ -> None
+      in
+      let write_of (i, k, n) =
+        let o = objs.(i) in
+        let name, v =
+          match k with
+          | Age -> ("age", Value.Int n)
+          | Name -> ("name", Value.String (Printf.sprintf "n%d" n))
+          | Gpa -> ("gpa", Value.Float (float_of_int n /. 20.))
+          | Bad_age -> ("age", Value.String "not an int")
+          | Method -> ("next_age", Value.Int n)
+          | Unknown -> ("nosuch", Value.Int n)
+        in
+        let valid =
+          match k with
+          | Age | Name -> true
+          | Gpa -> Database.is_member db o u.student
+          | Bad_age | Method | Unknown -> false
+        in
+        (o, name, v, valid)
+      in
+      List.for_all
+        (fun ws ->
+          let ws = List.map write_of ws in
+          let before = List.map (fun (o, name, _, _) -> peek o name) ws in
+          let s = Occ.begin_session occ in
+          List.iter (fun (o, name, v, _) -> Occ.write s o name v) ws;
+          let reader = Occ.begin_session occ in
+          (match ws with
+          | (o, _, _, _) :: _ -> ignore (Occ.read reader o "age")
+          | [] -> ());
+          let committed =
+            match Occ.commit s with
+            | Ok () -> true
+            | Error _ -> QCheck.Test.fail_report "unexpected conflict"
+            | exception _ -> false
+          in
+          (* the newest write of each (object, name) is what a commit
+             leaves visible *)
+          let newest o name =
+            List.fold_left
+              (fun acc (o', n, v, _) ->
+                if Oid.equal o o' && String.equal n name then Some v else acc)
+              None ws
+          in
+          let visible =
+            if committed then
+              List.for_all
+                (fun (o, name, _, _) ->
+                  Option.equal Value.equal (peek o name) (newest o name))
+                ws
+            else
+              List.for_all2
+                (fun (o, name, _, _) was ->
+                  Option.equal Value.equal (peek o name) was)
+                ws before
+          in
+          let reader_validates = Result.is_ok (Occ.commit reader) in
+          Bool.equal committed (List.for_all (fun (_, _, _, ok) -> ok) ws)
+          && visible
+          && (not (Occ.is_active s))
+          && Database.check db = []
+          && (committed || reader_validates))
+        sessions)
+
 let suite =
   [
     Alcotest.test_case "commit applies buffered writes" `Quick
@@ -293,4 +404,5 @@ let suite =
       test_retry_propagates_exceptions;
     Alcotest.test_case "retry: winners reach the durable layer" `Quick
       test_retry_commits_through_durable;
+    Qcheck_det.to_alcotest prop_commit_all_or_nothing;
   ]

@@ -1,4 +1,4 @@
-(* Tests for the storage substrate: OIDs, values, heap, txn, index,
+(* Tests for the storage substrate: OIDs, values, heap, index,
    snapshots. *)
 
 open Tse_store
@@ -81,105 +81,6 @@ let test_heap_swap_identity () =
   check Alcotest.string "b has a's tag" "A" (Heap.tag_of h b);
   check vpp "b has a's x" (Value.Int 1) (Heap.get_slot h b "x");
   check vpp "b lost y" Value.Null (Heap.get_slot h b "y")
-
-let test_txn_abort () =
-  let h = Heap.create () in
-  let keep = Heap.alloc_with h ~tag:"K" [ ("v", Value.Int 1) ] in
-  let result =
-    Txn.with_txn h (fun () ->
-        let o = Heap.alloc h ~tag:"T" in
-        Heap.set_slot h o "v" (Value.Int 9);
-        Heap.set_slot h keep "v" (Value.Int 2);
-        Heap.free h keep;
-        raise Txn.Abort)
-  in
-  Alcotest.(check bool) "aborted" true (result = None);
-  Alcotest.(check bool) "keep restored" true (Heap.mem h keep);
-  check vpp "keep value restored" (Value.Int 1) (Heap.get_slot h keep "v");
-  check Alcotest.int "no leaked cells" 1 (Heap.cell_count h);
-  check Alcotest.int "journals closed" 0 (Heap.journal_depth h)
-
-let test_txn_commit_and_nesting () =
-  let h = Heap.create () in
-  let o = Heap.alloc_with h ~tag:"O" [ ("v", Value.Int 0) ] in
-  let r =
-    Txn.with_txn h (fun () ->
-        Heap.set_slot h o "v" (Value.Int 1);
-        (* inner committed txn must still be undone by outer abort *)
-        ignore (Txn.with_txn h (fun () -> Heap.set_slot h o "v" (Value.Int 2)));
-        raise Txn.Abort)
-  in
-  Alcotest.(check bool) "outer aborted" true (r = None);
-  check vpp "inner commit undone by outer abort" (Value.Int 0)
-    (Heap.get_slot h o "v");
-  ignore (Txn.with_txn h (fun () -> Heap.set_slot h o "v" (Value.Int 5)));
-  check vpp "commit sticks" (Value.Int 5) (Heap.get_slot h o "v")
-
-let test_txn_inner_abort_outer_commit () =
-  let h = Heap.create () in
-  let o = Heap.alloc_with h ~tag:"O" [ ("a", Value.Int 0) ] in
-  let r =
-    Txn.with_txn h (fun () ->
-        Heap.set_slot h o "a" (Value.Int 1);
-        (* inner abort must roll back only its own changes *)
-        let inner =
-          Txn.with_txn h (fun () ->
-              Heap.set_slot h o "b" (Value.Int 2);
-              Heap.set_tag h o "Rolled";
-              raise Txn.Abort)
-        in
-        Alcotest.(check bool) "inner aborted" true (inner = None);
-        Heap.set_slot h o "c" (Value.Int 3);
-        ())
-  in
-  Alcotest.(check bool) "outer committed" true (r = Some ());
-  check vpp "outer write before inner" (Value.Int 1) (Heap.get_slot h o "a");
-  check vpp "inner write undone" Value.Null (Heap.get_slot h o "b");
-  check Alcotest.string "inner tag change undone" "O" (Heap.tag_of h o);
-  check vpp "outer write after inner" (Value.Int 3) (Heap.get_slot h o "c");
-  check Alcotest.int "journals closed" 0 (Heap.journal_depth h)
-
-let test_txn_rollback_restores_slots_and_tag () =
-  let h = Heap.create () in
-  let o =
-    Heap.alloc_with h ~tag:"Person"
-      [ ("name", Value.String "ann"); ("age", Value.Int 30) ]
-  in
-  let r =
-    Txn.with_txn h (fun () ->
-        Heap.set_tag h o "Student";
-        Heap.set_slot h o "age" (Value.Int 31);
-        Heap.remove_slot h o "name";
-        Heap.set_slot h o "gpa" (Value.Float 3.5);
-        raise Txn.Abort)
-  in
-  Alcotest.(check bool) "aborted" true (r = None);
-  check Alcotest.string "tag restored" "Person" (Heap.tag_of h o);
-  check vpp "overwritten slot restored" (Value.Int 30) (Heap.get_slot h o "age");
-  check vpp "removed slot restored" (Value.String "ann")
-    (Heap.get_slot h o "name");
-  check vpp "added slot gone" Value.Null (Heap.get_slot h o "gpa")
-
-let test_txn_rollback_exception () =
-  let h = Heap.create () in
-  let o = Heap.alloc_with h ~tag:"O" [ ("a", Value.Int 1) ] in
-  (* the first undo (of the newest entry) faults; the rest of the
-     rollback must still run, the journal stack must stay balanced, and
-     the error must surface *)
-  Failpoint.arm "txn.rollback" Failpoint.Error_now;
-  (try
-     ignore
-       (Txn.with_txn h (fun () ->
-            Heap.set_slot h o "a" (Value.Int 2);
-            Heap.set_slot h o "b" (Value.Int 3);
-            raise Txn.Abort));
-     Alcotest.fail "expected the rollback error to propagate"
-   with Failpoint.Io_error _ -> ());
-  Failpoint.reset ();
-  check Alcotest.int "journals closed" 0 (Heap.journal_depth h);
-  check vpp "older entry still undone" (Value.Int 1) (Heap.get_slot h o "a");
-  check vpp "faulted entry's change survives" (Value.Int 3)
-    (Heap.get_slot h o "b")
 
 let test_index () =
   let idx = Index.create () in
@@ -465,15 +366,6 @@ let suite =
     Alcotest.test_case "value type codec roundtrip" `Quick test_value_ty_codec;
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
     Alcotest.test_case "heap identity swap" `Quick test_heap_swap_identity;
-    Alcotest.test_case "txn abort rolls back" `Quick test_txn_abort;
-    Alcotest.test_case "txn commit and nesting" `Quick
-      test_txn_commit_and_nesting;
-    Alcotest.test_case "txn inner abort, outer commit" `Quick
-      test_txn_inner_abort_outer_commit;
-    Alcotest.test_case "txn rollback restores slots and tag" `Quick
-      test_txn_rollback_restores_slots_and_tag;
-    Alcotest.test_case "txn rollback survives a faulting undo" `Quick
-      test_txn_rollback_exception;
     Alcotest.test_case "hash index" `Quick test_index;
     Alcotest.test_case "ordered index distinct-key count" `Quick
       test_ord_index_distinct_keys;
