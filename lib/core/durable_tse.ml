@@ -6,12 +6,20 @@ module History_codec = Tse_views.History_codec
 (* Crash-atomic transparent schema evolution over a durable database.
 
    An evolution is durable the way every other write is: its physical
-   effects (heap ops, base memberships, the schema image and the
-   encoded view history) are committed as one checksummed WAL batch and
-   synced before [evolve_many] answers [Ok]. Recovery is the store's
-   physical replay and nothing else. A crash before that batch is whole
-   on disk leaves no trace of the evolution (pre-evolution state); once
-   it is, replay lands on the post-evolution state.
+   effects (heap ops, base memberships, the records of the classes it
+   created or edited, and the view versions it registered) are
+   committed as one checksummed WAL batch and synced before
+   [evolve_many] answers [Ok]. Recovery is the store's physical replay
+   and nothing else. A crash before that batch is whole on disk leaves
+   no trace of the evolution (pre-evolution state); once it is, replay
+   lands on the post-evolution state.
+
+   The view history only grows, so the log carries each version once:
+   the handle remembers how many versions of its history the log holds
+   ([logged]) and stages only those registered after that point,
+   whichever path registered them ([Merge.merge_views] on the [Tsem],
+   say). The store appends them to the ["views"] blob, and a checkpoint
+   writes that blob whole.
 
    Before any of this, the first change is prechecked ([Tsem.precheck]:
    admission and the translator's preconditions, which mutate nothing).
@@ -21,13 +29,19 @@ module History_codec = Tse_views.History_codec
 type t = {
   mutable d : Durable.t;
   mutable tsem : Tsem.t;
+  mutable logged : int;  (* versions of the history the log holds *)
   dir : string;
   policy : Durable.sync_policy option;
 }
 
-let stage_views d tsem =
-  Durable.stage_ext d ~tag:History_codec.tag
-    (History_codec.encode (Tsem.history tsem))
+let stage_views t =
+  let history = Tsem.history t.tsem in
+  match History.since history t.logged with
+  | [] -> ()
+  | fresh ->
+    Durable.append_ext t.d ~tag:History_codec.tag
+      (History_codec.encode_versions fresh);
+    t.logged <- History.total_versions history
 
 let open_dir ?policy ~dir () =
   let d, report = Durable.open_dir ?policy ~dir () in
@@ -37,7 +51,7 @@ let open_dir ?policy ~dir () =
     | None -> History.create ()
   in
   let tsem = Tsem.of_database ~history (Durable.db d) in
-  ({ d; tsem; dir; policy }, report)
+  ({ d; tsem; logged = History.total_versions history; dir; policy }, report)
 
 let db t = Durable.db t.d
 let tsem t = t.tsem
@@ -49,11 +63,12 @@ let current t view = Tsem.current t.tsem view
 let reopen t =
   let fresh, _report = open_dir ?policy:t.policy ~dir:t.dir () in
   t.d <- fresh.d;
-  t.tsem <- fresh.tsem
+  t.tsem <- fresh.tsem;
+  t.logged <- fresh.logged
 
 let define_view_by_names t ~name ?complete_closure names =
   let v = Tsem.define_view_by_names t.tsem ~name ?complete_closure names in
-  stage_views t.d t.tsem;
+  stage_views t;
   Durable.commit t.d;
   v
 
@@ -82,7 +97,7 @@ let evolve_many t ~view changes =
       with
       | new_view ->
         (* one batch carries every effect; [Ok] means it is on disk *)
-        stage_views t.d t.tsem;
+        stage_views t;
         Durable.commit t.d;
         Durable.sync t.d;
         Ok new_view
@@ -102,12 +117,18 @@ let evolve_many t ~view changes =
 
 let evolve t ~view change = evolve_many t ~view [ change ]
 
-let commit t = Durable.commit t.d
+let commit t =
+  stage_views t;
+  Durable.commit t.d
+
 let sync t = Durable.sync t.d
-let checkpoint t = Durable.checkpoint t.d
+
+let checkpoint t =
+  stage_views t;
+  Durable.checkpoint t.d
 
 let close t =
-  stage_views t.d t.tsem;
+  stage_views t;
   Durable.close t.d
 
 let abandon t = Durable.abandon t.d

@@ -1,9 +1,11 @@
 (** Crash-atomic transparent schema evolution: {!Tsem} over a
     {!Tse_db.Durable} database. An evolution commits like any other
     write: every physical effect — heap ops, base memberships, the
-    schema image and the encoded view history — goes into one
-    checksummed WAL batch, synced before {!evolve_many} answers [Ok]
-    under every sync policy.
+    records of the classes it created, edited or removed, and the view
+    versions it registered — goes into one checksummed WAL batch, synced
+    before {!evolve_many} answers [Ok] under every sync policy. The log
+    carries each view version once; a checkpoint writes the whole
+    history.
 
     The guarantee: whatever instant the process dies at — during any
     evolve phase (change/derive/classify/integrate/reclassify) or
@@ -23,7 +25,8 @@ val open_dir :
   t * Tse_store.Recovery.report
 (** Open (or create) the durable database and wrap it in a {!Tsem}
     whose view history is restored from the durable ["views"] extension
-    blob. The report is the log replay's ({!Tse_db.Durable.open_dir}). *)
+    blob, every logged version folded in. The report is the log
+    replay's ({!Tse_db.Durable.open_dir}). *)
 
 val db : t -> Tse_db.Database.t
 val tsem : t -> Tsem.t
@@ -40,8 +43,8 @@ val define_view_by_names :
   ?complete_closure:bool ->
   string list ->
   Tse_views.View_schema.t
-(** Define version 0 of a view and persist it (history blob + schema)
-    in one commit. *)
+(** Define version 0 of a view and persist it (the new version and any
+    schema edits) in one commit. *)
 
 val evolve_many :
   t -> view:string -> Change.t list -> (Tse_views.View_schema.t, string) result
@@ -76,10 +79,15 @@ val evolve :
   t -> view:string -> Change.t -> (Tse_views.View_schema.t, string) result
 
 val commit : t -> unit
-(** Persist buffered object/data traffic (see {!Tse_db.Durable.commit}). *)
+(** Persist buffered object/data traffic (see {!Tse_db.Durable.commit})
+    and any view version registered on {!tsem} since the log last took
+    one ([Merge.merge_views], say). *)
 
 val sync : t -> unit
+
 val checkpoint : t -> unit
+(** {!commit}, then fold everything into a snapshot
+    ({!Tse_db.Durable.checkpoint}). *)
 
 val close : t -> unit
 

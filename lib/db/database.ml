@@ -674,6 +674,14 @@ let minimal_bases t set =
            set))
     set
 
+let destroy_object t o =
+  if t.full_reclassify then remove_from_extents t o
+  else List.iter (fun c -> extent_remove t c o) (member_classes t o);
+  Oid.Tbl.remove t.base_member o;
+  forget_resolution t o;
+  Slicing.destroy_object t.model o;
+  notify t (Object_destroyed o)
+
 let create_object ?(init = []) t cid =
   let k = Schema_graph.find_exn t.graph cid in
   if Klass.is_virtual k then
@@ -692,16 +700,14 @@ let create_object ?(init = []) t cid =
   (* classify first so attributes carried by refine slices are storable;
      each assignment re-derives select-class memberships *)
   reclassify t o;
-  List.iter (fun (name, v) -> set_attr t o name v) init;
+  (* all or nothing: a write that raises takes the new object with it,
+     so no half-initialized object is left for the next commit to log *)
+  (try List.iter (fun (name, v) -> set_attr t o name v) init
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     destroy_object t o;
+     Printexc.raise_with_backtrace e bt);
   o
-
-let destroy_object t o =
-  if t.full_reclassify then remove_from_extents t o
-  else List.iter (fun c -> extent_remove t c o) (member_classes t o);
-  Oid.Tbl.remove t.base_member o;
-  forget_resolution t o;
-  Slicing.destroy_object t.model o;
-  notify t (Object_destroyed o)
 
 let add_base_membership t o cid =
   let k = Schema_graph.find_exn t.graph cid in

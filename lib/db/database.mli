@@ -39,7 +39,9 @@ val create_object :
   ?init:(string * Tse_store.Value.t) list -> t -> cid -> Tse_store.Oid.t
 (** Create a conceptual object as a member of the given {e base} class,
     assign the listed attributes, then derive its virtual-class
-    memberships.
+    memberships. All or nothing: if an init write raises (an unknown
+    attribute, a nonconforming value), the new object is destroyed
+    before the exception escapes.
     @raise Invalid_argument if the class is virtual (update operators
     translate virtual-class creation into base-class creation). *)
 

@@ -25,10 +25,13 @@ type t = {
   mutable seq : int;  (* last appended batch *)
   mutable pending : Heap.op list;  (* newest first *)
   dirty_bases : unit Oid.Tbl.t;
-  mutable last_schema : string;  (* last durable schema image *)
-  mutable last_stamp : int;  (* graph version [last_schema] was encoded at *)
-  ext_last : (string, string) Hashtbl.t;  (* last durable blob per ext tag *)
-  ext_staged : (string, string) Hashtbl.t;  (* staged for the next commit *)
+  mutable schema_imaged : bool;  (* a whole schema image is durable *)
+  mutable last_stamp : int;  (* graph version the durable schema is at *)
+  exts : (string, string list) Hashtbl.t;
+      (* durable blob per ext tag, as pieces newest first: a whole blob,
+         then the lists appended to it *)
+  mutable staged : Wal.entry list;
+      (* appended lists for the next commit, newest first *)
   mutable policy : sync_policy;
   mutable unsynced : int;  (* commits appended since the last sync barrier *)
   mutable closed : bool;
@@ -40,11 +43,16 @@ let seq t = t.seq
 let snapshot_path dir = Filename.concat dir "snapshot"
 let wal_path dir = Filename.concat dir "wal"
 
-(* every whole-graph encode this module makes goes through here, so the
-   counter shows how often the write path pays for one *)
+(* every schema encode this module makes, whole graph or class delta,
+   goes through one of these two, so the counter shows how often the
+   write path pays for one *)
 let encode_schema db =
   Metrics.incr m_schema_encodes;
   Schema_codec.encode_graph (Database.graph db)
+
+let encode_delta delta =
+  Metrics.incr m_schema_encodes;
+  Schema_codec.encode_delta delta
 
 let check_policy = function
   | Group n when n < 1 ->
@@ -76,6 +84,32 @@ let env_policy () =
   | Some s -> policy_of_string s
 
 let () = Storage.declare_failpoints "checkpoint"
+
+(* ------------------------------------------------------------------ *)
+(* Extension blobs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The log tags an appended list with its blob's tag behind a '+'. *)
+let append_prefix = '+'
+
+(* Fold one logged [Ext] entry into the per-tag pieces: a whole blob
+   replaces what the tag held, an appended list goes on top. *)
+let fold_ext exts tag blob =
+  if String.length tag > 1 && tag.[0] = append_prefix then
+    let tag = String.sub tag 1 (String.length tag - 1) in
+    let pieces = Option.value (Hashtbl.find_opt exts tag) ~default:[] in
+    Hashtbl.replace exts tag (blob :: pieces)
+  else Hashtbl.replace exts tag [ blob ]
+
+(* A tag's blob with its appended lists folded in, kept folded. *)
+let ext_blob exts tag =
+  match Hashtbl.find_opt exts tag with
+  | None | Some [] -> None
+  | Some [ blob ] -> Some blob
+  | Some pieces ->
+    let blob = Codec.concat_lists (List.rev pieces) in
+    Hashtbl.replace exts tag [ blob ];
+    Some blob
 
 (* ------------------------------------------------------------------ *)
 (* The database image                                                  *)
@@ -210,14 +244,17 @@ let parse_image text =
         (String.sub text heap_start (String.length text - heap_start));
   }
 
-(* the graph decodes against the heap's OID generator; memberships of
+(* the graph decodes against the heap's OID generator, with the class
+   deltas logged since the image applied in log order; memberships of
    objects the heap no longer holds are dropped *)
-let restore ~heap ~schema ~bases =
+let restore ~heap ~schema ~deltas ~bases =
   let gen = Heap.gen heap in
   let graph =
-    match schema with
-    | Some blob -> Schema_codec.decode_graph ~gen blob
-    | None -> Schema_graph.create ~gen
+    match schema, deltas with
+    | Some blob, deltas -> Schema_codec.decode_graph ~deltas ~gen blob
+    | None, [] -> Schema_graph.create ~gen
+    | None, _ :: _ ->
+      failwith "Durable: schema: a class delta without a schema image"
   in
   Database.restore ~heap ~graph
     ~bases:(List.filter (fun (o, _) -> Heap.mem heap o) bases)
@@ -225,7 +262,9 @@ let restore ~heap ~schema ~bases =
 let image_of_string text =
   try
     let s = parse_image text in
-    (s.seq, restore ~heap:s.heap ~schema:s.schema ~bases:s.bases, s.exts)
+    ( s.seq,
+      restore ~heap:s.heap ~schema:s.schema ~deltas:[] ~bases:s.bases,
+      s.exts )
   with Codec.Corrupt (what, pos) ->
     failwith (Printf.sprintf "%s at %d" what pos)
 
@@ -268,29 +307,34 @@ let open_dir ?policy ~dir () =
     else { seq = 0; schema = None; bases = []; exts = []; heap = Heap.create () }
   in
   let heap = snap.heap in
-  (* replay the log tail: heap ops directly, extension entries into the
-     latest schema image, a base-membership overlay, and an opaque
-     last-blob-wins table for every other tag (upper layers interpret
-     those through {!ext}) *)
+  (* replay the log tail: heap ops directly, whole schema images and the
+     class deltas logged after the latest one, a base-membership overlay,
+     and opaque per-tag blobs for every other tag, whole or appended to
+     (upper layers interpret those through {!ext}) *)
   let latest_schema = ref snap.schema in
+  let deltas = ref [] in
   let bases_tbl = Oid.Tbl.create 64 in
   List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids) snap.bases;
-  let ext_last : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  List.iter (fun (tag, blob) -> Hashtbl.replace ext_last tag blob) snap.exts;
+  let exts = Hashtbl.create 4 in
+  List.iter (fun (tag, blob) -> Hashtbl.replace exts tag [ blob ]) snap.exts;
   let on_ext kind blob =
     match kind with
-    | "schema" -> latest_schema := Some blob
+    | "schema" ->
+      latest_schema := Some blob;
+      deltas := []
+    | "classes" -> deltas := blob :: !deltas
     | "bases" ->
       List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids)
         (decode_bases blob)
-    | other -> Hashtbl.replace ext_last other blob
+    | tag -> fold_ext exts tag blob
   in
   let report =
     Recovery.replay ~heap ~path:(wal_path dir) ~after:snap.seq ~on_ext
   in
   let bases = Oid.Tbl.fold (fun o cids acc -> (o, cids) :: acc) bases_tbl [] in
   let database =
-    try restore ~heap ~schema:!latest_schema ~bases
+    try
+      restore ~heap ~schema:!latest_schema ~deltas:(List.rev !deltas) ~bases
     with Codec.Corrupt (what, pos) ->
       failwith (Printf.sprintf "Durable: schema: %s at %d" what pos)
   in
@@ -303,10 +347,10 @@ let open_dir ?policy ~dir () =
       seq;
       pending = [];
       dirty_bases = Oid.Tbl.create 16;
-      last_schema = encode_schema database;
+      schema_imaged = Option.is_some !latest_schema;
       last_stamp = Schema_graph.version (Database.graph database);
-      ext_last;
-      ext_staged = Hashtbl.create 4;
+      exts;
+      staged = [];
       policy;
       unsynced = 0;
       closed = false;
@@ -339,20 +383,18 @@ let set_policy t p =
   sync t;
   t.policy <- p
 
-let stage_ext t ~tag blob =
-  check_open t "stage_ext";
+let append_ext t ~tag items =
+  check_open t "append_ext";
   (match tag with
-  | "schema" | "bases" ->
-    invalid_arg (Printf.sprintf "Durable.stage_ext: reserved tag %s" tag)
+  | "schema" | "classes" | "bases" ->
+    invalid_arg (Printf.sprintf "Durable.append_ext: reserved tag %s" tag)
   | _ -> ());
-  if String.contains tag ' ' || String.contains tag '\n' then
-    invalid_arg (Printf.sprintf "Durable.stage_ext: bad tag %S" tag);
-  Hashtbl.replace t.ext_staged tag blob
+  if tag = "" || tag.[0] = append_prefix || String.contains tag ' '
+     || String.contains tag '\n'
+  then invalid_arg (Printf.sprintf "Durable.append_ext: bad tag %S" tag);
+  t.staged <- Wal.Ext (String.make 1 append_prefix ^ tag, items) :: t.staged
 
-let ext t tag =
-  match Hashtbl.find_opt t.ext_staged tag with
-  | Some blob -> Some blob
-  | None -> Hashtbl.find_opt t.ext_last tag
+let ext (t : t) tag = ext_blob t.exts tag
 
 let commit t =
   check_open t "commit";
@@ -368,31 +410,22 @@ let commit t =
       in
       [ Wal.Ext ("bases", encode_bases (List.map (base_entry db) dirty)) ]
   in
-  (* the schema is re-encoded only when the graph version moved since the
-     last durable image; a moved version with byte-identical bytes still
-     logs nothing *)
-  let stamp = Schema_graph.version (Database.graph db) in
-  let schema =
-    if stamp = t.last_stamp then t.last_schema else encode_schema db
-  in
+  (* the schema is logged only when the graph version moved since the
+     durable schema: as the records of the classes edited or removed
+     since then, or whole while no whole image is durable yet *)
+  let graph = Database.graph db in
+  let stamp = Schema_graph.version graph in
   let schema_entry =
-    if String.equal schema t.last_schema then []
-    else [ Wal.Ext ("schema", schema) ]
+    if stamp = t.last_stamp then []
+    else if not t.schema_imaged then [ Wal.Ext ("schema", encode_schema db) ]
+    else
+      match Schema_graph.changed_since graph t.last_stamp with
+      | [], [] -> []
+      | delta -> [ Wal.Ext ("classes", encode_delta delta) ]
   in
-  let ext_entries =
-    Hashtbl.fold
-      (fun tag blob acc ->
-        if Hashtbl.find_opt t.ext_last tag = Some blob then acc
-        else (tag, blob) :: acc)
-      t.ext_staged []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (tag, blob) -> Wal.Ext (tag, blob))
-  in
+  let ext_entries = List.rev t.staged in
   if ops = [] && bases_entry = [] && schema_entry = [] && ext_entries = []
   then begin
-    (* anything staged was byte-identical to the durable image, and so
-       was the schema *)
-    Hashtbl.reset t.ext_staged;
     t.last_stamp <- stamp;
     Metrics.incr m_empty_commits
   end
@@ -411,14 +444,14 @@ let commit t =
     t.seq <- seq;
     t.pending <- [];
     Oid.Tbl.reset t.dirty_bases;
-    t.last_schema <- schema;
+    if schema_entry <> [] then t.schema_imaged <- true;
     t.last_stamp <- stamp;
     List.iter
       (function
-        | Wal.Ext (tag, blob) -> Hashtbl.replace t.ext_last tag blob
-        | _ -> ())
+        | Wal.Ext (tag, blob) -> fold_ext t.exts tag blob
+        | Wal.Op _ | Wal.Gen _ -> ())
       ext_entries;
-    Hashtbl.reset t.ext_staged;
+    t.staged <- [];
     match t.policy with
     | Group n when t.unsynced >= n -> sync t
     | Every_commit | Group _ | Manual -> ()
@@ -432,10 +465,15 @@ let checkpoint t =
   (* the snapshot folds the whole in-memory image, so everything framed
      must be on disk first: a checkpoint is always a sync barrier *)
   sync t;
+  let exts =
+    Hashtbl.fold (fun tag _ acc -> tag :: acc) t.exts []
+    |> List.filter_map (fun tag ->
+           Option.map (fun blob -> (tag, blob)) (ext_blob t.exts tag))
+  in
   Storage.write_atomic ~fp:"checkpoint" ~path:(snapshot_path t.dir)
-    (image_to_string ~seq:t.seq ~schema:t.last_schema
-       ~exts:(Hashtbl.fold (fun tag blob acc -> (tag, blob) :: acc) t.ext_last [])
+    (image_to_string ~seq:t.seq ~schema:(encode_schema t.database) ~exts
        t.database);
+  t.schema_imaged <- true;
   (* a crash before this reset is benign: replay skips seq <= snapshot's *)
   Wal.reset t.wal
 

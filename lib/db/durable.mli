@@ -16,12 +16,14 @@
     observer ({!Tse_store.Heap.set_logger}) and the database's change
     events, so one {!commit} appends exactly one checksummed batch:
     the physical heap ops, an OID-generator watermark, the base
-    memberships that changed, and — only when it differs from the last
-    durable image — the encoded schema graph. The graph is re-encoded
-    only when {!Tse_schema.Schema_graph.version} moved since that image
-    was taken (a data-only commit encodes nothing); a moved version whose
-    encoding is byte-identical to the image still logs no schema.
-    Every encode counts in the [durable.schema_encodes] metric.
+    memberships that changed, and — only when
+    {!Tse_schema.Schema_graph.version} moved since the last commit — a
+    class delta: the records of the classes edited or removed since then
+    ({!Tse_schema.Schema_graph.changed_since}). A data-only commit does
+    no schema work. While no whole schema image is durable (a fresh
+    directory before its first such commit) the commit logs the whole
+    graph instead. Every encode, whole or delta, counts in the
+    [durable.schema_encodes] metric.
 
     {!open_dir} is recovery: load the snapshot (if any), replay the log
     tail, truncating a torn or corrupt tail instead of failing, and
@@ -87,7 +89,7 @@ val image_to_string :
 
     [seq] is the last log batch the image folds (0 outside a durable
     directory); [schema] is [Tse_schema.Schema_codec.encode_graph] of the
-    database's graph, passed in because {!checkpoint} holds it already;
+    database's graph;
     [exts] are the extension blobs, written sorted by tag. The base
     memberships use the codec of the log's ["bases"] entries. *)
 
@@ -115,20 +117,27 @@ val commit : t -> unit
 (** {2 Extension blobs}
 
     Upper layers persist state the store has no schema for (the view
-    history, say) as opaque tagged blobs: {!stage_ext} stages a blob,
-    the next {!commit} logs it (only when it differs from the last
-    durable image, mirroring the schema diffing) in the same atomic
-    batch as that commit's physical ops, and {!checkpoint} folds it
-    into the snapshot. On {!open_dir} the last durable blob per tag is
-    available through {!ext}. *)
+    history, say) as opaque tagged blobs, each a {!Tse_store.Codec}
+    list. {!append_ext} stages items to append to a tag's blob; the next
+    {!commit} logs them in the same atomic batch as that commit's
+    physical ops, and {!checkpoint} writes each tag's blob, appended
+    items folded in, into the snapshot. {!ext} reads a tag's durable
+    blob. *)
 
-val stage_ext : t -> tag:string -> string -> unit
-(** Stage [blob] under [tag] for the next commit. [tag] must not be
-    ["schema"]/["bases"] (the store's own) and must be free of spaces
-    and newlines. @raise Invalid_argument otherwise. *)
+val append_ext : t -> tag:string -> string -> unit
+(** Stage [items], a {!Tse_store.Codec} list, to be appended to the
+    list blob under [tag] (an absent blob counts as the empty list).
+    The log carries only [items], under the tag ["+" ^ tag]; replay and
+    {!ext} fold them in with {!Tse_store.Codec.concat_lists}, which
+    reads nothing but the counts. [tag] must not be ["schema"],
+    ["classes"] or ["bases"] (the store's own), must not start with
+    ['+'] and must be free of spaces and newlines.
+    @raise Invalid_argument otherwise. *)
 
 val ext : t -> string -> string option
-(** The staged blob for a tag, or failing that the last durable one. *)
+(** The tag's durable blob: the last whole one (from the snapshot, or
+    from the log of a build that logged whole blobs) with every list
+    appended after it folded in. Staged items are not included. *)
 
 val sync : t -> unit
 (** Explicit sync barrier: flush every unsynced commit with one write

@@ -147,11 +147,36 @@ let encode_graph graph =
   Codec.add_list buf add_class classes;
   Buffer.contents buf
 
-let decode_graph ~gen s =
+(* A class delta: the records to upsert, then the cids to drop. *)
+let encode_delta (changed, removed) =
+  let buf = Buffer.create 256 in
+  Codec.add_list buf add_class changed;
+  Codec.add_list buf add_cid removed;
+  Buffer.contents buf
+
+let decode_delta s =
+  let changed, pos = Codec.read_list read_class s 0 in
+  let removed, pos = Codec.read_list read_cid s pos in
+  if pos <> String.length s then Codec.fail_at pos "trailing delta bytes";
+  (changed, removed)
+
+let decode_graph ?(deltas = []) ~gen s =
   let root, pos = read_cid s 0 in
   let graph = Schema_graph.restore_empty ~gen ~root in
   let classes, pos = Codec.read_list read_class s pos in
   if pos <> String.length s then Codec.fail_at pos "trailing schema bytes";
-  List.iter (Schema_graph.install graph) classes;
+  (* each delta, in order, upserts its records and drops its cids *)
+  let latest = Oid.Tbl.create 64 in
+  List.iter (fun (k : Klass.t) -> Oid.Tbl.replace latest k.cid k) classes;
+  List.iter
+    (fun delta ->
+      let changed, removed = decode_delta delta in
+      List.iter (fun (k : Klass.t) -> Oid.Tbl.replace latest k.cid k) changed;
+      List.iter (Oid.Tbl.remove latest) removed)
+    deltas;
+  (* installed in cid order, as the image lists them *)
+  Oid.Tbl.fold (fun _ k acc -> k :: acc) latest []
+  |> List.sort (fun (a : Klass.t) b -> Oid.compare a.cid b.cid)
+  |> List.iter (Schema_graph.install graph);
   Schema_graph.relink_subs graph;
   graph

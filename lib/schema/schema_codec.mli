@@ -20,9 +20,17 @@ val read_class : string -> int -> Klass.t * int
 
 val encode_graph : Schema_graph.t -> string
 (** Root cid + every class, sorted by cid — a deterministic image, equal
-    for equal schemas (the durability layer diffs successive images to
-    decide whether a commit must log the schema). *)
+    for equal schemas. *)
 
-val decode_graph : gen:Tse_store.Oid.Gen.t -> string -> Schema_graph.t
+val decode_graph :
+  ?deltas:string list -> gen:Tse_store.Oid.Gen.t -> string -> Schema_graph.t
 (** Rebuild a graph (sharing the heap's OID generator) from
-    {!encode_graph} output. *)
+    {!encode_graph} output, then apply each of [deltas] ({!encode_delta}
+    output) in order: its records replace or join the image's, its
+    removed cids leave. Subclass lists are rebuilt once, after every
+    record is in. *)
+
+val encode_delta : Klass.t list * Klass.cid list -> string
+(** A class delta, as {!Schema_graph.changed_since} lists it: the
+    records to upsert and the cids to drop. The durable log writes one
+    for each commit that moved the graph version. *)

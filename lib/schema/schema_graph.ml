@@ -12,6 +12,10 @@ type t = {
   (* moved by every mutator below: anything derived from the schema is
      valid for one version *)
   mutable version : int;
+  (* the version of each class record's last edit, and of each removal:
+     what [changed_since] reports *)
+  edited : int Oid.Tbl.t;
+  removed : int Oid.Tbl.t;
 }
 
 let gen t = t.gen
@@ -60,6 +64,12 @@ let closure next start =
 
 let touch t = t.version <- t.version + 1
 
+(* a mutator that rewrites [cid]'s record (its name, supers or local
+   properties) moves the version and stamps the class with it *)
+let edit t cid =
+  touch t;
+  Oid.Tbl.replace t.edited cid t.version
+
 let flush_caches t =
   touch t;
   Oid.Tbl.reset t.anc_cache;
@@ -85,7 +95,8 @@ let create ~gen =
   let root = Oid.Gen.fresh gen in
   let t =
     { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-      desc_cache = Oid.Tbl.create 64; version = 0 }
+      desc_cache = Oid.Tbl.create 64; version = 0; edited = Oid.Tbl.create 64;
+      removed = Oid.Tbl.create 4 }
   in
   Oid.Tbl.replace t.classes root
     (Klass.make_base ~cid:root ~name:"Object" ~props:[]);
@@ -104,14 +115,16 @@ let link t ~sup ~sub =
   if not (List.exists (Oid.equal sub) ksup.subs) then begin
     ksup.subs <- ksup.subs @ [ sub ];
     ksub.supers <- ksub.supers @ [ sup ];
-    flush_caches t
+    flush_caches t;
+    Oid.Tbl.replace t.edited sub t.version
   end
 
 let unlink t ~sup ~sub =
   let ksup = find_exn t sup and ksub = find_exn t sub in
   ksup.subs <- List.filter (fun c -> not (Oid.equal c sub)) ksup.subs;
   ksub.supers <- List.filter (fun c -> not (Oid.equal c sup)) ksub.supers;
-  flush_caches t
+  flush_caches t;
+  Oid.Tbl.replace t.edited sub t.version
 
 let add_edge t ~sup ~sub =
   if Oid.equal sup sub then invalid_arg "Schema_graph.add_edge: self edge";
@@ -150,7 +163,7 @@ let register_virtual t ~name derivation props =
   let props = List.map (fun p -> Prop.reoriginate p cid) props in
   let k = Klass.make_virtual ~cid ~name derivation props in
   Oid.Tbl.replace t.classes cid k;
-  touch t;
+  edit t cid;
   cid
 
 let remove t cid =
@@ -159,7 +172,9 @@ let remove t cid =
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
   Oid.Tbl.remove t.classes cid;
-  touch t
+  touch t;
+  Oid.Tbl.remove t.edited cid;
+  Oid.Tbl.replace t.removed cid t.version
 
 (* In-place class edits: no edge moves, so the reachability caches stay. *)
 let add_local_prop t cid (p : Prop.t) =
@@ -169,7 +184,7 @@ let add_local_prop t cid (p : Prop.t) =
       (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
          k.name p.name);
   k.local_props <- k.local_props @ [ p ];
-  touch t
+  edit t cid
 
 let remove_local_prop t cid name =
   let k = find_exn t cid in
@@ -177,13 +192,13 @@ let remove_local_prop t cid name =
     List.filter
       (fun (p : Prop.t) -> not (String.equal p.name name))
       k.local_props;
-  touch t
+  edit t cid
 
 let rename t cid name =
   let k = find_exn t cid in
   if not (String.equal k.name name) then check_fresh_name t name;
   k.name <- name;
-  touch t
+  edit t cid
 
 let subclasses_within t cid ~in_set =
   let seen = ref Oid.Set.empty in
@@ -238,7 +253,8 @@ let copy t =
   let t' =
     { classes = Oid.Tbl.create (size t); gen = t.gen; root = t.root;
       anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
-      version = t.version }
+      version = t.version; edited = Oid.Tbl.copy t.edited;
+      removed = Oid.Tbl.copy t.removed }
   in
   Oid.Tbl.iter
     (fun cid (k : Klass.t) ->
@@ -257,12 +273,15 @@ let copy t =
 let restore_empty ~gen ~root =
   Oid.Gen.mark_used gen root;
   { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-    desc_cache = Oid.Tbl.create 64; version = 0 }
+    desc_cache = Oid.Tbl.create 64; version = 0; edited = Oid.Tbl.create 64;
+    removed = Oid.Tbl.create 4 }
 
 let install t (k : Klass.t) =
   Oid.Gen.mark_used t.gen k.cid;
   Oid.Tbl.replace t.classes k.cid k;
-  flush_caches t
+  flush_caches t;
+  Oid.Tbl.remove t.removed k.cid;
+  Oid.Tbl.replace t.edited k.cid t.version
 
 let relink_subs t =
   Oid.Tbl.iter (fun _ (k : Klass.t) -> k.subs <- []) t.classes;
@@ -277,6 +296,21 @@ let relink_subs t =
         (find_exn t sub).supers)
     (List.sort Oid.compare order);
   flush_caches t
+
+let changed_since t v =
+  let changed =
+    Oid.Tbl.fold
+      (fun cid stamp acc -> if stamp > v then find_exn t cid :: acc else acc)
+      t.edited []
+    |> List.sort (fun (a : Klass.t) b -> Oid.compare a.cid b.cid)
+  in
+  let removed =
+    Oid.Tbl.fold
+      (fun cid stamp acc -> if stamp > v then cid :: acc else acc)
+      t.removed []
+    |> List.sort Oid.compare
+  in
+  (changed, removed)
 
 let pp ppf t =
   let order = topo_order t in

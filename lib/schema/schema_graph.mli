@@ -18,6 +18,14 @@ val version : t -> int
     schema (the {!Deps} index, derivation orders, compiled predicates,
     durable schema images) is valid exactly while it is unchanged. *)
 
+val changed_since : t -> int -> Klass.t list * cid list
+(** [changed_since g v]: the classes whose record (name, derivation,
+    supers, local properties) an edit at a version after [v] may have
+    changed, and the classes removed after [v], each sorted by cid. A
+    class registered after [v] counts as changed. Subclass lists are
+    not part of a record ({!relink_subs} rebuilds them), so linking a
+    class under another reports only the subclass. *)
+
 val root : t -> cid
 (** The system root class, named ["Object"]. *)
 

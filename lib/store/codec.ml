@@ -71,3 +71,18 @@ let read_list read s pos =
       go (x :: acc) pos (k - 1)
   in
   go [] pos n
+
+let concat_lists = function
+  | [ blob ] -> blob
+  | blobs ->
+    let parts = List.map (fun s -> (s, read_int s 0)) blobs in
+    let total = List.fold_left (fun n (_, (k, _)) -> n + k) 0 parts in
+    let buf =
+      Buffer.create (List.fold_left (fun n s -> n + String.length s) 16 blobs)
+    in
+    add_int buf total;
+    List.iter
+      (fun (s, (_, pos)) ->
+        Buffer.add_substring buf s pos (String.length s - pos))
+      parts;
+    Buffer.contents buf

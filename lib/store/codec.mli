@@ -26,3 +26,9 @@ val read_list : (string -> int -> 'a * int) -> string -> int -> 'a list * int
 
 val fail_at : int -> string -> 'a
 (** Raise {!Corrupt} — for composite readers built on these primitives. *)
+
+val concat_lists : string list -> string
+(** Fold {!add_list} blobs into one: the counts are summed and the bodies
+    concatenated in order, without decoding an item. The durable log
+    uses it to append a list of new items to a list blob it cannot read.
+    @raise Corrupt if a blob does not start with a count. *)

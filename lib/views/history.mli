@@ -29,4 +29,14 @@ val versions : t -> string -> View_schema.t list
 (** Oldest first. *)
 
 val view_names : t -> string list
+
 val total_versions : t -> int
+(** How many versions have been registered, every view counted. It only
+    grows, so it also names a point in the history: {!since} lists what
+    came after it. *)
+
+val since : t -> int -> View_schema.t list
+(** [since h n] is every version registered after the first [n], in
+    registration order — what a durable log that holds the first [n]
+    still lacks.
+    @raise Invalid_argument unless [0 <= n <= total_versions h]. *)

@@ -1,9 +1,10 @@
 module Codec = Tse_store.Codec
 module Schema_codec = Tse_schema.Schema_codec
 
-(* Binary codec for a full view-schema history: every version of every
-   view, flat. It is the ["views"] extension blob of the database image
-   and of the log. *)
+(* Binary codec for a view-schema history: a [Codec] list of versions,
+   flat. A whole history is the ["views"] extension blob of the database
+   image; the versions one evolution registered are a list of the same
+   shape, which the durable log appends to that blob. *)
 
 let tag = "views"
 
@@ -29,11 +30,13 @@ let read_view s pos =
   in
   ({ View_schema.view_name = name; version; members }, pos)
 
-let encode h =
+let encode_versions versions =
   let buf = Buffer.create 256 in
-  Codec.add_list buf add_view
-    (List.concat_map (History.versions h) (History.view_names h));
+  Codec.add_list buf add_view versions;
   Buffer.contents buf
+
+let encode h =
+  encode_versions (List.concat_map (History.versions h) (History.view_names h))
 
 let decode s =
   let views, pos = Codec.read_list read_view s 0 in

@@ -365,6 +365,52 @@ let occ_partial_commit () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* Partial object creation. [Database.create_object ~init] created and
+   classified the object, then applied the init writes one [set_attr] at
+   a time, so an init list whose second write did not conform raised
+   [Type_error] with the object alive, its first write applied and its
+   heap ops waiting in [Durable]'s pending list for the next commit. A
+   write that raises now destroys the new object before the exception
+   escapes: the count, the consistency check and a reopen are as they
+   were before the call. *)
+let create_init_partial () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tse_regress_create_%d" (Unix.getpid ()))
+  in
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end;
+  Unix.mkdir dir 0o755;
+  let uni = University.build () in
+  ignore (University.populate uni ~n:4);
+  Out_channel.with_open_bin (Filename.concat dir "snapshot") (fun oc ->
+      output_string oc
+        (Durable.image_to_string ~seq:0
+           ~schema:(Schema_codec.encode_graph (Database.graph uni.db))
+           ~exts:[] uni.db));
+  let d, _ = Durable.open_dir ~dir () in
+  let db = Durable.db d in
+  let before = Verify.db_fingerprint db in
+  (match
+     Database.create_object db uni.person
+       ~init:[ ("age", Value.Int 5); ("name", Value.Int 3) ]
+   with
+  | _ -> Alcotest.fail "expected the nonconforming name to raise"
+  | exception Expr.Type_error _ -> ());
+  Alcotest.(check int) "object count" 4 (Database.object_count db);
+  Alcotest.(check (list string)) "consistent" [] (Database.check db);
+  Durable.commit d;
+  Durable.close d;
+  let d2, _ = Durable.open_dir ~dir () in
+  Alcotest.(check string) "reopen matches the state before the call" before
+    (Verify.db_fingerprint (Durable.db d2));
+  Durable.close d2;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let () =
   let corpus =
     [
@@ -405,4 +451,7 @@ let () =
       ( "occ-partial-commit",
         [ Alcotest.test_case "a raised commit applies none of its writes"
             `Quick occ_partial_commit ] );
+      ( "create-init-partial",
+        [ Alcotest.test_case "a raised init write leaves no object" `Quick
+            create_init_partial ] );
     ]

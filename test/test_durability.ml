@@ -808,6 +808,116 @@ let prop_group_prefix_durability =
       Durable.close d2;
       !ok)
 
+(* ---------------- what an evolution logs ---------------- *)
+
+module Durable_tse = Tse_core.Durable_tse
+module Change = Tse_core.Change
+module History = Tse_views.History
+module History_codec = Tse_views.History_codec
+
+let tse_fingerprint t =
+  Tse_core.Verify.db_fingerprint ~history:(Durable_tse.history t)
+    (Durable_tse.db t)
+
+let evolve t view change =
+  match Durable_tse.evolve t ~view change with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "evolution rejected: %s" m
+
+(* Person <- Student under view V, evolved twice *)
+let evolved_dir () =
+  let dir = fresh_dir () in
+  let t, _ = Durable_tse.open_dir ~policy:Durable.Every_commit ~dir () in
+  ignore (build_small (Durable_tse.db t));
+  ignore (Durable_tse.define_view_by_names t ~name:"V" [ "Person"; "Student" ]);
+  evolve t "V"
+    (Change.Add_attribute
+       { cls = "Student"; def = Change.attr "credits" Value.TInt });
+  evolve t "V" (Change.Add_class { cls = "Staff"; connected_to = Some "Person" });
+  (dir, t)
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+(* Logs written before class deltas carried, in every schema-moving
+   batch, the whole schema graph and the whole view history. Rewrite a
+   log that way (the whole images as of each batch's end, read back by
+   opening the log cut there) and reopen it. *)
+let test_whole_image_log_replays () =
+  let dir, t = evolved_dir () in
+  let expected = tse_fingerprint t in
+  Durable_tse.close t;
+  let wal = Storage.read_file (Filename.concat dir "wal") in
+  let scan = Wal.scan_string wal in
+  let ends =
+    List.map (fun (b : Wal.batch) -> b.start_off) (List.tl scan.batches)
+    @ [ scan.valid_len ]
+  in
+  let whole_at cut =
+    let cdir = fresh_dir () in
+    Unix.mkdir cdir 0o755;
+    write_file (Filename.concat cdir "wal") (String.sub wal 0 cut);
+    let d, _ = Durable.open_dir ~policy:Durable.Every_commit ~dir:cdir () in
+    let images =
+      ( Schema_codec.encode_graph (Database.graph (Durable.db d)),
+        Durable.ext d History_codec.tag )
+    in
+    Durable.abandon d;
+    images
+  in
+  let deltas = ref 0 in
+  let old =
+    List.map2
+      (fun (b : Wal.batch) cut ->
+        let schema, views = whole_at cut in
+        Wal.encode_record ~seq:b.seq
+          (List.map
+             (function
+               | Wal.Ext ("classes", _) ->
+                 incr deltas;
+                 Wal.Ext ("schema", schema)
+               | Wal.Ext ("+views", _) ->
+                 Wal.Ext (History_codec.tag, Option.get views)
+               | e -> e)
+             b.entries))
+      scan.batches ends
+  in
+  check Alcotest.bool "each evolution logged a class delta" true (!deltas >= 2);
+  let odir = fresh_dir () in
+  Unix.mkdir odir 0o755;
+  write_file (Filename.concat odir "wal") (String.concat "" old);
+  let t2, _ = Durable_tse.open_dir ~policy:Durable.Every_commit ~dir:odir () in
+  check Alcotest.string "the whole-image log reopens to the same state"
+    expected (tse_fingerprint t2);
+  Durable_tse.close t2
+
+(* [Durable.checkpoint] alone (as in [tse_cli checkpoint]) never builds a
+   [History], yet its image must hold every version the log appended,
+   of two views whose versions interleave in the log *)
+let test_plain_checkpoint_keeps_versions () =
+  let dir, t = evolved_dir () in
+  ignore (Durable_tse.define_view_by_names t ~name:"W" [ "Person" ]);
+  evolve t "W"
+    (Change.Add_attribute { cls = "Person"; def = Change.attr "rank" Value.TInt });
+  evolve t "V"
+    (Change.Add_attribute { cls = "Staff"; def = Change.attr "desk" Value.TInt });
+  let expected = tse_fingerprint t in
+  let history = History_codec.encode (Durable_tse.history t) in
+  let total = History.total_versions (Durable_tse.history t) in
+  Durable_tse.close t;
+  let d, _ = Durable.open_dir ~policy:Durable.Every_commit ~dir () in
+  Durable.checkpoint d;
+  Durable.close d;
+  check Alcotest.int "log folded away" 0
+    (Unix.stat (Filename.concat dir "wal")).Unix.st_size;
+  let t2, _ = Durable_tse.open_dir ~policy:Durable.Every_commit ~dir () in
+  check Alcotest.int "every version" total
+    (History.total_versions (Durable_tse.history t2));
+  check Alcotest.string "the history" history
+    (History_codec.encode (Durable_tse.history t2));
+  check Alcotest.string "the state" expected (tse_fingerprint t2);
+  Durable_tse.close t2
+
 let suite =
   [
     Alcotest.test_case "wal scan roundtrip" `Quick test_wal_scan_roundtrip;
@@ -845,6 +955,10 @@ let suite =
     Alcotest.test_case "sync policy parsing" `Quick test_policy_parsing;
     Alcotest.test_case "partial group flush truncates to a record boundary"
       `Quick test_partial_group_flush;
+    Alcotest.test_case "a whole-image evolution log still replays" `Quick
+      test_whole_image_log_replays;
+    Alcotest.test_case "a plain checkpoint keeps every appended version"
+      `Quick test_plain_checkpoint_keeps_versions;
   ]
   @ List.map Qcheck_det.to_alcotest
       [ prop_wal_corruption; prop_group_prefix_durability ]

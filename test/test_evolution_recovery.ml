@@ -225,6 +225,40 @@ let test_multi_change_atomicity () =
       ("wal.append.fsync", Failpoint.Crash_now, Post);
     ]
 
+(* After a checkpoint the log holds the first evolution's class delta and
+   view versions, not whole images, and a crash in the second evolution
+   must recover through them to the pre or the post twin. *)
+let test_crash_after_checkpoint () =
+  List.iter
+    (fun (name, action, expect) ->
+      let dir, t = setup ~policy:Durable.Every_commit () in
+      Durable_tse.checkpoint t;
+      (match Durable_tse.evolve_many t ~view changes1 with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: first evolution rejected: %s" name msg);
+      Failpoint.arm name action;
+      (match Durable_tse.evolve_many t ~view changes2 with
+      | Ok _ | Error _ -> Alcotest.failf "%s: expected a crash" name
+      | exception Failpoint.Crash _ -> ());
+      Failpoint.reset ();
+      Durable_tse.abandon t;
+      let t2, _ = Durable_tse.open_dir ~policy:Durable.Every_commit ~dir () in
+      check Alcotest.string
+        (Printf.sprintf "%s: recovered state is exactly %s-evolution" name
+           (match expect with Pre -> "pre" | Post -> "post"))
+        (twin_fingerprint
+           (match expect with Pre -> changes1 | Post -> changes1 @ changes2))
+        (tse_fingerprint t2);
+      (match Database.check (Durable_tse.db t2) with
+      | [] -> ()
+      | ps -> Alcotest.failf "%s: inconsistent: %s" name (String.concat "; " ps));
+      Durable_tse.close t2)
+    [
+      ("evolve.integrate", Failpoint.Crash_now, Pre);
+      ("wal.append.short", Failpoint.Short_write 11, Pre);
+      ("wal.append.fsync", Failpoint.Crash_now, Post);
+    ]
+
 (* ---------------- torn effects batch: every truncation offset ------- *)
 
 let copy_dir_truncated src dst cut =
@@ -652,6 +686,8 @@ let suite =
       test_crash_matrix_group_policy;
     Alcotest.test_case "multi-change unit is all-or-nothing under crashes"
       `Quick test_multi_change_atomicity;
+    Alcotest.test_case "checkpoint, two evolutions, crash in the second"
+      `Quick test_crash_after_checkpoint;
     Alcotest.test_case "torn effects batch: every truncation offset" `Quick
       test_torn_effects_batch_every_offset;
     Alcotest.test_case "legacy intent/decision/done records are dropped"
