@@ -1,10 +1,12 @@
-(* Commit-throughput benchmark: the group-commit pipeline against the
-   eager fsync-per-commit default. Each policy runs the same write-heavy
-   trace (one attribute write per commit) on a fresh durable directory;
-   commits/sec and fsyncs/commit come from wall time and the WAL's
-   amortization counters. Emits machine-readable BENCH_commit.json
-   alongside the printed table so CI and the driver can assert the
-   speedup. *)
+(* Commit-throughput benchmark: the sync policies against each other.
+   Every policy sends its commits through the one WAL path (frame into
+   the group buffer, flush with one write and one fsync); they differ in
+   how many commits share a flush, from one under the every_commit
+   default to all of them under manual. Each policy runs the same
+   write-heavy trace (one attribute write per commit) on a fresh durable
+   directory; commits/sec and fsyncs/commit come from wall time and the
+   WAL's amortization counters. Emits machine-readable BENCH_commit.json
+   alongside the printed table so CI can assert the speedup. *)
 
 open Tse_store
 open Tse_schema

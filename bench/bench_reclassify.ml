@@ -113,11 +113,11 @@ let measure_group ~objects ~writes n =
     let run () = run_writes db objs ~writes ~attr_of in
     (* evaluations are counted over three passes on the fresh fixture,
        apart from the timing loop, whose trial count varies *)
-    let e0 = Database.formula_eval_count db in
+    let e0 = Metrics.find_counter "reclass.formula_evals" in
     for _ = 1 to 3 do
       run ()
     done;
-    let evals = Database.formula_eval_count db - e0 in
+    let evals = Metrics.find_counter "reclass.formula_evals" - e0 in
     let ns = time_ns_per_op run ~ops:writes in
     (match Database.check db with
     | [] -> ()

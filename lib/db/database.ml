@@ -43,7 +43,6 @@ type t = {
   mutable listeners : listener list;
   mutable derived : derived;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
-  mutable formula_evals : int;
   mutable nonconverge_warned : bool;
   mutable nonconvergence_hook : Oid.t -> unit;
 }
@@ -68,8 +67,8 @@ let default_nonconvergence_hook o =
      (nonmonotone derivation); memberships may oscillate"
     (Oid.to_string o) (reclassify_fuel + 1)
 
-(* Reclassification-engine counters (see DESIGN.md §9). All are plain
-   field increments; eval_pred is the hottest. *)
+(* Reclassification-engine counters (see DESIGN.md §9), kept in the
+   metrics registry; eval_pred is the hottest. *)
 module Metrics = Tse_obs.Metrics
 
 let m_objects_visited = Metrics.counter "reclass.objects_visited"
@@ -138,7 +137,6 @@ let make ~heap ~graph ~stats ~model =
     listeners = [];
     derived = fresh_derived graph;
     full_reclassify = env_full_reclassify ();
-    formula_evals = 0;
     nonconverge_warned = false;
     nonconvergence_hook = default_nonconvergence_hook;
   }
@@ -180,7 +178,6 @@ let model t = t.model
 let stats t = t.stats
 let root t = Schema_graph.root t.graph
 
-let formula_eval_count t = t.formula_evals
 let full_reclassify t = t.full_reclassify
 
 let set_full_reclassify t b = t.full_reclassify <- b
@@ -450,7 +447,6 @@ let formula_holds t o current k =
   formula_holds_with (fun _ pred -> holds t o pred) current k
 
 let eval_pred t o pred =
-  t.formula_evals <- t.formula_evals + 1;
   Metrics.incr m_evals;
   holds t o pred
 
@@ -458,7 +454,6 @@ let eval_pred t o pred =
    (Expr_compile.compile_pred implements the [holds] contract), obtained
    through the per-select compiled closure. *)
 let eval_pred_compiled t o cid pred =
-  t.formula_evals <- t.formula_evals + 1;
   Metrics.incr m_evals;
   Metrics.incr m_compiled_evals;
   (compiled_select_pred t cid pred) o
@@ -826,12 +821,6 @@ let check t =
         (objects t))
     (derivation_order t);
   !problems
-
-let check_exn t =
-  match check t with
-  | [] -> ()
-  | problems ->
-    failwith ("database inconsistent:\n  " ^ String.concat "\n  " problems)
 
 let pp_extents ppf t =
   let classes =

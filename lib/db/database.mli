@@ -93,12 +93,10 @@ val full_reclassify : t -> bool
 val set_full_reclassify : t -> bool -> unit
 (** Switch between the incremental engine ([false], default) and the full
     fixpoint oracle ([true]). Both leave the same settled memberships,
-    so the modes can be toggled mid-run for differential testing. *)
-
-val formula_eval_count : t -> int
-(** Running count of select-predicate evaluations performed during
-    reclassification (both modes). The incremental engine's contract:
-    writing an attribute no predicate depends on adds zero. *)
+    so the modes can be toggled mid-run for differential testing. Every
+    select-predicate evaluation in either mode counts in the
+    [reclass.formula_evals] metric; the incremental engine's contract is
+    that writing an attribute no predicate depends on adds zero. *)
 
 val set_nonconvergence_hook : t -> (Tse_store.Oid.t -> unit) -> unit
 (** Called at most once per database with the first object whose fixpoint
@@ -251,7 +249,5 @@ val check : t -> string list
     formulas vs actual virtual-class extents; the is-a extent-subset
     invariant; plus {!Tse_schema.Invariants.check} on the schema. Empty
     means consistent. *)
-
-val check_exn : t -> unit
 
 val pp_extents : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ type t = {
   mutable staged : Wal.entry list;
       (* appended lists for the next commit, newest first *)
   mutable policy : sync_policy;
-  mutable unsynced : int;  (* commits appended since the last sync barrier *)
   mutable closed : bool;
 }
 
@@ -352,7 +351,6 @@ let open_dir ?policy ~dir () =
       exts;
       staged = [];
       policy;
-      unsynced = 0;
       closed = false;
     }
   in
@@ -367,13 +365,12 @@ let check_open t what =
   if t.closed then invalid_arg (Printf.sprintf "Durable.%s: closed" what)
 
 let policy t = t.policy
-let unsynced_commits t = t.unsynced
+let unsynced_commits t = Wal.pending_batches t.wal
 let wal_stats t = Wal.stats t.wal
 
 let sync t =
   check_open t "sync";
-  Wal.sync t.wal;
-  t.unsynced <- 0
+  Wal.sync t.wal
 
 let set_policy t p =
   check_open t "set_policy";
@@ -434,13 +431,9 @@ let commit t =
     let gen_entry = [ Wal.Gen (Oid.Gen.peek (Heap.gen (Database.heap db))) ] in
     let entries = ops @ gen_entry @ bases_entry @ schema_entry @ ext_entries in
     let seq = t.seq + 1 in
-    (match t.policy with
-    | Every_commit -> Wal.append t.wal ~seq entries
-    | Group _ | Manual ->
-      Wal.append_nosync t.wal ~seq entries;
-      t.unsynced <- t.unsynced + 1);
-    (* the batch is appended (durable now, or framed for the next sync
-       barrier): advance the in-memory image *)
+    Wal.append_nosync t.wal ~seq entries;
+    (* the batch is framed for the next sync barrier: advance the
+       in-memory image *)
     t.seq <- seq;
     t.pending <- [];
     Oid.Tbl.reset t.dirty_bases;
@@ -452,9 +445,14 @@ let commit t =
         | Wal.Op _ | Wal.Gen _ -> ())
       ext_entries;
     t.staged <- [];
-    match t.policy with
-    | Group n when t.unsynced >= n -> sync t
-    | Every_commit | Group _ | Manual -> ()
+    (* an eager commit is a group of one *)
+    let group =
+      match t.policy with
+      | Every_commit -> 1
+      | Group n -> n
+      | Manual -> max_int
+    in
+    if Wal.pending_batches t.wal >= group then sync t
   end
 
 let checkpoint t =

@@ -29,15 +29,26 @@
     tail, truncating a torn or corrupt tail instead of failing, and
     report what happened.
 
-    {b Sync policies.} When a commit is fsynced is a policy, not a fact
-    of the commit itself: [Every_commit] (the default) fsyncs inside
-    every {!commit} — the strongest contract and the slowest; [Group n]
-    buffers framed batches and flushes them with one write + one fsync
-    every [n] commits; [Manual] only flushes at an explicit {!sync}
-    barrier ({!checkpoint} and {!close} always force one). Under a
-    grouped or manual policy a crash loses at most the commits since the
-    last barrier — never a synced one, and recovery degrades a group
-    torn mid-flush to the longest whole-record prefix. *)
+    {b Sync policies.} Every commit reaches the log the same way: its
+    batch is framed into the log's group buffer
+    ({!Tse_store.Wal.append_nosync}), and a sync barrier
+    ({!Tse_store.Wal.sync}) writes the buffered batches with one write
+    and one fsync. The policy only says when the barrier runs: under
+    [Every_commit] (the default) every {!commit} is a group of one —
+    the strongest contract and the slowest; [Group n] syncs once [n]
+    batches are buffered; [Manual] only at an explicit {!sync}
+    ({!checkpoint} and {!close} always force one). A crash loses at most
+    the commits since the last barrier — never a synced one, and
+    recovery degrades a group torn mid-flush to the longest whole-record
+    prefix.
+
+    {b When a sync fails.} If a barrier raises — an I/O error from the
+    write or the fsync, inside {!commit} or in an explicit {!sync} —
+    nothing of the group it was flushing may be assumed durable. The
+    in-memory database has already moved past those commits and the
+    group buffer is gone, so the handle must not be used again: call
+    {!abandon} and reopen the directory, whose recovery tells what
+    reached the disk. Nothing retries the flush. *)
 
 type t
 
@@ -106,9 +117,10 @@ val seq : t -> int
 (** Sequence number of the last appended batch. *)
 
 val commit : t -> unit
-(** Append everything buffered since the previous commit as one atomic
-    batch; whether it is fsynced before returning is the sync policy's
-    call (under [Group n] the commit completing the group flushes it).
+(** Frame everything buffered since the previous commit as one atomic
+    batch; whether it is synced before returning is the sync policy's
+    call (under [Every_commit] always, under [Group n] when it completes
+    the group). If that sync raises, see {e When a sync fails} above.
     A commit with no changes writes nothing. A caller that must report
     durability whatever the policy follows it with {!sync}: a schema
     evolution ([Tse_core.Durable_tse.evolve_many]) commits its effects
@@ -141,8 +153,8 @@ val ext : t -> string -> string option
 
 val sync : t -> unit
 (** Explicit sync barrier: flush every unsynced commit with one write
-    and one fsync. On return they are durable. No-op under
-    [Every_commit] or when nothing is pending. *)
+    and one fsync. On return they are durable. No-op when nothing is
+    pending, as always under [Every_commit]. *)
 
 val policy : t -> sync_policy
 val set_policy : t -> sync_policy -> unit
@@ -150,8 +162,8 @@ val set_policy : t -> sync_policy -> unit
     governed by a policy weaker than the one it was made under. *)
 
 val unsynced_commits : t -> int
-(** Commits appended since the last sync barrier (0 under
-    [Every_commit]). *)
+(** Commits framed since the last sync barrier
+    ({!Tse_store.Wal.pending_batches}; 0 under [Every_commit]). *)
 
 val wal_stats : t -> Tse_store.Wal.stats
 (** The log's amortization counters: fsyncs, bytes framed, batches per

@@ -37,20 +37,47 @@ type sink_state =
 
 let state = ref Uninitialized
 
+(* The most [Unix.write] hands the kernel in one call. A chunk no longer
+   than this, written to an O_APPEND descriptor, lands whole at the end
+   of the file even while other processes append to it too. *)
+let chunk_max = 65536
+
+let file_sink path =
+  let fd =
+    Unix.openfile path
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+      0o644
+  in
+  let buf = Buffer.create chunk_max in
+  let lock = Mutex.create () in
+  (* tracing never fails the traced program: a failed write drops the
+     chunk *)
+  let flush_locked () =
+    if Buffer.length buf > 0 then begin
+      let chunk = Buffer.contents buf in
+      Buffer.clear buf;
+      try ignore (Unix.write_substring fd chunk 0 (String.length chunk))
+      with Unix.Unix_error _ -> ()
+    end
+  in
+  let emit line =
+    Mutex.protect lock (fun () ->
+        if Buffer.length buf + String.length line + 1 > chunk_max then
+          flush_locked ();
+        Buffer.add_string buf line;
+        Buffer.add_char buf '\n')
+  in
+  (emit, fun () -> Mutex.protect lock flush_locked)
+
 let init_from_env () =
   match Sys.getenv_opt "TSE_TRACE" with
   | None | Some "" -> state := Disabled
   | Some path -> (
-    match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-    | exception Sys_error _ -> state := Disabled
-    | oc ->
-      at_exit (fun () -> try close_out oc with Sys_error _ -> ());
-      state :=
-        Emit
-          ( (fun line ->
-              output_string oc line;
-              output_char oc '\n'),
-            fun () -> flush oc ))
+    match file_sink path with
+    | exception Unix.Unix_error _ -> state := Disabled
+    | emit, flush ->
+      at_exit flush;
+      state := Emit (emit, flush))
 
 let sink () =
   (match !state with Uninitialized -> init_from_env () | _ -> ());

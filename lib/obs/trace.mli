@@ -39,6 +39,16 @@ val set_sink : (string -> unit) option -> unit
 
 val flush : unit -> unit
 
+val file_sink : string -> (string -> unit) * (unit -> unit)
+(** The [TSE_TRACE] sink on [path]: an emit and a flush. Emit buffers
+    whole lines; each flush — when the next line would not fit in
+    64 KiB, on {!flush}, and at exit — hands the buffered lines to one
+    [write] on an [O_APPEND] descriptor, so processes tracing into one
+    file interleave whole lines, never pieces of them (a single line
+    longer than 64 KiB goes out alone, in as many writes as it takes).
+    Safe to call from several domains.
+    @raise Unix.Unix_error if [path] cannot be opened. *)
+
 val parse_line : string -> (span, string) result
 (** Parse one JSONL trace line back into a span — the inverse of the
     emitter, used by tests and tooling to round-trip trace files. *)

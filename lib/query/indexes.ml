@@ -136,9 +136,6 @@ let ensure ?(kind = Hash) t cid attr =
   Oid.Set.iter (fun o -> refresh_object e t.db o) (Database.extent t.db cid);
   t.entries <- e :: t.entries
 
-let drop t cid attr =
-  t.entries <- List.filter (fun e -> not (key_matches e cid attr)) t.entries
-
 let find t cid attr =
   List.find_opt (fun e -> key_matches e cid attr) t.entries
 

@@ -34,8 +34,6 @@ val ensure : ?kind:kind -> t -> cid -> string -> unit
     @raise Invalid_argument if the attribute is not a usable stored
     attribute of the class. *)
 
-val drop : t -> cid -> string -> unit
-
 val lookup : t -> cid -> string -> Tse_store.Value.t -> Tse_store.Oid.Set.t option
 (** [Some members] when an index exists on [(class, attr)] — already
     restricted to the class's extent; [None] when no index exists.

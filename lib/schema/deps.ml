@@ -3,7 +3,6 @@ module Oid = Tse_store.Oid
 type t = {
   attr_selects : (string, Oid.Set.t) Hashtbl.t;
   class_selects : Oid.Set.t Oid.Tbl.t;
-  select_count : int;
 }
 
 let selects_on_attr t name =
@@ -11,8 +10,6 @@ let selects_on_attr t name =
 
 let selects_on_class t cid =
   Option.value (Oid.Tbl.find_opt t.class_selects cid) ~default:Oid.Set.empty
-
-let select_count t = t.select_count
 
 (* A predicate reads a property by NAME; resolution may land on a stored
    slot or on a method whose body reads further properties. The schema
@@ -67,12 +64,10 @@ let compute g =
     List.iter visit (Expr.free_attrs pred);
     (!attrs, List.sort_uniq String.compare !cnames)
   in
-  let select_count = ref 0 in
   List.iter
     (fun (k : Klass.t) ->
       match k.kind with
       | Klass.Virtual (Klass.Select (_, pred)) ->
-        incr select_count;
         let attrs, cnames = closure pred in
         List.iter (fun a -> add_attr a k.cid) attrs;
         List.iter
@@ -94,18 +89,4 @@ let compute g =
           | None -> ())
         k.local_props)
     classes;
-  { attr_selects; class_selects; select_count = !select_count }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>selects: %d@ " t.select_count;
-  Hashtbl.iter
-    (fun name s ->
-      Format.fprintf ppf "attr %s -> {%s}@ " name
-        (String.concat ", " (List.map Oid.to_string (Oid.Set.elements s))))
-    t.attr_selects;
-  Oid.Tbl.iter
-    (fun c s ->
-      Format.fprintf ppf "class %s -> {%s}@ " (Oid.to_string c)
-        (String.concat ", " (List.map Oid.to_string (Oid.Set.elements s))))
-    t.class_selects;
-  Format.fprintf ppf "@]"
+  { attr_selects; class_selects }

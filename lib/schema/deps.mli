@@ -26,8 +26,3 @@ val selects_on_attr : t -> string -> Tse_store.Oid.Set.t
 val selects_on_class : t -> Klass.cid -> Tse_store.Oid.Set.t
 (** Select classes whose predicate verdict may change for an object when
     that object's membership of the given class changes. *)
-
-val select_count : t -> int
-(** Number of select classes indexed (diagnostics). *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,9 +77,3 @@ let check graph =
         k.local_props)
     classes;
   List.rev !problems
-
-let check_exn graph =
-  match check graph with
-  | [] -> ()
-  | problems ->
-    failwith ("schema invariants violated:\n  " ^ String.concat "\n  " problems)

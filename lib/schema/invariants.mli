@@ -14,6 +14,3 @@ val check : Schema_graph.t -> string list
     - class names are unique;
     - every virtual class's source classes exist;
     - no class locally defines two properties with one name. *)
-
-val check_exn : Schema_graph.t -> unit
-(** @raise Failure listing all violations, if any. *)

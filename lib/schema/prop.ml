@@ -37,7 +37,6 @@ let promote t = { t with promoted = true }
 let reoriginate t origin = { t with origin }
 let with_fresh_uid t = { t with uid = fresh_uid () }
 let is_stored t = match t.body with Stored _ -> true | Method _ -> false
-let is_method t = match t.body with Method _ -> true | Stored _ -> false
 let same_prop a b = Int.equal a.uid b.uid
 
 let body_equal a b =

@@ -69,7 +69,6 @@ val with_fresh_uid : t -> t
     introduce an independent same-shaped attribute). *)
 
 val is_stored : t -> bool
-val is_method : t -> bool
 val same_prop : t -> t -> bool  (** uid equality *)
 
 val signature_equal : t -> t -> bool

@@ -72,7 +72,6 @@ let usable_props graph cid =
          match e with Single p -> Some p | Conflict _ -> None)
 
 let stored_attrs graph cid = List.filter Prop.is_stored (usable_props graph cid)
-let methods graph cid = List.filter Prop.is_method (usable_props graph cid)
 
 let inherited_candidates graph cid =
   let m = inherited (visible graph) (Schema_graph.find_exn graph cid) in

@@ -41,8 +41,6 @@ val usable_props : Schema_graph.t -> cid -> Prop.t list
 val stored_attrs : Schema_graph.t -> cid -> Prop.t list
 (** Unambiguous stored attributes of the full type. *)
 
-val methods : Schema_graph.t -> cid -> Prop.t list
-
 val inherited_candidates : Schema_graph.t -> cid -> string -> Prop.t list
 (** Candidates for the name contributed by superclasses only — i.e. what
     the class {e would} inherit, ignoring its own local definition. The

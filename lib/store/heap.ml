@@ -31,14 +31,12 @@ type op =
    miss-bound million-object scans. *)
 type t = {
   mutable cells : cell option array;
-  mutable live : int;
   gen : Oid.Gen.t;
   mutable logger : (op -> unit) option;
 }
 
 let create () =
-  { cells = Array.make 256 None; live = 0; gen = Oid.Gen.create ();
-    logger = None }
+  { cells = Array.make 256 None; gen = Oid.Gen.create (); logger = None }
 
 let cell_opt t oid =
   let i = Oid.to_int oid in
@@ -53,7 +51,6 @@ let put_cell t oid cell =
     Array.blit t.cells 0 grown 0 n;
     t.cells <- grown
   end;
-  if t.cells.(i) = None then t.live <- t.live + 1;
   t.cells.(i) <- Some cell
 
 let gen t = t.gen
@@ -77,13 +74,11 @@ let alloc_raw t ~oid ~tag =
 let free t oid =
   if cell_opt t oid <> None then begin
     t.cells.(Oid.to_int oid) <- None;
-    t.live <- t.live - 1;
     Metrics.incr m_frees;
     log t (Free oid)
   end
 
 let mem t oid = cell_opt t oid <> None
-let find t oid = cell_opt t oid
 
 let find_exn t oid =
   match cell_opt t oid with
@@ -175,5 +170,3 @@ let fold_range t ~lo ~hi ~init ~f =
     | None -> ()
   done;
   !acc
-
-let cell_count t = t.live

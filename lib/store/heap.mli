@@ -56,7 +56,6 @@ val free : t -> Oid.t -> unit
 (** Remove the cell. Freeing an unknown OID is a no-op. *)
 
 val mem : t -> Oid.t -> bool
-val find : t -> Oid.t -> cell option
 
 val find_exn : t -> Oid.t -> cell
 (** @raise Not_found if the OID is not allocated. *)
@@ -98,5 +97,3 @@ val capacity : t -> int
 val fold_range : t -> lo:int -> hi:int -> init:'a -> f:('a -> cell -> 'a) -> 'a
 (** [fold] restricted to cells with [lo <= oid < hi] (clamped),
     ascending OID order within the range. *)
-
-val cell_count : t -> int

@@ -29,14 +29,5 @@ let lookup t v =
 let cardinal t = t.entries
 let distinct_keys t = Hashtbl.length t.buckets
 
-let clear t =
-  Hashtbl.reset t.buckets;
-  t.entries <- 0
-
 let overhead_bytes t =
   (t.entries * Stats.sizeof_oid) + (distinct_keys t * Stats.sizeof_pointer)
-
-let of_seq seq =
-  let t = create () in
-  Seq.iter (fun (v, oid) -> add t v oid) seq;
-  t

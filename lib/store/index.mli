@@ -18,10 +18,7 @@ val cardinal : t -> int
 (** Number of (value, oid) entries. *)
 
 val distinct_keys : t -> int
-val clear : t -> unit
 
 val overhead_bytes : t -> int
 (** Managerial storage charged to the index: one OID-sized entry per
     (value, oid) pair plus one pointer per distinct key bucket. *)
-
-val of_seq : (Value.t * Oid.t) Seq.t -> t

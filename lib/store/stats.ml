@@ -81,11 +81,3 @@ let managerial_bytes t =
 let oids_per_object t =
   if t.objects_created = 0 then 0.
   else float_of_int t.oids_allocated /. float_of_int t.objects_created
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>oids=%d pointers=%d data_bytes=%d managerial_bytes=%d@ \
-     classes_created=%d objects=%d copies=%d swaps=%d oids/object=%.2f@]"
-    t.oids_allocated t.pointers t.data_bytes (managerial_bytes t)
-    t.classes_created t.objects_created t.copies t.identity_swaps
-    (oids_per_object t)

@@ -53,5 +53,3 @@ val managerial_bytes : t -> int
 
 val oids_per_object : t -> float
 (** Average identifiers per conceptual object: Table 1's "#oids" row. *)
-
-val pp : Format.formatter -> t -> unit

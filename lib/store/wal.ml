@@ -18,7 +18,8 @@ type stats = {
 type t = {
   path : string;
   mutable fd : Unix.file_descr option;
-  pending : Buffer.t;  (* framed records appended but not yet written *)
+  mutable pending : string list;
+      (* framed records appended but not yet written, newest first *)
   mutable pending_batches : int;
   stats : stats;
 }
@@ -36,19 +37,13 @@ let m_group_batches =
   Metrics.histogram ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. ]
     "wal.group_batches"
 
-let fp_append_before = "wal.append.before"
-let fp_append_short = "wal.append.short"
-let fp_append_fsync = "wal.append.fsync"
 let fp_group_append = "wal.group.append"
 let fp_group_fsync = "wal.group.fsync"
 let fp_truncate_before = "wal.truncate.before"
 
 let () =
   List.iter Failpoint.declare
-    [
-      fp_append_before; fp_append_short; fp_append_fsync; fp_group_append;
-      fp_group_fsync; fp_truncate_before;
-    ]
+    [ fp_group_append; fp_group_fsync; fp_truncate_before ]
 
 (* ---------- entry codec (Codec primitives + Value encoding) ---------- *)
 
@@ -173,7 +168,7 @@ let open_append ~path =
   {
     path;
     fd = Some fd;
-    pending = Buffer.create 1024;
+    pending = [];
     pending_batches = 0;
     stats =
       {
@@ -193,34 +188,29 @@ let fd_exn t =
   | Some fd -> fd
   | None -> invalid_arg "Wal: log already closed"
 
-let frame t ~seq entries =
-  let record = encode_record ~seq entries in
-  t.stats.batches_framed <- t.stats.batches_framed + 1;
-  t.stats.bytes_framed <- t.stats.bytes_framed + String.length record;
-  Metrics.incr m_batches_framed;
-  Metrics.add m_bytes_framed (String.length record);
-  record
-
-(* Data-path fsyncs run under the stall watchdog: a slow disk shows up
-   as a W301 warning and in the wal.fsync_ms histogram rather than as
-   silent tail latency. *)
-let timed_fsync fd =
-  let t0 = Trace.now_us () in
-  Unix.fsync fd;
-  Watchdog.observe_fsync ~ms:(float_of_int (Trace.now_us () - t0) /. 1000.)
-
 let append_nosync t ~seq entries =
   ignore (fd_exn t);
   Failpoint.hit fp_group_append;
-  Buffer.add_string t.pending (frame t ~seq entries);
+  let record = encode_record ~seq entries in
+  let len = String.length record in
+  t.stats.batches_framed <- t.stats.batches_framed + 1;
+  t.stats.bytes_framed <- t.stats.bytes_framed + len;
+  Metrics.incr m_batches_framed;
+  Metrics.add m_bytes_framed len;
+  t.pending <- record :: t.pending;
   t.pending_batches <- t.pending_batches + 1
 
 let sync t =
   if t.pending_batches > 0 then begin
     let fd = fd_exn t in
-    let data = Buffer.contents t.pending in
+    (* a group of one is written as framed, with no copy *)
+    let data =
+      match t.pending with
+      | [ record ] -> record
+      | records -> String.concat "" (List.rev records)
+    in
     let batches = t.pending_batches in
-    Buffer.clear t.pending;
+    t.pending <- [];
     t.pending_batches <- 0;
     let len = String.length data in
     (match Failpoint.short fp_group_append ~len with
@@ -234,8 +224,12 @@ let sync t =
     | None -> Storage.write_all fd data 0 len);
     Failpoint.hit fp_group_fsync;
     (* on the data path a failed fsync must propagate: the caller is about
-       to treat the whole group as durable *)
-    timed_fsync fd;
+       to treat the whole group as durable. It runs under the stall
+       watchdog, so a slow disk shows up as a W301 warning and in the
+       wal.fsync_ms histogram rather than as silent tail latency. *)
+    let t0 = Trace.now_us () in
+    Unix.fsync fd;
+    Watchdog.observe_fsync ~ms:(float_of_int (Trace.now_us () - t0) /. 1000.);
     t.stats.fsyncs <- t.stats.fsyncs + 1;
     t.stats.syncs <- t.stats.syncs + 1;
     Metrics.incr m_fsyncs;
@@ -245,36 +239,11 @@ let sync t =
       t.stats.max_batches_per_sync <- batches
   end
 
-let append t ~seq entries =
-  (* preserve log order if batches are already buffered (policy switch,
-     explicit barrier racing an eager commit) *)
-  sync t;
-  let fd = fd_exn t in
-  Failpoint.hit fp_append_before;
-  let record = frame t ~seq entries in
-  let len = String.length record in
-  (match Failpoint.short fp_append_short ~len with
-  | Some k ->
-    Storage.write_all fd record 0 k;
-    (* crash simulation only, as in [sync]: the raise below means no
-       durability is ever reported for these torn bytes *)
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    raise (Failpoint.Crash fp_append_short)
-  | None -> Storage.write_all fd record 0 len);
-  Failpoint.hit fp_append_fsync;
-  timed_fsync fd;
-  t.stats.fsyncs <- t.stats.fsyncs + 1;
-  t.stats.syncs <- t.stats.syncs + 1;
-  Metrics.incr m_fsyncs;
-  Metrics.incr m_syncs;
-  Metrics.observe m_group_batches 1.;
-  if t.stats.max_batches_per_sync = 0 then t.stats.max_batches_per_sync <- 1
-
 let reset t =
   let fd = fd_exn t in
   (* anything still buffered is part of what the caller folded elsewhere
      (checkpoint) or is being discarded with the log *)
-  Buffer.clear t.pending;
+  t.pending <- [];
   t.pending_batches <- 0;
   Failpoint.hit fp_truncate_before;
   Unix.ftruncate fd 0;
@@ -301,7 +270,7 @@ let abandon t =
        process had died (simulated crash, in-memory state a failed
        evolution left behind) and buffered frames must not reach the
        file *)
-    Buffer.clear t.pending;
+    t.pending <- [];
     t.pending_batches <- 0;
     t.fd <- None;
     Unix.close fd

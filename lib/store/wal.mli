@@ -13,22 +13,22 @@
     {!scan_file} detects and reports so recovery can truncate it —
     graceful degradation instead of refusal to open.
 
-    There are two ways to get a batch into the file. {!append} frames,
-    writes and fsyncs one batch — durable when it returns. The group
-    pipeline splits that: {!append_nosync} only frames the batch into an
-    in-memory buffer, and {!sync} flushes every buffered batch with one
-    contiguous write followed by one fsync — the amortization {!stats}
-    measures. A crash between the two loses exactly the buffered tail;
-    a crash inside {!sync} leaves a prefix of the group on disk (whole
-    records survive the torn-tail scan, the rest is truncated).
+    There is one way to get a batch into the file: {!append_nosync}
+    frames the batch into an in-memory buffer, and {!sync} flushes every
+    buffered batch with one contiguous write followed by one fsync. An
+    eager commit is a group of one — the same bytes, one write and one
+    fsync; a grouped commit amortizes the fsync over several batches,
+    which {!stats} measures. A crash between the two loses exactly the
+    buffered tail; a crash inside {!sync} leaves a prefix of the group
+    on disk (whole records survive the torn-tail scan, the rest is
+    truncated).
 
-    Appends go through [Unix] descriptors and are guarded by the
-    ["wal.append.before"], ["wal.append.short"], ["wal.append.fsync"]
-    failpoints (eager path), ["wal.group.append"], ["wal.group.fsync"]
-    (group path: crash/short at the buffer boundary, crash before the
-    group's single fsync) and ["wal.truncate.before"]. A failed [fsync]
-    on the data path raises — it is never swallowed, because the caller
-    is about to report durability. *)
+    Appends go through [Unix] descriptors and are guarded by three
+    failpoints: ["wal.group.append"] (a crash before the batch is
+    framed, or a torn flush), ["wal.group.fsync"] (a crash after the
+    flush's write, before its fsync) and ["wal.truncate.before"]. A
+    failed [fsync] on the data path raises — it is never swallowed,
+    because the caller is about to report durability. *)
 
 type entry =
   | Op of Heap.op  (** one physical heap mutation *)
@@ -47,30 +47,26 @@ type t
 val open_append : path:string -> t
 (** Open (creating if needed) for appending. *)
 
-val append : t -> seq:int -> entry list -> unit
-(** Frame, checksum, write and fsync one batch, flushing any buffered
-    group first so log order matches commit order. [seq] must increase
-    strictly across the life of the database (recovery uses it to skip
-    batches already folded into a checkpoint snapshot). *)
-
 val append_nosync : t -> seq:int -> entry list -> unit
 (** Frame and checksum one batch into the in-memory group buffer.
     Nothing touches the file until {!sync}; a crash before it loses the
-    batch. *)
+    batch. [seq] must increase strictly across the life of the database
+    (recovery uses it to skip batches already folded into a checkpoint
+    snapshot). *)
 
 val sync : t -> unit
 (** The sync barrier: write every buffered batch as one contiguous
     stretch of records, then fsync once. No-op when nothing is buffered.
-    On return the whole group is durable; on [Unix_error] nothing may be
-    assumed durable. *)
+    On return the whole group is durable. If it raises ([Unix_error],
+    or a simulated fault) nothing of the group may be assumed durable,
+    and the buffer is empty either way: a failed sync is not retried,
+    the caller abandons the handle and rescans the file. *)
 
 val pending_batches : t -> int
 (** Batches framed by {!append_nosync} and not yet flushed by {!sync}. *)
 
-(** Amortization counters, cumulative over the life of the handle. One
-    {!append} counts as one framed batch and one sync of its own;
-    [batches_framed / syncs] is therefore the measured batches-per-fsync
-    whatever mix of paths produced the log. *)
+(** Amortization counters, cumulative over the life of the handle:
+    [batches_framed / syncs] is the measured batches-per-fsync. *)
 type stats = {
   mutable fsyncs : int;  (** [Unix.fsync] calls on the log descriptor *)
   mutable syncs : int;  (** barriers that actually flushed data *)
@@ -117,4 +113,4 @@ val truncate_file : path:string -> int -> unit
 (** Cut the log back to the trustworthy prefix. *)
 
 val encode_record : seq:int -> entry list -> string
-(** The exact bytes {!append} writes (exposed for tests). *)
+(** The exact bytes {!append_nosync} frames (exposed for tests). *)

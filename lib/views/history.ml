@@ -1,5 +1,3 @@
-let scheme = "VS.<n>"
-
 type t = {
   views : (string, View_schema.t list ref) Hashtbl.t;
       (* view name -> versions, newest first *)

@@ -5,9 +5,6 @@
     Old versions are never discarded — programs written against them keep
     running, which is the whole point of the TSE approach. *)
 
-val scheme : string
-(** Version naming scheme used in messages: ["VS.<n>"]. *)
-
 type t
 
 val create : unit -> t

@@ -85,13 +85,3 @@ let substitute t ~old_cid ~new_cid =
 
 let with_version t version = { t with version }
 let copy t = { t with members = t.members }
-
-let pp graph ppf t =
-  Format.fprintf ppf "@[<v 2>view %s (v%d):@ " t.view_name t.version;
-  List.iter
-    (fun (cid, name) ->
-      let global = Schema_graph.name_of graph cid in
-      if String.equal global name then Format.fprintf ppf "%s@ " name
-      else Format.fprintf ppf "%s (global: %s)@ " name global)
-    t.members;
-  Format.fprintf ppf "@]"

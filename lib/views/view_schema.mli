@@ -46,5 +46,3 @@ val substitute : t -> old_cid:cid -> new_cid:cid -> t
 
 val with_version : t -> int -> t
 val copy : t -> t
-
-val pp : Tse_schema.Schema_graph.t -> Format.formatter -> t -> unit

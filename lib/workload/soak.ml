@@ -88,9 +88,8 @@ let recovery_hist =
 (* crash sites: every evolve phase (nothing logged yet: pre-evolution),
    a torn write of the effects batch (pre), and a crash after the whole
    batch is written but before its fsync, which recovers to the
-   post-evolution state. The two WAL sites are on the eager append
-   path; under a grouped policy they are never reached and the step
-   completes. *)
+   post-evolution state. Every sync policy flushes the effects batch
+   through the same group path, so each site is reached under each. *)
 let crash_sites =
   [|
     ("evolve.change", Failpoint.Crash_now);
@@ -98,8 +97,8 @@ let crash_sites =
     ("evolve.classify", Failpoint.Crash_now);
     ("evolve.integrate", Failpoint.Crash_now);
     ("evolve.reclassify", Failpoint.Crash_now);
-    ("wal.append.short", Failpoint.Short_write 11);
-    ("wal.append.fsync", Failpoint.Crash_now);
+    ("wal.group.append", Failpoint.Short_write 11);
+    ("wal.group.fsync", Failpoint.Crash_now);
   |]
 
 (* ---------------- deterministic base population ---------------- *)

@@ -411,6 +411,58 @@ let create_init_partial () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* The TSE_TRACE sink wrote through a buffered out_channel, which flushes
+   whenever its buffer fills, mid-line. Two processes tracing to one file
+   (dune runtest runs the test and regression binaries at once) then
+   interleaved pieces of lines, and the trace held lines that were not
+   JSON. The sink now buffers whole lines and hands each flushed chunk to
+   one write on an O_APPEND descriptor. Two sinks on one file stand in
+   for the two processes: each flushes several times while their emits
+   interleave, and the file must parse with no damage and hold every
+   line of both. *)
+let trace_shared_file () =
+  let module Trace = Tse_obs.Trace in
+  let path = Filename.temp_file "tse_trace_shared" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let sinks = [| Trace.file_sink path; Trace.file_sink path |] in
+      let per_sink = 3000 in
+      for i = 0 to (2 * per_sink) - 1 do
+        let emit, _ = sinks.(i mod 2) in
+        (* uneven lengths, so chunk ends never line up between sinks *)
+        emit
+          (Printf.sprintf
+             "{\"name\":\"shared.%d\",\"start_us\":%d,\"dur_us\":0,\"sid\":%d,\"attrs\":{\"pad\":\"%s\"}}"
+             (i mod 2) i (i + 1)
+             (String.make (i * 37 mod 113) 'x'))
+      done;
+      Array.iter (fun (_, flush) -> flush ()) sinks;
+      let bytes = (Unix.stat path).Unix.st_size in
+      Alcotest.(check bool) "emits crossed the flush size" true
+        (bytes > 4 * 65536);
+      match Trace.parse_file path with
+      | Error msg -> Alcotest.fail ("parse_file: " ^ msg)
+      | Ok (spans, damage) ->
+        Alcotest.(check bool) "no damage" true (damage = None);
+        Alcotest.(check int) "every line of both sinks" (2 * per_sink)
+          (List.length spans);
+        List.iter
+          (fun sink ->
+            let name = Printf.sprintf "shared.%d" sink in
+            let sids =
+              List.filter_map
+                (fun s ->
+                  if String.equal s.Trace.name name then Some s.Trace.sid
+                  else None)
+                spans
+            in
+            Alcotest.(check bool)
+              (name ^ ": its lines in emit order")
+              true
+              (List.sort compare sids = sids && List.length sids = per_sink))
+          [ 0; 1 ])
+
 let () =
   let corpus =
     [
@@ -454,4 +506,7 @@ let () =
       ( "create-init-partial",
         [ Alcotest.test_case "a raised init write leaves no object" `Quick
             create_init_partial ] );
+      ( "trace-shared-file",
+        [ Alcotest.test_case "two file sinks on one file keep lines whole"
+            `Quick trace_shared_file ] );
     ]

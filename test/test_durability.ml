@@ -331,18 +331,12 @@ let test_durable_empty_commit_writes_nothing () =
    before the snapshot write begins. *)
 type expect = Pre | Post
 
-(* The eager cases pin Every_commit (their failpoints live on that path);
-   the group cases pin Group 1, which drives every commit through
-   append_nosync + sync, so the group-boundary failpoints fire on a
-   single Durable.commit exactly like the eager ones do. *)
+(* Every commit reaches the log through append_nosync + sync, so one
+   list covers the commit path under every policy: a crash before the
+   batch is framed, a torn flush, and a crash between the flush's write
+   and its fsync. It runs under Every_commit and under Group 1, where a
+   single Durable.commit fills the group and syncs it. *)
 let commit_cases =
-  [
-    ("wal.append.before", Failpoint.Crash_now, Pre);
-    ("wal.append.short", Failpoint.Short_write 5, Pre);
-    ("wal.append.fsync", Failpoint.Crash_now, Post);
-  ]
-
-let group_commit_cases =
   [
     ("wal.group.append", Failpoint.Crash_now, Pre);
     ("wal.group.append", Failpoint.Short_write 5, Pre);
@@ -424,7 +418,57 @@ let test_crash_matrix_commit () =
   run_commit_cases ~policy:Durable.Every_commit commit_cases
 
 let test_crash_matrix_group_commit () =
-  run_commit_cases ~policy:(Durable.Group 1) group_commit_cases
+  run_commit_cases ~policy:(Durable.Group 1) commit_cases
+
+(* A failed fsync reaches the caller under every policy: the commit that
+   runs the barrier raises. Nothing is retried; the contract is to
+   abandon the handle and reopen. The flush's write did land, so the
+   reopened store is at the post state, and it takes further commits. *)
+let test_failed_fsync_propagates () =
+  List.iter
+    (fun policy ->
+      let label = Durable.policy_to_string policy in
+      let group = match policy with Durable.Group n -> n | _ -> 1 in
+      let dir = fresh_dir () in
+      let d, _ = Durable.open_dir ~policy ~dir () in
+      let db = Durable.db d in
+      let _, _, o1, _ = build_small db in
+      Durable.commit d;
+      Durable.sync d;
+      (* frame all but the last batch of the group; the last commit
+         fills it and runs the failing barrier *)
+      for i = 1 to group - 1 do
+        Database.set_attr db o1 "age" (Value.Int (50 + i));
+        Durable.commit d
+      done;
+      check Alcotest.int (label ^ ": group not yet full") (group - 1)
+        (Durable.unsynced_commits d);
+      Database.set_attr db o1 "age" (Value.Int 99);
+      let post = fingerprint db in
+      let trips0 = Failpoint.trip_count "wal.group.fsync" in
+      Failpoint.arm "wal.group.fsync" Failpoint.Error_now;
+      (match Durable.commit d with
+      | () -> Alcotest.failf "%s: expected the fsync error" label
+      | exception Failpoint.Io_error _ -> ());
+      check Alcotest.int (label ^ ": the fsync failed once") (trips0 + 1)
+        (Failpoint.trip_count "wal.group.fsync");
+      Failpoint.reset ();
+      Durable.abandon d;
+      let d2, _ = Durable.open_dir ~policy ~dir () in
+      let db2 = Durable.db d2 in
+      check Alcotest.string (label ^ ": reopened at the post state") post
+        (fingerprint db2);
+      assert_consistent label db2;
+      Database.set_attr db2 o1 "name" (Value.String "dora");
+      Durable.commit d2;
+      Durable.sync d2;
+      let final = fingerprint db2 in
+      Durable.close d2;
+      let d3, _ = Durable.open_dir ~policy ~dir () in
+      check Alcotest.string (label ^ ": a further commit persists") final
+        (fingerprint (Durable.db d3));
+      Durable.close d3)
+    [ Durable.Every_commit; Durable.Group 2 ]
 
 let test_crash_matrix_checkpoint () =
   List.iter
@@ -481,7 +525,6 @@ let test_atomic_write_crashes () =
 let test_matrix_covers_every_failpoint () =
   let covered =
     List.map (fun (n, _, _) -> n) commit_cases
-    @ List.map (fun (n, _, _) -> n) group_commit_cases
     @ List.map (fun (n, _) -> n) checkpoint_cases
     @ List.concat_map
         (fun p -> List.map (fun (n, _, _) -> n) (atomic_write_cases p))
@@ -962,3 +1005,7 @@ let suite =
   ]
   @ List.map Qcheck_det.to_alcotest
       [ prop_wal_corruption; prop_group_prefix_durability ]
+  @ [
+      Alcotest.test_case "a failed fsync propagates under every policy" `Quick
+        test_failed_fsync_propagates;
+    ]

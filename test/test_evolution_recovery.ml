@@ -103,30 +103,19 @@ type expect = Pre | Post
 (* Nothing of an evolution is logged until its effects batch, so a crash
    in any phase loses it (Pre), and so does a torn effects batch:
    recovery truncates it away. A crash after the whole batch is written
-   but before its fsync finds it on disk (Post). Each policy writes the
-   batch through its own path, so each has its own torn and post rows. *)
-let phase_crash_cases =
+   but before its fsync finds it on disk (Post). Every policy writes the
+   batch through the same append_nosync + sync path, so one list serves
+   them all. *)
+let evolve_crash_cases =
   [
     ("evolve.change", Failpoint.Crash_now, Pre);
     ("evolve.derive", Failpoint.Crash_now, Pre);
     ("evolve.classify", Failpoint.Crash_now, Pre);
     ("evolve.integrate", Failpoint.Crash_now, Pre);
     ("evolve.reclassify", Failpoint.Crash_now, Pre);
+    ("wal.group.append", Failpoint.Short_write 11, Pre);
+    ("wal.group.fsync", Failpoint.Crash_now, Post);
   ]
-
-let evolve_crash_cases =
-  phase_crash_cases
-  @ [
-      ("wal.append.short", Failpoint.Short_write 11, Pre);
-      ("wal.append.fsync", Failpoint.Crash_now, Post);
-    ]
-
-let group_evolve_crash_cases =
-  phase_crash_cases
-  @ [
-      ("wal.group.append", Failpoint.Short_write 11, Pre);
-      ("wal.group.fsync", Failpoint.Crash_now, Post);
-    ]
 
 let run_evolve_crash_case ?policy ~name ~action ~expect ~changes () =
   let dir, t = setup ?policy () in
@@ -202,14 +191,14 @@ let test_crash_matrix () =
         ~changes:changes1 ())
     evolve_crash_cases
 
-(* Under a grouped sync policy the effects batch goes through the group
+(* Under a grouped sync policy the effects batch waits in the group
    buffer, and [evolve_many] syncs it before answering. *)
 let test_crash_matrix_group_policy () =
   List.iter
     (fun (name, action, expect) ->
       run_evolve_crash_case ~policy:(Durable.Group 4) ~name ~action ~expect
         ~changes:changes1 ())
-    group_evolve_crash_cases
+    evolve_crash_cases
 
 (* A two-change unit must recover to version 0 or version 2 — never the
    version-1 prefix — whichever side of the effects batch the crash
@@ -222,7 +211,7 @@ let test_multi_change_atomicity () =
     [
       ("evolve.change", Failpoint.Crash_now, Pre);
       ("evolve.reclassify", Failpoint.Crash_now, Pre);
-      ("wal.append.fsync", Failpoint.Crash_now, Post);
+      ("wal.group.fsync", Failpoint.Crash_now, Post);
     ]
 
 (* After a checkpoint the log holds the first evolution's class delta and
@@ -255,8 +244,8 @@ let test_crash_after_checkpoint () =
       Durable_tse.close t2)
     [
       ("evolve.integrate", Failpoint.Crash_now, Pre);
-      ("wal.append.short", Failpoint.Short_write 11, Pre);
-      ("wal.append.fsync", Failpoint.Crash_now, Post);
+      ("wal.group.append", Failpoint.Short_write 11, Pre);
+      ("wal.group.fsync", Failpoint.Crash_now, Post);
     ]
 
 (* ---------------- torn effects batch: every truncation offset ------- *)
@@ -283,7 +272,7 @@ let test_torn_effects_batch_every_offset () =
   let dir, t = setup ~policy:Durable.Every_commit () in
   let wal_path = Filename.concat dir "wal" in
   let len0 = (Unix.stat wal_path).Unix.st_size in
-  Failpoint.arm "wal.append.fsync" Failpoint.Crash_now;
+  Failpoint.arm "wal.group.fsync" Failpoint.Crash_now;
   (match Durable_tse.evolve_many t ~view changes1 with
   | Ok _ | Error _ -> Alcotest.fail "expected a crash"
   | exception Failpoint.Crash _ -> ());
