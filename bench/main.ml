@@ -398,10 +398,6 @@ let () =
     Bench_analyze.run ~smoke:(List.mem "--smoke" argv) ();
     exit 0
   end;
-  if List.mem "scenarios" argv then begin
-    Bench_scenarios.run ~smoke:(List.mem "--smoke" argv) ();
-    exit 0
-  end;
   Printf.printf
     "TSE benchmark harness — one section per paper table/figure + ablations\n";
   table1_structural ();

@@ -27,6 +27,7 @@ type conflict = { objects : Oid.t list }
 let version t o = Option.value (Oid.Tbl.find_opt t.versions o) ~default:0
 
 let bump t o = Oid.Tbl.replace t.versions o (version t o + 1)
+let db t = t.db
 
 let create db =
   let t = { db; versions = Oid.Tbl.create 256 } in
@@ -35,11 +36,12 @@ let create db =
       | Database.Object_created o
       | Database.Object_destroyed o
       | Database.Attr_set (o, _, _)
-      | Database.Bases_changed o ->
+      | Database.Membership_delta (o, _, _) ->
+        (* a base-membership edit that changes state fires exactly one
+           delta; after an attribute write the extra bump is harmless *)
         bump t o
-      | Database.Membership_delta _ | Database.Class_populated _ ->
-        (* membership recomputation follows an attribute change that
-           already bumped; reclassification alone does not invalidate *)
+      | Database.Class_populated _ ->
+        (* only a class no session can have read yet was joined *)
         ());
   t
 

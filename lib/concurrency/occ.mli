@@ -15,7 +15,12 @@
 
     Object versions are maintained by listening to the database's change
     events, so direct (non-session) updates also invalidate concurrent
-    readers — there is no way to sneak past validation. *)
+    readers — there is no way to sneak past validation. An object's
+    version moves when it is created or destroyed, when one of its
+    attributes is written, and when its membership changes
+    ([Membership_delta], which every base-membership edit that changes
+    state fires); filling a newly created class ([Class_populated])
+    moves none. *)
 
 type t
 (** The concurrency manager for one database (one per database). *)
@@ -30,6 +35,9 @@ val create : Tse_db.Database.t -> t
 (** Registers the version-tracking listener, held weakly by the
     database: a dropped manager stops tracking at the next major
     collection. *)
+
+val db : t -> Tse_db.Database.t
+(** The database the manager tracks. *)
 
 val begin_session : t -> session
 

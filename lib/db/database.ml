@@ -39,7 +39,6 @@ type t = {
   model : Slicing.t;
   stats : Stats.t;
   extents : extent Oid.Tbl.t;
-  base_member : Oid.Set.t ref Oid.Tbl.t;  (* object -> base classes *)
   mutable listeners : listener list;
   mutable derived : derived;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
@@ -53,7 +52,6 @@ and event =
   | Attr_set of Oid.t * string * Value.t
   | Membership_delta of Oid.t * cid list * cid list
   | Class_populated of cid * Oid.Set.t
-  | Bases_changed of Oid.t
 
 (* A callback and the owner it maintains. The owner is held weakly, so a
    derived structure the program dropped stops being notified once the
@@ -133,7 +131,6 @@ let make ~heap ~graph ~stats ~model =
     model;
     stats;
     extents = Oid.Tbl.create 64;
-    base_member = Oid.Tbl.create 256;
     listeners = [];
     derived = fresh_derived graph;
     full_reclassify = env_full_reclassify ();
@@ -228,16 +225,31 @@ let note_new_class _ _ = ()
 let derivation_order t = Lazy.force (derived t).order
 let deps t = Lazy.force (derived t).deps
 
-let base_membership t o =
-  match Oid.Tbl.find_opt t.base_member o with
-  | Some r -> !r
-  | None -> Oid.Set.empty
-
 let is_member t o cid = Slicing.is_member t.model o cid
 let member_classes t o = Slicing.member_classes t.model o
 let objects t = Slicing.objects t.model
 let object_count t = Slicing.object_count t.model
-let mem_object t o = Oid.Tbl.mem t.base_member o
+let mem_object t o = Slicing.is_object t.model o
+
+(* An object's minimal base-class set is state of its conceptual cell,
+   so the heap's logger, snapshot and replay carry it like any other
+   slot. Only this module writes the slot. *)
+let bases_slot = "__bases"
+
+let base_membership t o =
+  if not (mem_object t o) then Oid.Set.empty
+  else
+    match Heap.get_slot t.heap o bases_slot with
+    | Value.List cids ->
+      List.fold_left
+        (fun acc v ->
+          match v with Value.Ref c -> Oid.Set.add c acc | _ -> acc)
+        Oid.Set.empty cids
+    | _ -> Oid.Set.empty
+
+let write_base_membership heap o cids =
+  Heap.set_slot heap o bases_slot
+    (Value.List (List.map (fun c -> Value.Ref c) cids))
 
 let membership_set t o =
   List.fold_left
@@ -672,7 +684,6 @@ let minimal_bases t set =
 let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
   else List.iter (fun c -> extent_remove t c o) (member_classes t o);
-  Oid.Tbl.remove t.base_member o;
   forget_resolution t o;
   Slicing.destroy_object t.model o;
   notify t (Object_destroyed o)
@@ -683,7 +694,7 @@ let create_object ?(init = []) t cid =
     invalid_arg
       (Printf.sprintf "Database.create_object: %s is virtual" k.name);
   let o = Slicing.create_object t.model cid in
-  Oid.Tbl.replace t.base_member o (ref (Oid.Set.singleton cid));
+  write_base_membership t.heap o [ cid ];
   (* seed the extent index with the full initial membership (the creation
      class and its ancestors, already materialized by the object model) so
      delta maintenance starts from a consistent membership/extent pair *)
@@ -691,7 +702,6 @@ let create_object ?(init = []) t cid =
   (* creation is announced before the init writes, so listeners never
      observe Attr_set for an object they were not told exists *)
   notify t (Object_created o);
-  notify t (Bases_changed o);
   (* classify first so attributes carried by refine slices are storable;
      each assignment re-derives select-class memberships *)
   reclassify t o;
@@ -704,46 +714,39 @@ let create_object ?(init = []) t cid =
      Printexc.raise_with_backtrace e bt);
   o
 
+(* The slot is rewritten only when the set moved: an edit that changes
+   nothing logs nothing. *)
+let edit_bases t o what f =
+  if not (mem_object t o) then
+    invalid_arg (Printf.sprintf "Database.%s: unknown object" what);
+  let bases = base_membership t o in
+  let next = minimal_bases t (f bases) in
+  if not (Oid.Set.equal next bases) then
+    write_base_membership t.heap o (Oid.Set.elements next);
+  reclassify t o
+
 let add_base_membership t o cid =
   let k = Schema_graph.find_exn t.graph cid in
   if Klass.is_virtual k then
     invalid_arg "Database.add_base_membership: virtual class";
-  let r =
-    match Oid.Tbl.find_opt t.base_member o with
-    | Some r -> r
-    | None -> invalid_arg "Database.add_base_membership: unknown object"
-  in
-  r := minimal_bases t (Oid.Set.add cid !r);
-  notify t (Bases_changed o);
-  reclassify t o
+  edit_bases t o "add_base_membership" (Oid.Set.add cid)
 
 let remove_base_membership t o cid =
-  let r =
-    match Oid.Tbl.find_opt t.base_member o with
-    | Some r -> r
-    | None -> invalid_arg "Database.remove_base_membership: unknown object"
-  in
   (* expand to the full implied base membership, subtract the class and
      its descendants, and re-minimalize: losing TA-ness this way keeps the
      TeachingStaff-ness the object had through TA *)
   let is_base c = Klass.is_base (Schema_graph.find_exn t.graph c) in
-  let expanded =
-    Oid.Set.filter is_base (isa_closure t !r) |> Oid.Set.remove (root t)
-  in
-  let dead = Oid.Set.add cid (Schema_graph.descendants t.graph cid) in
-  r := minimal_bases t (Oid.Set.diff expanded dead);
-  notify t (Bases_changed o);
-  reclassify t o
+  edit_bases t o "remove_base_membership" (fun bases ->
+      let expanded =
+        Oid.Set.filter is_base (isa_closure t bases) |> Oid.Set.remove (root t)
+      in
+      let dead = Oid.Set.add cid (Schema_graph.descendants t.graph cid) in
+      Oid.Set.diff expanded dead)
 
-let restore ~heap ~graph ~bases =
+let restore ~heap ~graph =
   let stats = Stats.create () in
   let model = Slicing.rebuild ~graph ~heap ~stats in
   let t = make ~heap ~graph ~stats ~model in
-  List.iter
-    (fun (o, cids) ->
-      Oid.Tbl.replace t.base_member o
-        (ref (List.fold_left (fun acc c -> Oid.Set.add c acc) Oid.Set.empty cids)))
-    bases;
   (* extents re-derived from the restored membership facts *)
   List.iter
     (fun o ->

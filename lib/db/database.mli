@@ -4,7 +4,10 @@
 
     Membership semantics implemented here:
     - an object carries an explicit set of {e base} classes it was placed
-      into (closed upward within the base hierarchy);
+      into (closed upward within the base hierarchy), stored minimal as
+      the [__bases] slot of its conceptual heap cell, so the heap's
+      logger, snapshot and replay persist it like any other object
+      state;
     - membership of every {e virtual} class is defined by its derivation
       formula (Section 3.2) and recomputed to a fixpoint whenever an
       object's base membership or attribute values change;
@@ -17,15 +20,12 @@ type cid = Tse_schema.Klass.cid
 
 val create : unit -> t
 
-val restore :
-  heap:Tse_store.Heap.t ->
-  graph:Tse_schema.Schema_graph.t ->
-  bases:(Tse_store.Oid.t * cid list) list ->
-  t
-(** Reassemble a database from catalog parts: a loaded heap, a loaded
-    schema graph (sharing the heap's OID generator) and the per-object
-    explicit base memberships. The object model is rebuilt by scanning
-    the heap; extents are re-derived from the restored memberships. *)
+val restore : heap:Tse_store.Heap.t -> graph:Tse_schema.Schema_graph.t -> t
+(** Reassemble a database from catalog parts: a loaded heap (which
+    carries every object's base memberships) and a loaded schema graph
+    sharing the heap's OID generator. The object model is rebuilt by
+    scanning the heap; extents are re-derived from the restored
+    memberships. *)
 
 val graph : t -> Tse_schema.Schema_graph.t
 val heap : t -> Tse_store.Heap.t
@@ -61,6 +61,16 @@ val remove_base_membership : t -> Tse_store.Oid.t -> cid -> unit
     then reclassify. *)
 
 val base_membership : t -> Tse_store.Oid.t -> Tse_store.Oid.Set.t
+(** The object's minimal explicit base classes (empty for an unknown
+    object). *)
+
+val write_base_membership :
+  Tse_store.Heap.t -> Tse_store.Oid.t -> cid list -> unit
+(** Write an object's minimal base set, ascending, as the slot
+    {!base_membership} reads, into a heap no database owns yet: how
+    format-1 images and logs, which kept the sets outside the heap, are
+    read ({!Durable.image_of_string}). *)
+
 val is_member : t -> Tse_store.Oid.t -> cid -> bool
 val member_classes : t -> Tse_store.Oid.t -> cid list
 
@@ -178,16 +188,17 @@ type event =
           reclassification, only when the membership set actually
           changed (one that changes nothing fires nothing). Derived
           structures (per-class indexes, extent observers) can
-          maintain themselves from the delta instead of rescanning. *)
+          maintain themselves from the delta instead of rescanning.
+          A base-membership edit that changes state fires exactly one:
+          the base part of a membership is the upward closure of the
+          minimal base set, and two different minimal sets never have
+          the same closure. *)
   | Class_populated of cid * Tse_store.Oid.Set.t
       (** class, its members — fired once by {!populate_class} when it
           fills a new class by set algebra, after every member has its
           slice and the extent is set. Each member gained exactly the
           class, so it stands for one [Membership_delta (o, [cid], [])]
           per member, which that path does not fire. *)
-  | Bases_changed of Tse_store.Oid.t
-      (** the object's explicit base-class membership set changed (fires
-          on creation and on add/remove of a base membership) *)
 
 val add_listener : t -> owner:'a -> ('a -> event -> unit) -> unit
 (** [add_listener db ~owner f] calls [f owner ev] for every event [ev]

@@ -24,7 +24,6 @@ type t = {
   wal : Wal.t;
   mutable seq : int;  (* last appended batch *)
   mutable pending : Heap.op list;  (* newest first *)
-  dirty_bases : unit Oid.Tbl.t;
   mutable schema_imaged : bool;  (* a whole schema image is durable *)
   mutable last_stamp : int;  (* graph version the durable schema is at *)
   exts : (string, string list) Hashtbl.t;
@@ -114,49 +113,33 @@ let ext_blob exts tag =
 (* The database image                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* per-object base memberships: the image's BASES section and the log's
-   ["bases"] entries share this codec *)
-let encode_bases bases =
-  let buf = Buffer.create 256 in
-  Codec.add_list buf
-    (fun buf (o, cids) ->
-      Schema_codec.add_cid buf o;
-      Codec.add_list buf Schema_codec.add_cid cids)
-    bases;
-  Buffer.contents buf
-
-let decode_bases s =
+(* Format 1 kept the minimal base sets outside the heap: an image's
+   BASES section, and log entries tagged ["bases"] naming the objects a
+   commit touched (an empty list for a destroyed one). Reading either
+   writes each set as the slot format 2 keeps it in; an object the heap
+   no longer holds is skipped. *)
+let import_v1_bases heap blob =
   let bases, pos =
     Codec.read_list
       (fun s pos ->
         let o, pos = Schema_codec.read_cid s pos in
         let cids, pos = Codec.read_list Schema_codec.read_cid s pos in
         ((o, cids), pos))
-      s 0
+      blob 0
   in
-  if pos <> String.length s then Codec.fail_at pos "trailing bases bytes";
-  bases
-
-(* a destroyed object's entry is empty: replay drops its memberships *)
-let base_entry db o =
-  ( o,
-    if Database.mem_object db o then
-      Oid.Set.elements (Database.base_membership db o)
-    else [] )
+  if pos <> String.length blob then Codec.fail_at pos "trailing bases bytes";
+  List.iter
+    (fun (o, cids) ->
+      if Heap.mem heap o then Database.write_base_membership heap o cids)
+    bases
 
 let image_to_string ~seq ~schema ~exts db =
-  let bases =
-    encode_bases
-      (List.map (base_entry db) (List.sort Oid.compare (Database.objects db)))
-  in
   let heap_text = Snapshot.to_string (Database.heap db) in
   let buf = Buffer.create (String.length heap_text + 256) in
-  Buffer.add_string buf "TSE-DB 1\n";
+  Buffer.add_string buf "TSE-DB 2\n";
   Buffer.add_string buf (Printf.sprintf "seq %d\n" seq);
   Buffer.add_string buf (Printf.sprintf "SCHEMA %d\n" (String.length schema));
   Buffer.add_string buf schema;
-  Buffer.add_string buf (Printf.sprintf "\nBASES %d\n" (String.length bases));
-  Buffer.add_string buf bases;
   (* upper-layer extension blobs (e.g. the view history), keyed by the same
      tags the log's [Ext] entries use, in a stable order *)
   List.sort (fun (a, _) (b, _) -> String.compare a b) exts
@@ -171,23 +154,25 @@ let image_to_string ~seq ~schema ~exts db =
 type sections = {
   seq : int;
   schema : string option;  (* [None]: a fresh directory, nothing yet *)
-  bases : (Oid.t * Oid.t list) list;
   exts : (string * string) list;
   heap : Heap.t;
 }
 
 (* raises [Failure] naming the bad section, or [Codec.Corrupt] *)
 let parse_image text =
-  let header = "TSE-DB 1\n" in
-  if String.length text < String.length header
-     || String.sub text 0 (String.length header) <> header
-  then failwith "bad header";
-  let pos = String.length header in
   let line_end pos =
     match String.index_from_opt text pos '\n' with
     | Some nl -> nl
     | None -> failwith "truncated header line"
   in
+  (* format 1 kept the base sets in a BASES section after the schema *)
+  let header v = String.starts_with ~prefix:("TSE-DB " ^ v ^ "\n") text in
+  let v1 =
+    if header "1" then true
+    else if header "2" then false
+    else failwith "bad header"
+  in
+  let pos = String.length "TSE-DB 2\n" in
   let nl = line_end pos in
   let seq =
     match String.split_on_char ' ' (String.sub text pos (nl - pos)) with
@@ -209,7 +194,12 @@ let parse_image text =
   let schema, pos = sized (nl + 1) "SCHEMA" in
   if pos >= String.length text || text.[pos] <> '\n' then
     failwith "missing newline after SCHEMA";
-  let bases, pos = sized (pos + 1) "BASES" in
+  let v1_bases, pos =
+    if v1 then
+      let bases, pos = sized (pos + 1) "BASES" in
+      (Some bases, pos)
+    else (None, pos)
+  in
   (* zero or more "\nEXT <tag> <len>\n<blob>" sections precede the heap *)
   let exts = ref [] in
   let pos = ref pos in
@@ -233,20 +223,16 @@ let parse_image text =
   let heap_marker = "\nHEAP\n" in
   if not (starts_with heap_marker) then failwith "missing HEAP section";
   let heap_start = !pos + String.length heap_marker in
-  {
-    seq;
-    schema = Some schema;
-    bases = decode_bases bases;
-    exts = List.rev !exts;
-    heap =
-      Snapshot.of_string
-        (String.sub text heap_start (String.length text - heap_start));
-  }
+  let heap =
+    Snapshot.of_string
+      (String.sub text heap_start (String.length text - heap_start))
+  in
+  Option.iter (import_v1_bases heap) v1_bases;
+  { seq; schema = Some schema; exts = List.rev !exts; heap }
 
 (* the graph decodes against the heap's OID generator, with the class
-   deltas logged since the image applied in log order; memberships of
-   objects the heap no longer holds are dropped *)
-let restore ~heap ~schema ~deltas ~bases =
+   deltas logged since the image applied in log order *)
+let restore ~heap ~schema ~deltas =
   let gen = Heap.gen heap in
   let graph =
     match schema, deltas with
@@ -256,13 +242,12 @@ let restore ~heap ~schema ~deltas ~bases =
       failwith "Durable: schema: a class delta without a schema image"
   in
   Database.restore ~heap ~graph
-    ~bases:(List.filter (fun (o, _) -> Heap.mem heap o) bases)
 
 let image_of_string text =
   try
     let s = parse_image text in
     ( s.seq,
-      restore ~heap:s.heap ~schema:s.schema ~deltas:[] ~bases:s.bases,
+      restore ~heap:s.heap ~schema:s.schema ~deltas:[],
       s.exts )
   with Codec.Corrupt (what, pos) ->
     failwith (Printf.sprintf "%s at %d" what pos)
@@ -273,15 +258,7 @@ let image_of_string text =
 
 let attach t =
   let heap = Database.heap t.database in
-  Heap.set_logger heap (Some (fun op -> t.pending <- op :: t.pending));
-  Database.add_listener t.database ~owner:t (fun t event ->
-      match event with
-      | Database.Bases_changed o | Database.Object_destroyed o ->
-        Oid.Tbl.replace t.dirty_bases o ()
-      | Database.Object_created _ | Database.Attr_set _
-      | Database.Membership_delta _ | Database.Class_populated _ ->
-        (* already captured as physical heap ops *)
-        ())
+  Heap.set_logger heap (Some (fun op -> t.pending <- op :: t.pending))
 
 let open_dir ?policy ~dir () =
   Metrics.incr m_opens;
@@ -303,17 +280,16 @@ let open_dir ?policy ~dir () =
       | exception Codec.Corrupt (what, pos) ->
         failwith (Printf.sprintf "Durable: snapshot: %s at %d" what pos)
     end
-    else { seq = 0; schema = None; bases = []; exts = []; heap = Heap.create () }
+    else { seq = 0; schema = None; exts = []; heap = Heap.create () }
   in
   let heap = snap.heap in
   (* replay the log tail: heap ops directly, whole schema images and the
-     class deltas logged after the latest one, a base-membership overlay,
-     and opaque per-tag blobs for every other tag, whole or appended to
-     (upper layers interpret those through {!ext}) *)
+     class deltas logged after the latest one, a format-1 log's base
+     memberships as the slots they are now, and opaque per-tag blobs for
+     every other tag, whole or appended to (upper layers interpret those
+     through {!ext}) *)
   let latest_schema = ref snap.schema in
   let deltas = ref [] in
-  let bases_tbl = Oid.Tbl.create 64 in
-  List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids) snap.bases;
   let exts = Hashtbl.create 4 in
   List.iter (fun (tag, blob) -> Hashtbl.replace exts tag [ blob ]) snap.exts;
   let on_ext kind blob =
@@ -322,18 +298,15 @@ let open_dir ?policy ~dir () =
       latest_schema := Some blob;
       deltas := []
     | "classes" -> deltas := blob :: !deltas
-    | "bases" ->
-      List.iter (fun (o, cids) -> Oid.Tbl.replace bases_tbl o cids)
-        (decode_bases blob)
+    | "bases" -> import_v1_bases heap blob
     | tag -> fold_ext exts tag blob
   in
   let report =
     Recovery.replay ~heap ~path:(wal_path dir) ~after:snap.seq ~on_ext
   in
-  let bases = Oid.Tbl.fold (fun o cids acc -> (o, cids) :: acc) bases_tbl [] in
   let database =
     try
-      restore ~heap ~schema:!latest_schema ~deltas:(List.rev !deltas) ~bases
+      restore ~heap ~schema:!latest_schema ~deltas:(List.rev !deltas)
     with Codec.Corrupt (what, pos) ->
       failwith (Printf.sprintf "Durable: schema: %s at %d" what pos)
   in
@@ -345,7 +318,6 @@ let open_dir ?policy ~dir () =
       wal = Wal.open_append ~path:(wal_path dir);
       seq;
       pending = [];
-      dirty_bases = Oid.Tbl.create 16;
       schema_imaged = Option.is_some !latest_schema;
       last_stamp = Schema_graph.version (Database.graph database);
       exts;
@@ -398,15 +370,6 @@ let commit t =
   Trace.with_span "durable.commit" @@ fun () ->
   let db = t.database in
   let ops = List.rev_map (fun op -> Wal.Op op) t.pending in
-  let bases_entry =
-    if Oid.Tbl.length t.dirty_bases = 0 then []
-    else
-      let dirty =
-        Oid.Tbl.fold (fun o () acc -> o :: acc) t.dirty_bases []
-        |> List.sort Oid.compare
-      in
-      [ Wal.Ext ("bases", encode_bases (List.map (base_entry db) dirty)) ]
-  in
   (* the schema is logged only when the graph version moved since the
      durable schema: as the records of the classes edited or removed
      since then, or whole while no whole image is durable yet *)
@@ -421,7 +384,7 @@ let commit t =
       | delta -> [ Wal.Ext ("classes", encode_delta delta) ]
   in
   let ext_entries = List.rev t.staged in
-  if ops = [] && bases_entry = [] && schema_entry = [] && ext_entries = []
+  if ops = [] && schema_entry = [] && ext_entries = []
   then begin
     t.last_stamp <- stamp;
     Metrics.incr m_empty_commits
@@ -429,14 +392,13 @@ let commit t =
   else begin
     Metrics.incr m_commits;
     let gen_entry = [ Wal.Gen (Oid.Gen.peek (Heap.gen (Database.heap db))) ] in
-    let entries = ops @ gen_entry @ bases_entry @ schema_entry @ ext_entries in
+    let entries = ops @ gen_entry @ schema_entry @ ext_entries in
     let seq = t.seq + 1 in
     Wal.append_nosync t.wal ~seq entries;
     (* the batch is framed for the next sync barrier: advance the
        in-memory image *)
     t.seq <- seq;
     t.pending <- [];
-    Oid.Tbl.reset t.dirty_bases;
     if schema_entry <> [] then t.schema_imaged <- true;
     t.last_stamp <- stamp;
     List.iter

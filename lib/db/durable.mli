@@ -4,20 +4,19 @@
 
     - [snapshot] — a database image (see {!image_to_string}: the last
       folded batch sequence number, the encoded schema graph, the
-      per-object base memberships, the extension blobs and a heap
-      snapshot), replaced atomically;
+      extension blobs and a heap snapshot), replaced atomically;
     - [wal] — the write-ahead log of every commit since that snapshot.
 
     The image is the one whole-database format: a catalog
     ({!Tse_views.Catalog}) is an image at sequence number 0, so a
     catalog file opens as a snapshot and a snapshot loads as a catalog.
 
-    Every committed change is captured through the heap's mutation
-    observer ({!Tse_store.Heap.set_logger}) and the database's change
-    events, so one {!commit} appends exactly one checksummed batch:
-    the physical heap ops, an OID-generator watermark, the base
-    memberships that changed, and — only when
-    {!Tse_schema.Schema_graph.version} moved since the last commit — a
+    Every committed change to objects is captured through the heap's
+    mutation observer ({!Tse_store.Heap.set_logger}) — an object's base
+    memberships included, which the database keeps as a slot of its
+    conceptual cell — so one {!commit} appends exactly one checksummed
+    batch: the physical heap ops, an OID-generator watermark, and — only
+    when {!Tse_schema.Schema_graph.version} moved since the last commit — a
     class delta: the records of the classes edited or removed since then
     ({!Tse_schema.Schema_graph.changed_since}). A data-only commit does
     no schema work. While no whole schema image is durable (a fresh
@@ -85,12 +84,10 @@ val image_to_string :
 (** A whole-database image:
 
     {v
-    TSE-DB 1
+    TSE-DB 2
     seq <n>
     SCHEMA <len>
     <schema image>
-    BASES <len>
-    <base memberships>
     EXT <tag> <len>
     <blob>
     ...
@@ -101,13 +98,17 @@ val image_to_string :
     [seq] is the last log batch the image folds (0 outside a durable
     directory); [schema] is [Tse_schema.Schema_codec.encode_graph] of the
     database's graph;
-    [exts] are the extension blobs, written sorted by tag. The base
-    memberships use the codec of the log's ["bases"] entries. *)
+    [exts] are the extension blobs, written sorted by tag. Each object's
+    minimal base set travels in the heap, as the [__bases] slot of its
+    conceptual cell. *)
 
 val image_of_string :
   string -> int * Database.t * (string * string) list
 (** Decode an image: its [seq], the restored database and the extension
-    blobs in file order. @raise Failure naming the bad section (["bad
+    blobs in file order. A format-1 image ([TSE-DB 1]) carries a
+    [BASES <len>] section after the schema; its sets are written into
+    the heap as slots. {!open_dir} does the same for the ["bases"]
+    entries of a format-1 log. @raise Failure naming the bad section (["bad
     header"], ["missing HEAP section"], ...) or the bad byte offset. *)
 
 val db : t -> Database.t

@@ -55,6 +55,7 @@ let slot_reader t cid name =
       | None -> None
       | Some impl -> Some (read impl))
 
+let is_object t o = Oid.Dense.mem t.impls o
 let impl_count t o = Oid.Tbl.length (impl_table t o)
 let conceptual_of t impl = Oid.Dense.find_opt t.owners impl
 let is_member t o cid =

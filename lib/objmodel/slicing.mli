@@ -29,6 +29,9 @@ val rebuild :
     reference slots, implementation cells a ["__conceptual"] back-pointer.
     Storage statistics are recomputed. *)
 
+val is_object : t -> Tse_store.Oid.t -> bool
+(** The OID names a live conceptual object of this model. *)
+
 val impl_of : t -> Tse_store.Oid.t -> Tse_schema.Klass.cid -> Tse_store.Oid.t option
 (** The implementation object representing the conceptual object at the
     class, if the object is a member. *)

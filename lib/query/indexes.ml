@@ -87,10 +87,7 @@ let delta_touches graph e added removed =
 let on_event t event =
   let handle o = List.iter (fun e -> refresh_object e t.db o) t.entries in
   match event with
-  | Database.Object_created o
-  | Database.Object_destroyed o
-  | Database.Bases_changed o ->
-    handle o
+  | Database.Object_created o | Database.Object_destroyed o -> handle o
   | Database.Membership_delta (o, added, removed) ->
     let graph = Database.graph t.db in
     List.iter

@@ -26,8 +26,8 @@ val replay :
   on_ext:(string -> string -> unit) ->
   report
 (** Apply every batch with [seq > after] to the heap, in log order;
-    [on_ext] receives extension entries (schema blobs, base memberships)
-    for the caller to interpret. The log file is physically truncated to
+    [on_ext] receives extension entries (schema images, class deltas,
+    upper-layer blobs) for the caller to interpret. The log file is physically truncated to
     its trustworthy prefix when a bad tail is found.
 
     @raise Failure if a structurally valid batch fails to {e apply}

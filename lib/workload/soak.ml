@@ -284,8 +284,12 @@ let post_recovery_checks st ctx =
   if not (String.equal fp_d fp_o) then
     violate st "%s: twin divergence (recovered state differs from oracle)" ctx
 
+(* A new OCC manager only for a new database value: each needless
+   [Occ.create] leaves a weakly held listener behind until the GC
+   clears it. *)
 let reattach st =
-  st.occ <- Occ.create (Durable_tse.db st.t)
+  let db = Durable_tse.db st.t in
+  if db != Occ.db st.occ then st.occ <- Occ.create db
 
 let recover st ~policy ctx =
   let t0 = Trace.now_us () in
@@ -470,9 +474,8 @@ let run cfg =
     | Error _msg ->
       Option.iter (fun _ -> Failpoint.reset ()) site;
       incr rejected;
-      (* a rejection past the precheck reopened the database inside
-         evolve_many, and the OCC manager may watch a dead database
-         value now *)
+      (* a later change of a two-change unit that fails reopens the
+         database inside evolve_many; a precheck rejection keeps it *)
       reattach st;
       post_recovery_checks st (Printf.sprintf "step %d (rejected)" step)
     | exception Failpoint.Crash where ->

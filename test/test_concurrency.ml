@@ -376,6 +376,25 @@ let prop_commit_all_or_nothing =
           && (committed || reader_validates))
         sessions)
 
+(* A base-membership edit is a committed change of the object: a
+   session that read and wrote it must fail validation, after an add and
+   again after a remove. *)
+let test_base_edit_invalidates_session () =
+  let u, occ, o = fixture () in
+  let stale edit =
+    let s = Occ.begin_session occ in
+    ignore (Occ.read s o "age");
+    Occ.write s o "age" (Value.Int 22);
+    edit ();
+    Result.is_error (Occ.commit s)
+  in
+  Alcotest.(check bool) "add_base_membership conflicts" true
+    (stale (fun () -> Database.add_base_membership u.db o u.staff));
+  Alcotest.(check bool) "remove_base_membership conflicts" true
+    (stale (fun () -> Database.remove_base_membership u.db o u.staff));
+  check vpp "neither stale write applied" (Value.Int 20)
+    (Database.get_prop u.db o "age")
+
 let suite =
   [
     Alcotest.test_case "commit applies buffered writes" `Quick
@@ -405,4 +424,6 @@ let suite =
     Alcotest.test_case "retry: winners reach the durable layer" `Quick
       test_retry_commits_through_durable;
     Qcheck_det.to_alcotest prop_commit_all_or_nothing;
+    Alcotest.test_case "base-membership edits invalidate sessions" `Quick
+      test_base_edit_invalidates_session;
   ]

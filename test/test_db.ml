@@ -472,9 +472,8 @@ let test_membership_delta_events () =
 (* The event stream is a contract for derived structures (indexes,
    caches): creation is announced before any init write is visible, and
    each logical change fires exactly one event — one Membership_delta
-   even when a write crosses several class predicates at once, one
-   Bases_changed per base-membership edit, one Class_populated per newly
-   populated class. *)
+   even when a write crosses several class predicates at once or edits
+   a base membership, one Class_populated per newly populated class. *)
 let test_event_exactly_once () =
   let u = uni () in
   let db = u.db in
@@ -493,9 +492,6 @@ let test_event_exactly_once () =
   let n_created () =
     count (function Database.Object_created _ -> true | _ -> false)
   in
-  let n_bases () =
-    count (function Database.Bases_changed _ -> true | _ -> false)
-  in
   let n_deltas () =
     count (function Database.Membership_delta _ -> true | _ -> false)
   in
@@ -504,7 +500,6 @@ let test_event_exactly_once () =
       ~init:[ ("name", Value.String "p"); ("age", Value.Int 30) ]
   in
   check Alcotest.int "one Object_created" 1 (n_created ());
-  check Alcotest.int "creation: one Bases_changed" 1 (n_bases ());
   check Alcotest.int "creation below thresholds: no delta" 0 (n_deltas ());
   (* Object_created strictly precedes every init Attr_set *)
   let seen_create = ref false in
@@ -533,18 +528,31 @@ let test_event_exactly_once () =
       && List.exists (Oid.equal sixty_five) added);
     check Alcotest.int "nothing lost" 0 (List.length removed)
   | _ -> Alcotest.fail "expected a membership delta");
-  check Alcotest.int "attr write: no Bases_changed" 0 (n_bases ());
   (* a write that changes no membership fires no delta *)
   events := [];
   Database.set_attr db p "age" (Value.Int 75);
   check Alcotest.int "same side of both predicates: no delta" 0 (n_deltas ());
-  (* each base-membership edit fires exactly one Bases_changed *)
+  (* each base-membership edit fires exactly one Membership_delta, which
+     names the base class gained or lost *)
+  let staff_delta gained =
+    match
+      List.filter
+        (function Database.Membership_delta _ -> true | _ -> false)
+        !events
+    with
+    | [ Database.Membership_delta (o, added, removed) ] ->
+      Alcotest.(check bool) "base delta names the object" true (Oid.equal o p);
+      Alcotest.(check bool) "base delta moves Staff" true
+        (List.exists (Oid.equal u.staff) (if gained then added else removed))
+    | evs ->
+      Alcotest.failf "base edit: expected one delta, saw %d" (List.length evs)
+  in
   events := [];
   Database.add_base_membership db p u.staff;
-  check Alcotest.int "add base: one Bases_changed" 1 (n_bases ());
+  staff_delta true;
   events := [];
   Database.remove_base_membership db p u.staff;
-  check Alcotest.int "remove base: one Bases_changed" 1 (n_bases ());
+  staff_delta false;
   (* populating a new class: exactly one Class_populated naming the class
      and its whole new extent, and no per-object delta. The oracle mode
      runs the fixpoint instead: one delta per member, gaining exactly the

@@ -68,6 +68,9 @@ let build_small db =
   in
   (person, student, o1, o2)
 
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
 let assert_consistent what db =
   match Database.check db with
   | [] -> ()
@@ -255,10 +258,41 @@ let test_durable_checkpoint () =
   Durable.close d2
 
 (* A checkpoint of a two-class database with one view, pinned byte for
-   byte: equal bytes mean snapshots written by earlier builds still
-   open, and the image a catalog shares with the checkpoint has not
-   moved. *)
+   byte: equal bytes mean the image a catalog shares with the checkpoint
+   has not moved. Each object's minimal base set is the [__bases] slot
+   of its conceptual cell. *)
 let golden_checkpoint =
+  "TSE-DB 2\n\
+   seq 1\n\
+   SCHEMA 97\n\
+   1;3;1;6:ObjectB0;0;2;6:PersonB1;1;2;1;4:name2;0ssN02;3:age2;0siN03;7:StudentB1;2;1;3;3:gpa3;0sfN0\n\
+   EXT views 30\n\
+   1;1:V0;2;2;6:Person3;7:Student\n\
+   HEAP\n\
+   TSE-HEAP 1\n\
+   gen 9\n\
+   obj 4 @obj 2\n\
+   slot __bases L1:R2;\n\
+   slot __impl:2 R5;\n\
+   obj 5 @impl:2 3\n\
+   slot __conceptual R4;\n\
+   slot age I31;\n\
+   slot name S3:ann\n\
+   obj 6 @obj 3\n\
+   slot __bases L1:R3;\n\
+   slot __impl:2 R8;\n\
+   slot __impl:3 R7;\n\
+   obj 7 @impl:3 2\n\
+   slot __conceptual R6;\n\
+   slot gpa D0x1.cp+1;\n\
+   obj 8 @impl:2 2\n\
+   slot __conceptual R6;\n\
+   slot name S3:bob\n\
+   end\n"
+
+(* The same database as format 1 wrote it: the base sets in a BASES
+   section beside the heap. *)
+let golden_checkpoint_v1 =
   "TSE-DB 1\n\
    seq 1\n\
    SCHEMA 97\n\
@@ -310,6 +344,113 @@ let test_checkpoint_golden () =
   Tse_core.Durable_tse.close t;
   check Alcotest.string "checkpoint bytes unchanged" golden_checkpoint
     (Storage.read_file (Filename.concat dir "snapshot"))
+
+(* A format-1 image opens to the state its format-2 rewrite holds. *)
+let test_v1_image_opens () =
+  let open_image text =
+    let _seq, db, exts = Durable.image_of_string text in
+    (db, exts)
+  in
+  let db1, exts1 = open_image golden_checkpoint_v1 in
+  let db2, exts2 = open_image golden_checkpoint in
+  check Alcotest.string "same fingerprint"
+    (Tse_core.Verify.db_fingerprint db2)
+    (Tse_core.Verify.db_fingerprint db1);
+  check Alcotest.string "same heap, base sets included"
+    (Snapshot.to_string (Database.heap db2))
+    (Snapshot.to_string (Database.heap db1));
+  let bases db =
+    List.map
+      (fun o ->
+        ( Oid.to_int o,
+          List.map Oid.to_int
+            (Oid.Set.elements (Database.base_membership db o)) ))
+      (List.sort Oid.compare (Database.objects db))
+  in
+  let bases_t = Alcotest.(list (pair int (list int))) in
+  check bases_t "v1 base memberships" [ (4, [ 2 ]); (6, [ 3 ]) ] (bases db1);
+  check bases_t "same base memberships" (bases db2) (bases db1);
+  check Alcotest.(list (pair string string)) "same extension blobs" exts2 exts1;
+  assert_consistent "v1 image" db1
+
+(* Format 1 logged a commit's base-membership changes as one ["bases"]
+   entry after the OID watermark — every object whose set the commit
+   wrote, an empty list for one it destroyed — instead of as heap slots.
+   A log rewritten into that shape replays to the same state. *)
+let test_v1_bases_log_replays () =
+  let dir = fresh_dir () in
+  let d, _ = Durable.open_dir ~policy:Durable.Every_commit ~dir () in
+  let db = Durable.db d in
+  let person, student, o1, o2 = build_small db in
+  Durable.commit d;
+  let staff = reg db "Staff" [ stored "salary" Value.TInt ] [ person ] in
+  Database.add_base_membership db o1 staff;
+  Database.add_base_membership db o2 staff;
+  Database.remove_base_membership db o2 student;
+  Durable.commit d;
+  let o3 = Database.create_object db student ~init:[] in
+  Database.destroy_object db o1;
+  Durable.commit d;
+  let expected = fingerprint db in
+  Durable.close d;
+  let scan = Wal.scan_file ~path:(Filename.concat dir "wal") in
+  let logs_bases (b : Wal.batch) =
+    List.exists
+      (function Wal.Ext ("bases", _) -> true | _ -> false)
+      b.entries
+  in
+  Alcotest.(check bool) "no commit logs a bases entry" false
+    (List.exists logs_bases scan.batches);
+  let written = ref Oid.Set.empty in
+  let to_v1 (b : Wal.batch) =
+    let bases = ref Oid.Map.empty in
+    let ops =
+      List.filter
+        (function
+          | Wal.Op (Heap.Set_slot (o, "__bases", Value.List cids)) ->
+            let cid = function Value.Ref c -> c | _ -> assert false in
+            bases := Oid.Map.add o (List.map cid cids) !bases;
+            written := Oid.Set.add o !written;
+            false
+          | Wal.Op (Heap.Free o) ->
+            if Oid.Set.mem o !written then bases := Oid.Map.add o [] !bases;
+            true
+          | _ -> true)
+        b.entries
+    in
+    let blob =
+      let buf = Buffer.create 64 in
+      Codec.add_list buf
+        (fun buf (o, cids) ->
+          Schema_codec.add_cid buf o;
+          Codec.add_list buf Schema_codec.add_cid cids)
+        (Oid.Map.bindings !bases);
+      Buffer.contents buf
+    in
+    Wal.encode_record ~seq:b.seq
+      (List.concat_map
+         (function
+           | Wal.Gen _ as gen when not (Oid.Map.is_empty !bases) ->
+             [ gen; Wal.Ext ("bases", blob) ]
+           | e -> [ e ])
+         ops)
+  in
+  let old = List.map to_v1 scan.batches in
+  Alcotest.(check bool) "every batch carried a base set" true
+    (List.for_all logs_bases (Wal.scan_string (String.concat "" old)).batches);
+  let odir = fresh_dir () in
+  Unix.mkdir odir 0o755;
+  write_file (Filename.concat odir "wal") (String.concat "" old);
+  let d2, report = Durable.open_dir ~policy:Durable.Every_commit ~dir:odir () in
+  let db2 = Durable.db d2 in
+  check Alcotest.int "three batches" 3 report.Recovery.batches_applied;
+  check Alcotest.string "the v1 log reopens to the same state" expected
+    (fingerprint db2);
+  check Alcotest.(list int) "o2's minimal bases" [ Oid.to_int staff ]
+    (List.map Oid.to_int (Oid.Set.elements (Database.base_membership db2 o2)));
+  Alcotest.(check bool) "o3 lives" true (Database.mem_object db2 o3);
+  assert_consistent "v1 log" db2;
+  Durable.close d2
 
 let test_durable_empty_commit_writes_nothing () =
   let dir = fresh_dir () in
@@ -879,9 +1020,6 @@ let evolved_dir () =
   evolve t "V" (Change.Add_class { cls = "Staff"; connected_to = Some "Person" });
   (dir, t)
 
-let write_file path data =
-  Out_channel.with_open_bin path (fun oc -> output_string oc data)
-
 (* Logs written before class deltas carried, in every schema-moving
    batch, the whole schema graph and the whole view history. Rewrite a
    log that way (the whole images as of each batch's end, read back by
@@ -1008,4 +1146,8 @@ let suite =
   @ [
       Alcotest.test_case "a failed fsync propagates under every policy" `Quick
         test_failed_fsync_propagates;
+      Alcotest.test_case "a format-1 image still opens" `Quick
+        test_v1_image_opens;
+      Alcotest.test_case "a format-1 log with bases entries still replays"
+        `Quick test_v1_bases_log_replays;
     ]

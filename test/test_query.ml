@@ -812,11 +812,12 @@ let prop_maintained_equals_fresh =
         | [] -> ()
         | objs -> (
           let o = List.nth objs (Random.State.int rng (List.length objs)) in
-          match Random.State.int rng 8 with
+          let base () = List.nth rs.RS.classes (Random.State.int rng 8) in
+          match Random.State.int rng 10 with
           | 0 -> Database.destroy_object db o
-          | 1 ->
-            let c = List.nth rs.RS.classes (Random.State.int rng 8) in
-            ignore (Database.create_object db c ~init:[])
+          | 1 -> ignore (Database.create_object db (base ()) ~init:[])
+          | 2 -> Database.add_base_membership db o (base ())
+          | 3 -> Database.remove_base_membership db o (base ())
           | _ -> (
             let cids =
               List.filter
