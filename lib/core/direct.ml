@@ -130,8 +130,9 @@ let rec apply db view change =
     apply db view (Change.Add_edge { sup = cls; sub })
   | Change.Delete_class_2 { cls } ->
     let cdel = resolve view cls in
-    let subs = Generation.direct_subs_in_view graph view cdel in
-    let sups = Generation.direct_supers_in_view graph view cdel in
+    let edges = Generation.edges graph view in
+    let subs = Generation.subs_of edges cdel in
+    let sups = Generation.supers_of edges cdel in
     apply_edge db (fun g ->
         List.iter
           (fun sub ->

@@ -26,6 +26,9 @@ let resolve view name =
 type ctx = {
   db : Database.t;
   view : View_schema.t;
+  (* the old view's generated hierarchy: by Proposition B no change
+     alters it, so it is computed once, before the first class is added *)
+  edges : (cid * cid) list;
   mapping : (cid * cid) list ref;  (* old -> new, insertion ordered *)
 }
 
@@ -45,7 +48,6 @@ let map_or_id ctx cid = Option.value (mapped ctx cid) ~default:cid
    edge, when the change is delete_edge, is excluded by the caller. *)
 let stitch ?(except = []) ctx =
   let graph = Database.graph ctx.db in
-  let edges = Generation.edges graph ctx.view in
   List.iter
     (fun (sup, sub) ->
       let skip =
@@ -61,7 +63,7 @@ let stitch ?(except = []) ctx =
           && not (Schema_graph.is_ancestor_or_self graph ~anc:sub' ~desc:sup')
         then Schema_graph.add_edge graph ~sup:sup' ~sub:sub'
       end)
-    edges
+    ctx.edges
 
 (* The replacement view: every mapped class substituted (keeping its
    view-local name — the renaming step of Section 6.1.3). *)
@@ -72,7 +74,8 @@ let finish ctx =
     (View_schema.copy ctx.view)
     !(ctx.mapping)
 
-let make_ctx db view = { db; view; mapping = ref [] }
+let make_ctx db view =
+  { db; view; edges = Generation.edges (Database.graph db) view; mapping = ref [] }
 
 (* ------------------------------------------------------------------ *)
 (* 6.1 / 6.3: add_attribute, add_method                                 *)
@@ -108,7 +111,7 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
             map_add ctx ~old_cid:sub ~new_cid:sub';
             walk sub
           end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (Generation.subs_of ctx.edges tmp)
   in
   walk cls;
   stitch ctx;
@@ -157,7 +160,7 @@ let delete_property db view ~cls_name ~prop_name =
             walk sub
           end
         end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (Generation.subs_of ctx.edges tmp)
   in
   let cls' =
     Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph cls))
@@ -221,7 +224,7 @@ let add_edge db view ~sup_name ~sub_name =
           map_add ctx ~old_cid:sub ~new_cid:sub';
           walk_subs sub
         end)
-      (Generation.direct_subs_in_view graph view tmp)
+      (Generation.subs_of ctx.edges tmp)
   in
   let csub' = refine_with csub in
   map_add ctx ~old_cid:csub ~new_cid:csub';
@@ -706,8 +709,9 @@ let rec apply db view change =
        the class loose and drop it from the view *)
     let graph = Database.graph db in
     let cdel = resolve view cls in
-    let subs = Generation.direct_subs_in_view graph view cdel in
-    let sups = Generation.direct_supers_in_view graph view cdel in
+    let edges = Generation.edges graph view in
+    let subs = Generation.subs_of edges cdel in
+    let sups = Generation.supers_of edges cdel in
     let name_of_in v c =
       match View_schema.local_name v c with
       | Some n -> n

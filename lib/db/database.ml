@@ -588,12 +588,32 @@ let derived_extent t (k : Klass.t) =
     | Klass.Difference (a, b) -> Oid.Set.diff (ext a) (ext b)
   end
 
+(* The non-root ancestors of [k] whose extents hold [k]'s derived
+   extent whatever the objects: those above the class the derivation
+   draws every member from (the extent-containment invariant). A
+   refine_from's provider side is not among them. *)
+let implied_ancestors t (k : Klass.t) =
+  let up c = Oid.Set.add c (Schema_graph.ancestors t.graph c) in
+  match k.kind with
+  | Klass.Base -> Oid.Set.empty
+  | Klass.Virtual d -> begin
+    match d with
+    | Klass.Select (s, _) | Klass.Hide (_, s) | Klass.Refine (_, s)
+    | Klass.Difference (s, _) ->
+      up s
+    | Klass.Refine_from { target; _ } -> up target
+    | Klass.Intersect (a, b) -> Oid.Set.union (up a) (up b)
+    | Klass.Union (a, b) -> Oid.Set.inter (up a) (up b)
+  end
+
 (* Joining a class nobody was a member of changes an object's other
    memberships only through a select that observes the class, or through
    an ancestor the object is not yet in. With neither, the new extent is
-   the whole answer and every member gains exactly [cid]: each gets its
-   slice, the extent is set in one step, and one [Class_populated]
-   announces the members together. *)
+   the whole answer and every member gains exactly [cid]: each gets the
+   one slice at [cid] (the guard proved it holds every ancestor's), the
+   extent is set in one step, and one [Class_populated] announces the
+   members together. The guard checks only the ancestors the derivation
+   does not imply. *)
 let populate_class t cid =
   let k = Schema_graph.find_exn t.graph cid in
   let fixpoint () =
@@ -609,15 +629,17 @@ let populate_class t cid =
   if t.full_reclassify || observed () then fixpoint ()
   else begin
     let members = derived_extent t k in
+    let unproved =
+      Oid.Set.diff (Schema_graph.ancestors t.graph cid) (implied_ancestors t k)
+    in
     let within anc =
       Oid.equal anc (root t) || Oid.Set.subset members (extent t anc)
     in
-    if not (Oid.Set.for_all within (Schema_graph.ancestors t.graph cid)) then
-      fixpoint ()
+    if not (Oid.Set.for_all within unproved) then fixpoint ()
     else begin
       Oid.Set.iter
         (fun o ->
-          Slicing.add_to_class t.model o cid;
+          Slicing.add_impl t.model o cid;
           forget_resolution t o)
         members;
       Metrics.add m_populated (Oid.Set.cardinal members);

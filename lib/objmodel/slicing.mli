@@ -54,6 +54,13 @@ val ensure_member : t -> Tse_store.Oid.t -> Tse_schema.Klass.cid -> unit
 (** Idempotent [add_to_class]: used by extent maintenance when a derived
     class's predicate starts holding for an existing object. *)
 
+val add_impl : t -> Tse_store.Oid.t -> Tse_schema.Klass.cid -> unit
+(** [add_impl t o cid] gives the object its implementation object at
+    [cid] alone, if it has none yet; no ancestor is touched. The caller
+    must know that the object is already a member of every non-root
+    ancestor of [cid], or the membership closure breaks: populating a
+    new class whose members its ancestors' extents already hold. *)
+
 val set_membership : t -> Tse_store.Oid.t -> Tse_schema.Klass.cid list -> unit
 (** Make the object's member-class set exactly the given list (root
     excluded): missing implementation objects are created, extra ones

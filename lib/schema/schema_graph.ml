@@ -4,6 +4,9 @@ type cid = Klass.cid
 
 type t = {
   classes : Klass.t Oid.Tbl.t;
+  (* each class's name, kept by the functions that register, rename,
+     remove and install classes *)
+  names : (string, cid) Hashtbl.t;
   gen : Oid.Gen.t;
   root : cid;
   (* reachability caches, flushed on any edge or class mutation *)
@@ -31,11 +34,7 @@ let find_exn t cid =
 let name_of t cid = (find_exn t cid).name
 let mem t cid = Oid.Tbl.mem t.classes cid
 
-let find_by_name t name =
-  Oid.Tbl.fold
-    (fun _ (k : Klass.t) acc ->
-      if acc = None && String.equal k.name name then Some k else acc)
-    t.classes None
+let find_by_name t name = Option.map (find_exn t) (Hashtbl.find_opt t.names name)
 
 let find_by_name_exn t name =
   match find_by_name t name with
@@ -91,15 +90,28 @@ let is_strict_ancestor t ~anc ~desc = Oid.Set.mem anc (ancestors t desc)
 let is_ancestor_or_self t ~anc ~desc =
   Oid.equal anc desc || is_strict_ancestor t ~anc ~desc
 
+let restore_empty ~gen ~root =
+  Oid.Gen.mark_used gen root;
+  { classes = Oid.Tbl.create 64; names = Hashtbl.create 64; gen; root;
+    anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
+    version = 0; edited = Oid.Tbl.create 64; removed = Oid.Tbl.create 4 }
+
+(* free [k]'s name, unless another class has taken it since: installing
+   a log's records one at a time can pass through such a state *)
+let unname t (k : Klass.t) =
+  if Hashtbl.find_opt t.names k.name = Some k.cid then
+    Hashtbl.remove t.names k.name
+
+(* [k]'s record replaces whatever [k.cid] held *)
+let put t (k : Klass.t) =
+  Option.iter (unname t) (find t k.cid);
+  Oid.Tbl.replace t.classes k.cid k;
+  Hashtbl.replace t.names k.name k.cid
+
 let create ~gen =
   let root = Oid.Gen.fresh gen in
-  let t =
-    { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-      desc_cache = Oid.Tbl.create 64; version = 0; edited = Oid.Tbl.create 64;
-      removed = Oid.Tbl.create 4 }
-  in
-  Oid.Tbl.replace t.classes root
-    (Klass.make_base ~cid:root ~name:"Object" ~props:[]);
+  let t = restore_empty ~gen ~root in
+  put t (Klass.make_base ~cid:root ~name:"Object" ~props:[]);
   t
 
 let check_fresh_name t name =
@@ -150,8 +162,7 @@ let register_base t ~name ~props ~supers =
   check_fresh_name t name;
   let cid = Oid.Gen.fresh t.gen in
   let props = List.map (fun p -> Prop.reoriginate p cid) props in
-  let k = Klass.make_base ~cid ~name ~props in
-  Oid.Tbl.replace t.classes cid k;
+  put t (Klass.make_base ~cid ~name ~props);
   (match supers with
   | [] -> link t ~sup:t.root ~sub:cid
   | supers -> List.iter (fun sup -> add_edge t ~sup ~sub:cid) supers);
@@ -161,8 +172,7 @@ let register_virtual t ~name derivation props =
   check_fresh_name t name;
   let cid = Oid.Gen.fresh t.gen in
   let props = List.map (fun p -> Prop.reoriginate p cid) props in
-  let k = Klass.make_virtual ~cid ~name derivation props in
-  Oid.Tbl.replace t.classes cid k;
+  put t (Klass.make_virtual ~cid ~name derivation props);
   edit t cid;
   cid
 
@@ -172,6 +182,7 @@ let remove t cid =
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
   Oid.Tbl.remove t.classes cid;
+  unname t k;
   touch t;
   Oid.Tbl.remove t.edited cid;
   Oid.Tbl.replace t.removed cid t.version
@@ -197,6 +208,8 @@ let remove_local_prop t cid name =
 let rename t cid name =
   let k = find_exn t cid in
   if not (String.equal k.name name) then check_fresh_name t name;
+  unname t k;
+  Hashtbl.replace t.names name cid;
   k.name <- name;
   edit t cid
 
@@ -251,7 +264,8 @@ let is_redundant_edge t ~sup ~sub =
 
 let copy t =
   let t' =
-    { classes = Oid.Tbl.create (size t); gen = t.gen; root = t.root;
+    { classes = Oid.Tbl.create (size t); names = Hashtbl.copy t.names;
+      gen = t.gen; root = t.root;
       anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
       version = t.version; edited = Oid.Tbl.copy t.edited;
       removed = Oid.Tbl.copy t.removed }
@@ -270,15 +284,9 @@ let copy t =
     t.classes;
   t'
 
-let restore_empty ~gen ~root =
-  Oid.Gen.mark_used gen root;
-  { classes = Oid.Tbl.create 64; gen; root; anc_cache = Oid.Tbl.create 64;
-    desc_cache = Oid.Tbl.create 64; version = 0; edited = Oid.Tbl.create 64;
-    removed = Oid.Tbl.create 4 }
-
 let install t (k : Klass.t) =
   Oid.Gen.mark_used t.gen k.cid;
-  Oid.Tbl.replace t.classes k.cid k;
+  put t k;
   flush_caches t;
   Oid.Tbl.remove t.removed k.cid;
   Oid.Tbl.replace t.edited k.cid t.version

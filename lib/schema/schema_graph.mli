@@ -46,6 +46,9 @@ val register_virtual :
 val find : t -> cid -> Klass.t option
 val find_exn : t -> cid -> Klass.t
 val find_by_name : t -> string -> Klass.t option
+(** One table lookup: the graph keeps a name-to-class table, updated by
+    every function that registers, renames, removes or installs a class. *)
+
 val find_by_name_exn : t -> string -> Klass.t
 val name_of : t -> cid -> string
 val mem : t -> cid -> bool

@@ -6,40 +6,34 @@ type cid = Tse_schema.Klass.cid
 let edges graph view =
   let members = View_schema.classes view in
   let set = View_schema.class_set view in
-  let pairs = ref [] in
-  List.iter
+  List.concat_map
     (fun sub ->
       (* global strict ancestors of [sub] inside the view *)
       let ancs = Oid.Set.inter (Schema_graph.ancestors graph sub) set in
-      (* keep only the minimal ones: no other view ancestor in between *)
-      Oid.Set.iter
-        (fun sup ->
-          let blocked =
-            Oid.Set.exists
-              (fun mid ->
-                (not (Oid.equal mid sup))
-                && Schema_graph.is_strict_ancestor graph ~anc:sup ~desc:mid)
-              ancs
-          in
-          if not blocked then pairs := (sup, sub) :: !pairs)
-        ancs)
-    members;
-  List.rev !pairs
+      (* keep only the minimal ones: a view ancestor that is itself an
+         ancestor of another has a view class in between *)
+      let above =
+        Oid.Set.fold
+          (fun mid acc -> Oid.Set.union (Schema_graph.ancestors graph mid) acc)
+          ancs Oid.Set.empty
+      in
+      Oid.Set.elements (Oid.Set.diff ancs above)
+      |> List.map (fun sup -> (sup, sub)))
+    members
 
-let direct_supers_in_view graph view cid =
+let supers_of edges cid =
   List.filter_map
     (fun (sup, sub) -> if Oid.equal sub cid then Some sup else None)
-    (edges graph view)
+    edges
 
-let direct_subs_in_view graph view cid =
+let subs_of edges cid =
   List.filter_map
     (fun (sup, sub) -> if Oid.equal sup cid then Some sub else None)
-    (edges graph view)
+    edges
 
 let roots graph view =
-  List.filter
-    (fun cid -> direct_supers_in_view graph view cid = [])
-    (View_schema.classes view)
+  let edges = edges graph view in
+  List.filter (fun cid -> supers_of edges cid = []) (View_schema.classes view)
 
 let descendants_in_view graph view cid =
   let set = View_schema.class_set view in
@@ -64,9 +58,10 @@ let pp graph ppf view =
     | Some n -> n
     | None -> Schema_graph.name_of graph cid
   in
+  let edges = edges graph view in
   List.iter
     (fun cid ->
-      let supers = direct_supers_in_view graph view cid in
+      let supers = supers_of edges cid in
       Format.fprintf ppf "%s <- {%s}@ " (name cid)
         (String.concat ", " (List.map name supers)))
     (View_schema.classes view);

@@ -11,14 +11,16 @@ val edges : Tse_schema.Schema_graph.t -> View_schema.t -> (cid * cid) list
     links two view classes when one is a global ancestor of the other with
     no third view class in between. *)
 
+val supers_of : (cid * cid) list -> cid -> cid list
+(** [supers_of edges cid]: the direct superclasses of [cid] in a
+    hierarchy computed by {!edges}, in edge order. *)
+
+val subs_of : (cid * cid) list -> cid -> cid list
+(** [subs_of edges cid]: the direct subclasses of [cid] in a hierarchy
+    computed by {!edges}, in edge order. *)
+
 val roots : Tse_schema.Schema_graph.t -> View_schema.t -> cid list
 (** View classes with no superclass inside the view. *)
-
-val direct_subs_in_view :
-  Tse_schema.Schema_graph.t -> View_schema.t -> cid -> cid list
-
-val direct_supers_in_view :
-  Tse_schema.Schema_graph.t -> View_schema.t -> cid -> cid list
 
 val descendants_in_view :
   Tse_schema.Schema_graph.t -> View_schema.t -> cid -> cid list

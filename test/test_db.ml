@@ -787,6 +787,37 @@ let test_stale_twin_reclassify_all () =
   (* the direct writes must leave memberships stale somewhere *)
   check Alcotest.bool "some repair moved a membership" true (!moved > 0)
 
+(* A refine of a class with ancestors: its derivation implies that the
+   ancestors already hold every member, so each member gains the one
+   slice at the new class and no ancestor is checked or joined. A
+   refine_from whose provider is not above the target still needs the
+   guard, and the guard still falls back to the fixpoint. *)
+let test_populate_one_slice_per_member () =
+  let u = uni () in
+  Database.set_full_reclassify u.db false;
+  ignore (Tse_workload.University.populate u ~n:24);
+  let allocs = Tse_obs.Metrics.counter "heap.allocs" in
+  let fallbacks = Tse_obs.Metrics.counter "reclass.populate_fallbacks" in
+  let a0 = Tse_obs.Metrics.counter_value allocs in
+  let f0 = Tse_obs.Metrics.counter_value fallbacks in
+  let bonus = Prop.stored ~origin:(Oid.of_int 0) "bonus" Value.TInt in
+  let c =
+    Tse_algebra.Ops.refine u.db ~name:"BonusGrad" ~props:[ bonus ] ~src:u.grad
+  in
+  let members = Database.extent_size u.db c in
+  Alcotest.(check bool) "the refine has members" true (members > 0);
+  Alcotest.(check bool) "grad has ancestors below the root" true
+    (Oid.Set.cardinal (Schema_graph.ancestors (Database.graph u.db) u.grad) > 1);
+  check Alcotest.int "one heap cell per member" members
+    (Tse_obs.Metrics.counter_value allocs - a0);
+  check Alcotest.int "no fallback" f0 (Tse_obs.Metrics.counter_value fallbacks);
+  ignore
+    (Tse_algebra.Ops.refine_from u.db ~name:"PaidGrad" ~src:u.ta
+       ~prop_name:"salary" ~target:u.grad);
+  check Alcotest.int "the provider side falls back" (f0 + 1)
+    (Tse_obs.Metrics.counter_value fallbacks);
+  Alcotest.(check (list string)) "consistent" [] (Database.check u.db)
+
 let suite =
   [
     Alcotest.test_case "create + extent closure" `Quick test_create_and_extents;
@@ -831,4 +862,6 @@ let suite =
       test_stale_twin_reclassify_all;
     Alcotest.test_case "a new class needs no announcement" `Quick
       test_new_class_needs_no_announcement;
+    Alcotest.test_case "populating a refine: one slice per member" `Quick
+      test_populate_one_slice_per_member;
   ]

@@ -16,13 +16,17 @@ open Tse_workload
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000)
 
 (* A random primitive change that is *plausible* for the given schema —
-   it may still be rejected; rejection must then agree across oracles. *)
-let random_change rng (rs : Random_schema.t) =
+   it may still be rejected; rejection must then agree across oracles.
+   [kind] (0-7) fixes which change it is instead of drawing it. *)
+let random_change ?kind rng (rs : Random_schema.t) =
   let g = Database.graph rs.db in
   let cls cid = Schema_graph.name_of g cid in
   let c1 = Random_schema.random_class rng rs in
   let c2 = Random_schema.random_class rng rs in
-  match Random.State.int rng 8 with
+  let kind =
+    match kind with Some k -> k | None -> Random.State.int rng 8
+  in
+  match kind with
   | 0 ->
     Change.Add_attribute
       {
@@ -141,6 +145,53 @@ let prop_view_independence =
       done;
       let after = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
       String.equal before after && Database.check rs.db = [])
+
+(* The translator reads the old view's generated hierarchy once, before
+   it adds a class, and walks it while the graph grows. That is sound
+   because no change alters it: a sequence that runs through every
+   Section 6 change leaves the signature of each pre-change view as it
+   was. *)
+let prop_old_hierarchy_fixed =
+  QCheck.Test.make
+    ~name:"a change leaves the old view's hierarchy as it was (random)"
+    ~count:25 seed_arb (fun seed ->
+      let rng = Random.State.make [| seed; 53 |] in
+      let rs = Random_schema.generate ~seed ~classes:8 ~objects:12 () in
+      let graph = Database.graph rs.db in
+      let tsem = Tsem.of_database rs.db in
+      ignore
+        (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
+      let methods = ref [] in
+      for i = 0 to 29 do
+        let change =
+          match i mod 10 with
+          | 8 -> begin
+            match !methods with
+            | (cls, method_name) :: rest ->
+              methods := rest;
+              Change.Delete_method { cls; method_name }
+            | [] -> random_change ~kind:2 rng rs
+          end
+          | 9 ->
+            let cid = Random_schema.random_class rng rs in
+            Change.Delete_class_2 { cls = Schema_graph.name_of graph cid }
+          | kind -> random_change ~kind rng rs
+        in
+        let view = Tsem.current tsem "V" in
+        let before = Tse_views.Generation.edges_signature graph view in
+        (match Tsem.evolve tsem ~view:"V" change with
+        | _ -> (
+          match change with
+          | Change.Add_method { cls; method_name; _ } ->
+            methods := (cls, method_name) :: !methods
+          | _ -> ())
+        | exception Change.Rejected _ -> ());
+        let after = Tse_views.Generation.edges_signature graph view in
+        if not (String.equal before after) then
+          QCheck.Test.fail_reportf "%s moved the old hierarchy:@.%s@.%s"
+            (Change.to_string change) before after
+      done;
+      true)
 
 let prop_updatability_preserved =
   QCheck.Test.make
@@ -568,6 +619,7 @@ let suite =
       prop_random_schema_consistent;
       prop_tse_equals_direct;
       prop_view_independence;
+      prop_old_hierarchy_fixed;
       prop_updatability_preserved;
       prop_history_monotone;
       prop_trace_calibration;

@@ -160,11 +160,29 @@ let test_graph_copy_isolation () =
    mutator must move it. *)
 let test_every_mutator_moves_version () =
   let g = graph () in
+  (* [find_by_name] answers from a table the mutators keep: it must agree
+     with a scan of the records for every name ever used *)
+  let names = [ "Object"; "A"; "B"; "V"; "B2"; "C" ] in
+  let names_agree what =
+    List.iter
+      (fun name ->
+        let scan =
+          List.find_opt
+            (fun (k : Klass.t) -> String.equal k.name name)
+            (Schema_graph.classes g)
+        in
+        let cid = Option.map (fun (k : Klass.t) -> k.cid) in
+        if cid (Schema_graph.find_by_name g name) <> cid scan then
+          Alcotest.failf "after %s, find_by_name %s disagrees with a scan" what
+            name)
+      names
+  in
   let moves what f =
     let before = Schema_graph.version g in
     let r = f () in
     if Schema_graph.version g <= before then
       Alcotest.failf "%s left the version at %d" what before;
+    names_agree what;
     r
   in
   let a =

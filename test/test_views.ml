@@ -55,7 +55,7 @@ let test_generation_diamond () =
   let u = uni () in
   let v = view_of u [ "Person"; "Student"; "TeachingStaff"; "TA" ] in
   let g = Database.graph u.db in
-  let supers = Generation.direct_supers_in_view g v u.ta in
+  let supers = Generation.supers_of (Generation.edges g v) u.ta in
   check Alcotest.int "TA has two view supers" 2 (List.length supers);
   check Alcotest.(list string) "roots" [ "Person" ]
     (List.map (Schema_graph.name_of g) (Generation.roots g v))
