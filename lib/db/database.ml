@@ -22,22 +22,20 @@ let reclassify_fuel = 4
 type extent = { mutable members : Oid.Set.t; mutable size : int }
 
 (* Everything derived from the schema, valid for one graph version [at]:
-   the derivation order, the dependency index, the compiled select
-   predicates (by select cid) and the per-object property resolution
-   tables. [derived] drops the whole record when the version moves. *)
+   the derivation order, the dependency index and the compiled select
+   predicates (by select cid). [derived] drops the whole record when the
+   version moves. *)
 type derived = {
   at : int;
   order : cid list Lazy.t;
   deps : Deps.t Lazy.t;
   preds : (Oid.t -> bool) Oid.Tbl.t;
-  resolved : (string, (cid * Prop.t) option) Hashtbl.t Oid.Tbl.t;
 }
 
 type t = {
   heap : Heap.t;
   graph : Schema_graph.t;
   model : Slicing.t;
-  stats : Stats.t;
   extents : extent Oid.Tbl.t;
   mutable listeners : listener list;
   mutable derived : derived;
@@ -116,7 +114,6 @@ let fresh_derived graph =
     order = lazy (compute_derivation_order graph);
     deps = lazy (Deps.compute graph);
     preds = Oid.Tbl.create 16;
-    resolved = Oid.Tbl.create 256;
   }
 
 let derived t =
@@ -124,12 +121,11 @@ let derived t =
     t.derived <- fresh_derived t.graph;
   t.derived
 
-let make ~heap ~graph ~stats ~model =
+let make ~heap ~graph ~model =
   {
     heap;
     graph;
     model;
-    stats;
     extents = Oid.Tbl.create 64;
     listeners = [];
     derived = fresh_derived graph;
@@ -141,8 +137,8 @@ let make ~heap ~graph ~stats ~model =
 let create () =
   let heap = Heap.create () in
   let graph = Schema_graph.create ~gen:(Heap.gen heap) in
-  let stats = Stats.create () in
-  make ~heap ~graph ~stats ~model:(Slicing.create ~graph ~heap ~stats)
+  make ~heap ~graph
+    ~model:(Slicing.create ~graph ~heap ~stats:(Stats.create ()))
 
 let add_listener t ~owner f =
   let w = Weak.create 1 in
@@ -172,7 +168,6 @@ let listener_count t = List.length (List.filter listener_alive t.listeners)
 let graph t = t.graph
 let heap t = t.heap
 let model t = t.model
-let stats t = t.stats
 let root t = Schema_graph.root t.graph
 
 let full_reclassify t = t.full_reclassify
@@ -262,15 +257,22 @@ let membership_set t o =
 
 (* Resolve which member class's local definition of [name] applies to [o]:
    most specific member class; among unrelated candidates a promoted
-   definition wins; remaining ties are a real ambiguity. *)
-let resolve_prop_uncached t o name =
+   definition wins; remaining ties are a real ambiguity. The candidates
+   are the classes the schema lists as declaring [name] that [o] is a
+   member of, the root aside, in ascending cid. *)
+let resolve_prop t o name =
+  let root = root t in
   let candidates =
-    List.filter_map
-      (fun cid ->
-        match Klass.local_prop (Schema_graph.find_exn t.graph cid) name with
-        | Some p -> Some (cid, p)
-        | None -> None)
-      (member_classes t o)
+    Oid.Set.fold
+      (fun cid acc ->
+        if Oid.equal cid root || not (is_member t o cid) then acc
+        else
+          match Klass.local_prop (Schema_graph.find_exn t.graph cid) name with
+          | Some p -> (cid, p) :: acc
+          | None -> acc)
+      (Schema_graph.declarers t.graph name)
+      []
+    |> List.rev
   in
   match candidates with
   | [] -> None
@@ -306,34 +308,10 @@ let resolve_prop_uncached t o name =
                   name))
     end)
 
-(* Memoized per object: formula evaluation otherwise re-resolves every
-   property linearly over the member classes. The memo is keyed on the
-   membership signature implicitly — any membership change for the object
-   drops its table ([forget_resolution]), any schema change drops them all
-   with the derived record. The ambiguous case raises and is deliberately
-   not cached. *)
-let resolve_tbl t o =
-  let resolved = (derived t).resolved in
-  match Oid.Tbl.find_opt resolved o with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Oid.Tbl.replace resolved o tbl;
-    tbl
-
-(* A stale record needs no care: it is dropped whole. *)
-let forget_resolution t o = Oid.Tbl.remove t.derived.resolved o
-
-let resolve_prop t o name =
-  let tbl = resolve_tbl t o in
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r
-  | None ->
-    let r = resolve_prop_uncached t o name in
-    Hashtbl.replace tbl name r;
-    r
-
 let rec get_prop t o name =
+  if not (mem_object t o) then
+    invalid_arg
+      (Printf.sprintf "Database.get_prop: unknown object %s" (Oid.to_string o));
   match resolve_prop t o name with
   | None -> raise (Expr.Unknown_property name)
   | Some (_cid, p) -> begin
@@ -353,8 +331,6 @@ and env t o =
         | None -> false);
   }
 
-let eval t o e = Expr.eval (env t o) e
-
 let holds t o e =
   (* an object that lacks the property — or holds a null that cannot be
      ordered — simply does not satisfy the predicate *)
@@ -369,27 +345,27 @@ let holds t o e =
 
 (* Binder for Expr_compile: names are resolved once at compile time.
 
-   The attribute fast path rests on a static fact about the whole graph:
-   when exactly ONE class declares a stored local property under [name],
-   per-object resolution can only ever pick that class (a non-member
-   raises Unknown_property, a member reads its slice at that class, with
-   the declared default standing in for an unset slot). That skips the
-   member_classes fold + candidate filtering that [get_prop] pays on
-   every read. Any other shape — several declarers, a method, no
-   declarer — falls back to the dynamic resolver, which is always
-   correct. *)
+   The attribute fast path rests on a static fact about the whole graph,
+   read off the schema's declarer table: when exactly ONE class declares
+   a stored local property under [name], per-object resolution can only
+   ever pick that class (a non-member raises Unknown_property, a member
+   reads its slice at that class, with the declared default standing in
+   for an unset slot). That skips the membership tests and candidate
+   filtering that [get_prop] pays on every read. Any other shape —
+   several declarers, a method, no declarer — falls back to the dynamic
+   resolver, which is always correct. *)
 let compiled_binder t =
   let b_attr name =
     let declaring =
-      List.filter_map
-        (fun (k : Klass.t) ->
-          match Klass.local_prop k name with
-          | Some p -> Some (k.cid, p)
-          | None -> None)
-        (Schema_graph.classes t.graph)
+      match Oid.Set.elements (Schema_graph.declarers t.graph name) with
+      | [ cid ] ->
+        Option.map
+          (fun p -> (cid, p))
+          (Klass.local_prop (Schema_graph.find_exn t.graph cid) name)
+      | _ -> None
     in
     match declaring with
-    | [ (cid, { Prop.body = Prop.Stored { default; _ }; _ }) ] ->
+    | Some (cid, { Prop.body = Prop.Stored { default; _ }; _ }) ->
       let read = Slicing.slot_reader t.model cid name in
       fun o -> begin
         match read o with
@@ -492,11 +468,6 @@ let membership_round t ~pred_fn ~base_closure ~order =
 let remove_from_extents t o =
   Oid.Tbl.iter (fun cid _ -> extent_remove t cid o) t.extents
 
-(* Synchronize the object model mid-fixpoint and keep the property
-   resolution memo honest: a membership change invalidates it. *)
-let set_membership_sync t o next =
-  Slicing.set_membership t.model o (Oid.Set.elements next);
-  forget_resolution t o
 
 (* The Section 3.2 fixpoint, one loop for the oracle and the engine. They
    differ in two places. A select's verdict: the oracle evaluates the
@@ -526,7 +497,7 @@ let run_fixpoint t ~oracle o =
     let next = membership_round t ~pred_fn ~base_closure ~order in
     if Oid.Set.equal next evaluated_under then next
     else begin
-      set_membership_sync t o next;
+      Slicing.set_membership t.model o (Oid.Set.elements next);
       if fuel > 0 then fix next (fuel - 1)
       else begin
         (* nonmonotone derivations may not converge *)
@@ -637,11 +608,7 @@ let populate_class t cid =
     in
     if not (Oid.Set.for_all within unproved) then fixpoint ()
     else begin
-      Oid.Set.iter
-        (fun o ->
-          Slicing.add_impl t.model o cid;
-          forget_resolution t o)
-        members;
+      Oid.Set.iter (fun o -> Slicing.add_impl t.model o cid) members;
       Metrics.add m_populated (Oid.Set.cardinal members);
       let e = extent_rec t cid in
       e.members <- Oid.Set.union e.members members;
@@ -706,7 +673,6 @@ let minimal_bases t set =
 let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
   else List.iter (fun c -> extent_remove t c o) (member_classes t o);
-  forget_resolution t o;
   Slicing.destroy_object t.model o;
   notify t (Object_destroyed o)
 
@@ -766,9 +732,8 @@ let remove_base_membership t o cid =
       Oid.Set.diff expanded dead)
 
 let restore ~heap ~graph =
-  let stats = Stats.create () in
-  let model = Slicing.rebuild ~graph ~heap ~stats in
-  let t = make ~heap ~graph ~stats ~model in
+  let model = Slicing.rebuild ~graph ~heap ~stats:(Stats.create ()) in
+  let t = make ~heap ~graph ~model in
   (* extents re-derived from the restored membership facts *)
   List.iter
     (fun o ->

@@ -30,7 +30,6 @@ val restore : heap:Tse_store.Heap.t -> graph:Tse_schema.Schema_graph.t -> t
 val graph : t -> Tse_schema.Schema_graph.t
 val heap : t -> Tse_store.Heap.t
 val model : t -> Tse_objmodel.Slicing.t
-val stats : t -> Tse_store.Stats.t
 val root : t -> cid
 
 (** {2 Objects} *)
@@ -127,7 +126,12 @@ val extent_size : t -> cid -> int
 
 val get_prop : t -> Tse_store.Oid.t -> string -> Tse_store.Value.t
 (** Read a property: a stored attribute slot, or a derived method
-    evaluated on the fly.
+    evaluated on the fly. The definition that applies is chosen among
+    the object's member classes that {!Tse_schema.Schema_graph.declarers}
+    lists for the name, by the multiple-inheritance priority
+    rule; nothing is cached per object, so a membership or schema change
+    needs no invalidation.
+    @raise Invalid_argument if the object is not live.
     @raise Tse_schema.Expr.Unknown_property if undefined for the object.
     @raise Tse_schema.Expr.Type_error if the name is ambiguous for the
     object (unresolved multiple-inheritance conflict). *)
@@ -148,7 +152,6 @@ val set_attr : t -> Tse_store.Oid.t -> string -> Tse_store.Value.t -> unit
     raises, before any change. *)
 
 val env : t -> Tse_store.Oid.t -> Tse_schema.Expr.env
-val eval : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> Tse_store.Value.t
 val holds : t -> Tse_store.Oid.t -> Tse_schema.Expr.t -> bool
 (** Predicate evaluation; unknown properties make the predicate [false]
     rather than raising (an object that lacks the attribute cannot satisfy

@@ -1,23 +1,19 @@
 (* Domain-safe metrics.
 
-   Counters are striped over a small array of [Atomic.t] cells indexed by
-   the calling domain's id: increments from different domains usually hit
-   different cells (no contended cache line when several domains count)
-   and every increment is an atomic RMW, so no update is ever lost —
-   [counter_value] folds the stripes. Gauges are a single atomic cell
-   (set/add are rare). Histograms take a per-histogram mutex: observations
-   happen at batch granularity (group sizes, latencies), never per object.
-   The registry itself is guarded by one mutex; handle registration
-   happens at module-init time, snapshot/reset at reporting time. *)
-
-let stripes = 8
-
-let domain_slot () = (Domain.self () :> int) land (stripes - 1)
+   A counter is one [Atomic.t] cell: every increment is an atomic RMW,
+   so no update is ever lost whichever domain makes it. The pool's one
+   fan-out, snapshot encoding, increments no counter, so no cell is
+   contended across domains and one per counter suffices. Gauges are
+   a single atomic cell (set/add are rare). Histograms take a
+   per-histogram mutex: observations happen at batch granularity (group
+   sizes, latencies), never per object. The registry itself is guarded
+   by one mutex; handle registration happens at module-init time,
+   snapshot/reset at reporting time. *)
 
 type counter = {
   c_name : string;
   c_labels : (string * string) list;
-  c_cells : int Atomic.t array;
+  c_cell : int Atomic.t;
 }
 
 type gauge = {
@@ -83,7 +79,7 @@ let counter ?(labels = []) name =
           {
             c_name = name;
             c_labels = labels;
-            c_cells = Array.init stripes (fun _ -> Atomic.make 0);
+            c_cell = Atomic.make 0;
           })
       "counter"
   with
@@ -92,13 +88,9 @@ let counter ?(labels = []) name =
     invalid_arg
       (Printf.sprintf "Metrics.counter: %s is a %s" name (kind_name m))
 
-let incr c = Atomic.incr (Array.unsafe_get c.c_cells (domain_slot ()))
-
-let add c n =
-  ignore (Atomic.fetch_and_add (Array.unsafe_get c.c_cells (domain_slot ())) n)
-
-let counter_value c =
-  Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.c_cells
+let incr c = Atomic.incr c.c_cell
+let add c n = ignore (Atomic.fetch_and_add c.c_cell n)
+let counter_value c = Atomic.get c.c_cell
 
 let gauge ?(labels = []) name =
   match
@@ -142,10 +134,15 @@ let histogram ?(labels = []) ?(buckets = default_buckets) name =
     invalid_arg
       (Printf.sprintf "Metrics.histogram: %s is a %s" name (kind_name m))
 
+(* The bucket [v] falls in: the first bound at or above it, or the +inf
+   bucket past the last bound. *)
+let bucket_of bounds v =
+  let n = Array.length bounds in
+  let rec go i = if i >= n then n else if v <= bounds.(i) then i else go (i + 1) in
+  go 0
+
 let observe h v =
-  let n = Array.length h.hg_bounds in
-  let rec bucket i = if i >= n then n else if v <= h.hg_bounds.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
+  let i = bucket_of h.hg_bounds v in
   Mutex.lock h.hg_mu;
   h.hg_counts.(i) <- h.hg_counts.(i) + 1;
   h.hg_sum <- h.hg_sum +. v;
@@ -197,12 +194,10 @@ type sample = {
   s_value : value;
 }
 
-let snapshot_hist h =
-  (* Cumulative counts per bound, Prometheus-style. *)
-  Mutex.lock h.hg_mu;
-  let counts = Array.copy h.hg_counts in
-  let count = h.hg_count and sum = h.hg_sum in
-  Mutex.unlock h.hg_mu;
+(* Cumulative counts per bound, Prometheus-style, and the quantiles
+   read off them: one shape for a live histogram and for a list of
+   observations. *)
+let freeze bounds counts ~count ~sum =
   let acc = ref 0 in
   let buckets =
     Array.to_list
@@ -210,12 +205,12 @@ let snapshot_hist h =
          (fun i b ->
            acc := !acc + counts.(i);
            (b, !acc))
-         h.hg_bounds)
+         bounds)
   in
   let snap =
     {
       h_buckets = buckets;
-      h_inf = counts.(Array.length h.hg_bounds);
+      h_inf = counts.(Array.length bounds);
       h_count = count;
       h_sum = sum;
       h_p50 = 0.;
@@ -230,6 +225,13 @@ let snapshot_hist h =
     h_p99 = percentile_of snap 0.99;
   }
 
+let snapshot_hist h =
+  Mutex.lock h.hg_mu;
+  let counts = Array.copy h.hg_counts in
+  let count = h.hg_count and sum = h.hg_sum in
+  Mutex.unlock h.hg_mu;
+  freeze h.hg_bounds counts ~count ~sum
+
 module Histogram = struct
   let percentile_of = percentile_of
   let percentile h p = percentile_of (snapshot_hist h) p
@@ -240,45 +242,14 @@ module Histogram = struct
      table instead of hand-rolling sort + index arithmetic. *)
   let of_observations ?(buckets = default_buckets) obs =
     let bounds = Array.of_list (List.sort_uniq compare buckets) in
-    let n = Array.length bounds in
-    let counts = Array.make (n + 1) 0 in
-    let count = ref 0 and sum = ref 0. in
+    let counts = Array.make (Array.length bounds + 1) 0 in
     List.iter
       (fun v ->
-        let rec bucket i =
-          if i >= n then n else if v <= bounds.(i) then i else bucket (i + 1)
-        in
-        let i = bucket 0 in
-        counts.(i) <- counts.(i) + 1;
-        count := !count + 1;
-        sum := !sum +. v)
+        let i = bucket_of bounds v in
+        counts.(i) <- counts.(i) + 1)
       obs;
-    let acc = ref 0 in
-    let hb =
-      Array.to_list
-        (Array.mapi
-           (fun i b ->
-             acc := !acc + counts.(i);
-             (b, !acc))
-           bounds)
-    in
-    let snap =
-      {
-        h_buckets = hb;
-        h_inf = counts.(n);
-        h_count = !count;
-        h_sum = !sum;
-        h_p50 = 0.;
-        h_p95 = 0.;
-        h_p99 = 0.;
-      }
-    in
-    {
-      snap with
-      h_p50 = percentile_of snap 0.50;
-      h_p95 = percentile_of snap 0.95;
-      h_p99 = percentile_of snap 0.99;
-    }
+    freeze bounds counts ~count:(List.length obs)
+      ~sum:(List.fold_left ( +. ) 0. obs)
 end
 
 let snapshot () =
@@ -318,7 +289,7 @@ let reset () =
   Hashtbl.iter
     (fun _ m ->
       match m with
-      | M_counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.c_cells
+      | M_counter c -> Atomic.set c.c_cell 0
       | M_gauge g -> Atomic.set g.g_value 0.
       | M_histogram h ->
         Mutex.lock h.hg_mu;

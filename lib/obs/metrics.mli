@@ -3,12 +3,11 @@
     Zero-dependency counters, gauges and histograms, registered once by
     name (plus optional labels) and mutated through pre-resolved handles
     so hot paths pay a single atomic update — no hashtable lookup, no
-    allocation.  Every handle is domain-safe: counters are striped over
-    per-domain atomic cells (summed at read), gauges are a single atomic
-    cell, histograms and the registry itself are mutex-guarded.  The
-    registry is global: every subsystem contributes to one namespace
-    ("wal.fsyncs", "reclass.formula_evals", ...) and a snapshot can
-    be rendered as JSON or human-readable text. *)
+    allocation.  Every handle is domain-safe: counters and gauges are
+    each a single atomic cell, histograms and the registry itself are
+    mutex-guarded.  The registry is global: every subsystem contributes
+    to one namespace ("wal.fsyncs", "reclass.formula_evals", ...) and a
+    snapshot can be rendered as JSON or human-readable text. *)
 
 type counter
 (** Monotonically increasing integer. *)

@@ -15,21 +15,17 @@ let selects_on_class t cid =
    slot or on a method whose body reads further properties. The schema
    does not say which definition an individual object resolves to, so the
    closure is conservative: a name is expanded through EVERY method body
-   defined under it anywhere in the schema. *)
+   declared under it anywhere in the schema. *)
+let method_bodies g name =
+  Oid.Set.fold
+    (fun cid acc ->
+      match Klass.local_prop (Schema_graph.find_exn g cid) name with
+      | Some { Prop.body = Prop.Method e; _ } -> e :: acc
+      | Some _ | None -> acc)
+    (Schema_graph.declarers g name)
+    []
+
 let compute g =
-  let classes = Schema_graph.classes g in
-  let methods : (string, Expr.t list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (k : Klass.t) ->
-      List.iter
-        (fun (p : Prop.t) ->
-          match p.body with
-          | Prop.Method e ->
-            Hashtbl.replace methods p.name
-              (e :: Option.value (Hashtbl.find_opt methods p.name) ~default:[])
-          | Prop.Stored _ -> ())
-        k.local_props)
-    classes;
   let attr_selects = Hashtbl.create 32 in
   let class_selects = Oid.Tbl.create 32 in
   let add_attr name cid =
@@ -58,7 +54,7 @@ let compute g =
           (fun body ->
             cnames := Expr.referenced_classes body @ !cnames;
             List.iter visit (Expr.free_attrs body))
-          (Option.value (Hashtbl.find_opt methods name) ~default:[])
+          (method_bodies g name)
       end
     in
     List.iter visit (Expr.free_attrs pred);
@@ -69,7 +65,16 @@ let compute g =
       match k.kind with
       | Klass.Virtual (Klass.Select (_, pred)) ->
         let attrs, cnames = closure pred in
-        List.iter (fun a -> add_attr a k.cid) attrs;
+        List.iter
+          (fun a ->
+            add_attr a k.cid;
+            (* carrier rule: gaining/losing a class that locally defines
+               a property the predicate reads changes what (and whether)
+               that name resolves *)
+            Oid.Set.iter
+              (fun c -> add_class c k.cid)
+              (Schema_graph.declarers g a))
+          attrs;
         List.iter
           (fun cn ->
             match Schema_graph.find_by_name g cn with
@@ -77,16 +82,5 @@ let compute g =
             | None -> () (* member_of on an unknown name is constantly false *))
           cnames
       | Klass.Base | Klass.Virtual _ -> ())
-    classes;
-  (* carrier rule: gaining/losing a class that locally defines a property
-     some predicate reads changes what (and whether) that name resolves *)
-  List.iter
-    (fun (k : Klass.t) ->
-      List.iter
-        (fun (p : Prop.t) ->
-          match Hashtbl.find_opt attr_selects p.name with
-          | Some selects -> Oid.Set.iter (fun s -> add_class k.cid s) selects
-          | None -> ())
-        k.local_props)
-    classes;
+    (Schema_graph.classes g);
   { attr_selects; class_selects }

@@ -7,6 +7,10 @@ type t = {
   (* each class's name, kept by the functions that register, rename,
      remove and install classes *)
   names : (string, cid) Hashtbl.t;
+  (* each property name's declaring classes (those listing it among their
+     local properties), kept by the same functions and by the two local
+     property edits *)
+  declared : (string, Oid.Set.t) Hashtbl.t;
   gen : Oid.Gen.t;
   root : cid;
   (* reachability caches, flushed on any edge or class mutation *)
@@ -40,6 +44,17 @@ let find_by_name_exn t name =
   match find_by_name t name with
   | Some k -> k
   | None -> invalid_arg (Printf.sprintf "Schema_graph: no class named %s" name)
+
+let declarers t name =
+  Option.value (Hashtbl.find_opt t.declared name) ~default:Oid.Set.empty
+
+let declare t cid name =
+  Hashtbl.replace t.declared name (Oid.Set.add cid (declarers t name))
+
+let undeclare t cid name =
+  let s = Oid.Set.remove cid (declarers t name) in
+  if Oid.Set.is_empty s then Hashtbl.remove t.declared name
+  else Hashtbl.replace t.declared name s
 
 let classes t = Oid.Tbl.fold (fun _ k acc -> k :: acc) t.classes []
 let cids t = Oid.Tbl.fold (fun cid _ acc -> cid :: acc) t.classes []
@@ -92,7 +107,8 @@ let is_ancestor_or_self t ~anc ~desc =
 
 let restore_empty ~gen ~root =
   Oid.Gen.mark_used gen root;
-  { classes = Oid.Tbl.create 64; names = Hashtbl.create 64; gen; root;
+  { classes = Oid.Tbl.create 64; names = Hashtbl.create 64;
+    declared = Hashtbl.create 64; gen; root;
     anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
     version = 0; edited = Oid.Tbl.create 64; removed = Oid.Tbl.create 4 }
 
@@ -102,11 +118,17 @@ let unname t (k : Klass.t) =
   if Hashtbl.find_opt t.names k.name = Some k.cid then
     Hashtbl.remove t.names k.name
 
+(* take [k]'s name and its declarations out of the tables *)
+let forget t (k : Klass.t) =
+  unname t k;
+  List.iter (fun (p : Prop.t) -> undeclare t k.cid p.name) k.local_props
+
 (* [k]'s record replaces whatever [k.cid] held *)
 let put t (k : Klass.t) =
-  Option.iter (unname t) (find t k.cid);
+  Option.iter (forget t) (find t k.cid);
   Oid.Tbl.replace t.classes k.cid k;
-  Hashtbl.replace t.names k.name k.cid
+  Hashtbl.replace t.names k.name k.cid;
+  List.iter (fun (p : Prop.t) -> declare t k.cid p.name) k.local_props
 
 let create ~gen =
   let root = Oid.Gen.fresh gen in
@@ -182,7 +204,7 @@ let remove t cid =
   List.iter (fun sup -> unlink t ~sup ~sub:cid) k.supers;
   List.iter (fun sub -> remove_edge t ~sup:cid ~sub) k.subs;
   Oid.Tbl.remove t.classes cid;
-  unname t k;
+  forget t k;
   touch t;
   Oid.Tbl.remove t.edited cid;
   Oid.Tbl.replace t.removed cid t.version
@@ -195,6 +217,7 @@ let add_local_prop t cid (p : Prop.t) =
       (Printf.sprintf "Schema_graph.add_local_prop: %s already defines %s"
          k.name p.name);
   k.local_props <- k.local_props @ [ p ];
+  declare t cid p.name;
   edit t cid
 
 let remove_local_prop t cid name =
@@ -203,6 +226,7 @@ let remove_local_prop t cid name =
     List.filter
       (fun (p : Prop.t) -> not (String.equal p.name name))
       k.local_props;
+  undeclare t cid name;
   edit t cid
 
 let rename t cid name =
@@ -265,7 +289,7 @@ let is_redundant_edge t ~sup ~sub =
 let copy t =
   let t' =
     { classes = Oid.Tbl.create (size t); names = Hashtbl.copy t.names;
-      gen = t.gen; root = t.root;
+      declared = Hashtbl.copy t.declared; gen = t.gen; root = t.root;
       anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
       version = t.version; edited = Oid.Tbl.copy t.edited;
       removed = Oid.Tbl.copy t.removed }

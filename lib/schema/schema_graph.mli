@@ -50,6 +50,18 @@ val find_by_name : t -> string -> Klass.t option
     every function that registers, renames, removes or installs a class. *)
 
 val find_by_name_exn : t -> string -> Klass.t
+
+val declarers : t -> string -> Tse_store.Oid.Set.t
+(** The classes that list a property of that name among their local
+    properties (the root included, should it declare one), empty when
+    none does. One table lookup: the graph keeps a property-name table,
+    updated as the records change by {!register_base},
+    {!register_virtual}, {!install}, {!remove}, {!copy},
+    {!add_local_prop} and {!remove_local_prop}; {!rename} and the edge
+    edits leave it as it is. Under object slicing a property resolves
+    among the object's member classes in this set, so it is never
+    rebuilt per graph version. *)
+
 val name_of : t -> cid -> string
 val mem : t -> cid -> bool
 val classes : t -> Klass.t list

@@ -1,6 +1,6 @@
 (* Domain pool: chunk decomposition, exactly-once execution, result
    ordering, exception propagation (pool stays usable afterwards), and a
-   multi-domain hammer over the striped metrics registry asserting no
+   multi-domain hammer over the atomic metrics registry asserting no
    lost increments. *)
 
 module Pool = Tse_pool.Pool
@@ -101,7 +101,7 @@ let test_size_one_inline () =
 let test_metrics_hammer () =
   (* Satellite (a): hammer one counter, one labeled counter and one
      histogram from every domain of a pool and assert no increment is
-     lost — the registry is striped/atomic, not lock-per-update. *)
+     lost — every counter is one atomic cell, not lock-per-update. *)
   let pool = Pool.create 4 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)

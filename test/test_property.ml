@@ -609,6 +609,148 @@ let prop_populate_equals_oracle =
       in
       judge (List.mapi (fun i op -> (i, op)) ops))
 
+(* Property resolution reads the schema's declarer table. The reference
+   here resolves the way the database did before it had one: filter the
+   object's member classes, in their order, for a local definition, then
+   apply the same priority rule (most specific, then promoted, then one
+   uid or an ambiguity). Method bodies read through the reference too. *)
+let rec reference_get db o name =
+  let g = Database.graph db in
+  let candidates =
+    List.filter_map
+      (fun cid ->
+        Option.map
+          (fun p -> (cid, p))
+          (Klass.local_prop (Schema_graph.find_exn g cid) name))
+      (Database.member_classes db o)
+  in
+  let not_overridden (cid, _) =
+    not
+      (List.exists
+         (fun (other, _) ->
+           (not (Oid.equal other cid))
+           && Schema_graph.is_strict_ancestor g ~anc:cid ~desc:other)
+         candidates)
+  in
+  let chosen =
+    match List.filter not_overridden candidates with
+    | [] -> None
+    | [ c ] -> Some c
+    | minimal -> (
+      match List.filter (fun (_, (p : Prop.t)) -> p.promoted) minimal with
+      | [ c ] -> Some c
+      | _ ->
+        let uids =
+          List.sort_uniq Int.compare
+            (List.map (fun (_, (p : Prop.t)) -> p.uid) minimal)
+        in
+        if List.length uids <= 1 then Some (List.hd minimal)
+        else
+          raise
+            (Expr.Type_error
+               (Printf.sprintf "ambiguous property %s (rename to disambiguate)"
+                  name)))
+  in
+  match chosen with
+  | None -> raise (Expr.Unknown_property name)
+  | Some (_, p) -> (
+    match p.body with
+    | Prop.Stored _ -> Tse_objmodel.Slicing.get_attr (Database.model db) o name
+    | Prop.Method e ->
+      Expr.eval
+        {
+          Expr.self = o;
+          get = reference_get db o;
+          member_of =
+            (fun cname ->
+              match Schema_graph.find_by_name g cname with
+              | Some k -> Database.is_member db o k.cid
+              | None -> false);
+        }
+        e)
+
+(* For every object and every name one of its member classes declares,
+   [Database.get_prop] reads what the reference reads, or raises the same
+   exception, across random evolutions. Added names come from a small
+   pool so several classes declare one name, and add_edge unions promote
+   property copies. *)
+let prop_resolution_equals_member_scan =
+  QCheck.Test.make
+    ~name:"property resolution == member-class scan (random evolutions)"
+    ~count:25 seed_arb (fun seed ->
+      let rng = Random.State.make [| seed; 71 |] in
+      let rs =
+        Random_schema.generate ~seed ~classes:8 ~objects:16 ~virtuals:3 ()
+      in
+      let db = rs.db in
+      let g = Database.graph db in
+      let tsem = Tsem.of_database db in
+      ignore
+        (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
+      let pool = [| "p"; "q"; "r" |] in
+      let pick () = pool.(Random.State.int rng (Array.length pool)) in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception (Expr.Unknown_property _ as e) -> Error e
+        | exception (Expr.Type_error _ as e) -> Error e
+      in
+      let same a b =
+        match (a, b) with
+        | Ok v, Ok v' -> Value.equal v v'
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      let judge what =
+        List.iter
+          (fun o ->
+            let names =
+              List.concat_map
+                (fun cid ->
+                  List.map
+                    (fun (p : Prop.t) -> p.name)
+                    (Schema_graph.find_exn g cid).local_props)
+                (Database.member_classes db o)
+              |> List.sort_uniq String.compare
+            in
+            List.iter
+              (fun name ->
+                let got = outcome (fun () -> Database.get_prop db o name) in
+                let want = outcome (fun () -> reference_get db o name) in
+                if not (same got want) then
+                  QCheck.Test.fail_reportf "after %s, %s.%s differs" what
+                    (Oid.to_string o) name)
+              names)
+          (Database.objects db)
+      in
+      judge "generation";
+      for i = 0 to 23 do
+        let cls () =
+          Schema_graph.name_of g (Random_schema.random_class rng rs)
+        in
+        let change =
+          match i mod 4 with
+          | 0 ->
+            Change.Add_attribute
+              { cls = cls (); def = Change.attr (pick ()) Value.TInt }
+          | 1 ->
+            Change.Add_method
+              { cls = cls (); method_name = pick (); body = Expr.int i }
+          | 2 -> random_change ~kind:3 rng rs
+          | _ -> random_change rng rs
+        in
+        (match Tsem.evolve tsem ~view:"V" change with
+        | _ -> ()
+        | exception Change.Rejected _ -> ());
+        List.iter
+          (fun o ->
+            try Database.set_attr db o (pick ()) (Value.Int i)
+            with Expr.Unknown_property _ | Expr.Type_error _ -> ())
+          (Database.objects db);
+        judge (Change.to_string change)
+      done;
+      true)
+
 let suite =
   List.map Qcheck_det.to_alcotest
     [
@@ -624,4 +766,5 @@ let suite =
       prop_history_monotone;
       prop_trace_calibration;
       prop_trace_replay_consistent;
+      prop_resolution_equals_member_scan;
     ]

@@ -177,17 +177,35 @@ let test_every_mutator_moves_version () =
             name)
       names
   in
+  (* likewise [declarers], for every property name ever used *)
+  let declarers_agree ?(g = g) what =
+    List.iter
+      (fun name ->
+        let scan =
+          List.fold_left
+            (fun acc (k : Klass.t) ->
+              if Klass.has_local_prop k name then Oid.Set.add k.cid acc else acc)
+            Oid.Set.empty (Schema_graph.classes g)
+        in
+        if not (Oid.Set.equal (Schema_graph.declarers g name) scan) then
+          Alcotest.failf "after %s, declarers %s disagrees with a scan" what
+            name)
+      [ "x"; "y"; "z" ]
+  in
   let moves what f =
     let before = Schema_graph.version g in
     let r = f () in
     if Schema_graph.version g <= before then
       Alcotest.failf "%s left the version at %d" what before;
     names_agree what;
+    declarers_agree what;
     r
   in
   let a =
     moves "register_base" (fun () ->
-        Schema_graph.register_base g ~name:"A" ~props:[] ~supers:[])
+        Schema_graph.register_base g ~name:"A"
+          ~props:[ stored "x" Value.TInt; stored "y" Value.TInt ]
+          ~supers:[])
   in
   let b =
     moves "register_base" (fun () ->
@@ -197,21 +215,37 @@ let test_every_mutator_moves_version () =
     moves "register_virtual" (fun () ->
         Schema_graph.register_virtual g ~name:"V"
           (Klass.Select (a, Expr.bool true))
-          [])
+          [ stored "y" Value.TInt ])
   in
   moves "add_edge" (fun () -> Schema_graph.add_edge g ~sup:a ~sub:v);
   moves "remove_edge" (fun () -> Schema_graph.remove_edge g ~sup:a ~sub:v);
   moves "add_local_prop" (fun () ->
       Schema_graph.add_local_prop g b (stored "x" Value.TInt));
+  moves "add_local_prop" (fun () ->
+      Schema_graph.add_local_prop g b (stored "z" Value.TInt));
   moves "remove_local_prop" (fun () -> Schema_graph.remove_local_prop g b "x");
   moves "rename" (fun () -> Schema_graph.rename g b "B2");
   moves "remove" (fun () -> Schema_graph.remove g v);
   let c = Oid.Gen.fresh (Schema_graph.gen g) in
   moves "install" (fun () ->
       Schema_graph.install g
-        { (Klass.make_base ~cid:c ~name:"C" ~props:[]) with
+        { (Klass.make_base ~cid:c ~name:"C" ~props:[ stored "z" Value.TInt ])
+          with
+          supers = [ Schema_graph.root g ] });
+  (* an install over a known cid replaces its record and its declarations *)
+  moves "install" (fun () ->
+      Schema_graph.install g
+        { (Klass.make_base ~cid:c ~name:"C" ~props:[ stored "x" Value.TInt ])
+          with
           supers = [ Schema_graph.root g ] });
   moves "relink_subs" (fun () -> Schema_graph.relink_subs g);
+  (* a copy starts from the same table, and edits to either stay apart *)
+  let g' = Schema_graph.copy g in
+  declarers_agree ~g:g' "copy";
+  Schema_graph.remove_local_prop g' a "y";
+  Schema_graph.add_local_prop g' b (stored "y" Value.TInt);
+  declarers_agree ~g:g' "editing the copy";
+  declarers_agree "editing the copy (original)";
   check Alcotest.string "renamed" "B2" (Schema_graph.name_of g b);
   Alcotest.check_raises "rename onto a used name"
     (Invalid_argument
