@@ -474,9 +474,13 @@ let rec replay db ~subst ~basename cid =
     | Klass.Select (c, pred) ->
       let src = sub c in
       Ops.select db ~name:(fresh ()) ~src pred
-    | Klass.Hide (ps, c) ->
+    | Klass.Hide (ps, c) -> (
       let src = sub c in
-      Ops.hide db ~name:(fresh ()) ~props:ps ~src
+      (* the original source may show a property only through an is-a
+         edge that the replayed source lacks; that one needs no hiding *)
+      match List.filter (Type_info.has_prop graph src) ps with
+      | [] -> src
+      | ps -> Ops.hide db ~name:(fresh ()) ~props:ps ~src)
     | Klass.Refine (props, c) ->
       let src = sub c in
       Ops.refine db ~name:(fresh ()) ~props ~src

@@ -52,9 +52,12 @@ val precheck : t -> view:string -> Change.t -> checked
 
 val evolve_checked : t -> checked -> Tse_views.View_schema.t
 (** Translate, classify, regenerate and register a prechecked change.
-    The change can still be rejected mid-translation (a later step of
-    insert_class or delete_class_2), after the schema has been touched.
-    @raise Change.Rejected in that case.
+    A change that passed {!precheck} does not raise here: {!precheck}
+    checks every precondition that a later step of insert_class or
+    delete_class_2 could fail, so nothing is rejected after the schema
+    has been touched. An exception from here is a
+    translator defect (an injected {!Tse_store.Failpoint} crash aside);
+    the old-hierarchy property of the test suite fails on any.
     @raise Invalid_argument when the schema or the view changed since
     the {!precheck}. *)
 

@@ -7,6 +7,11 @@ module Klass = Tse_schema.Klass
 module Prop = Tse_schema.Prop
 module Expr = Tse_schema.Expr
 
+(* A slice of class [cid] is an implementation cell tagged
+   ["@impl:<cid>"] and a conceptual slot ["__impl:<cid>"] pointing at it.
+   All slices of one class share these two strings. *)
+type slice_names = { tag : string; slot : string }
+
 type t = {
   graph : Schema_graph.t;
   heap : Heap.t;
@@ -16,19 +21,37 @@ type t = {
   impls : Oid.t Oid.Tbl.t Oid.Dense.t;
   (* impl oid -> conceptual oid *)
   owners : Oid.t Oid.Dense.t;
+  (* cid -> the strings every slice of the class carries, built once *)
+  names : slice_names Oid.Tbl.t;
 }
 
 let name = "object-slicing"
 
 let create ~graph ~heap ~stats =
-  { graph; heap; stats; impls = Oid.Dense.create 256; owners = Oid.Dense.create 256 }
+  {
+    graph;
+    heap;
+    stats;
+    impls = Oid.Dense.create 256;
+    owners = Oid.Dense.create 256;
+    names = Oid.Tbl.create 64;
+  }
 
 let graph t = t.graph
 let heap t = t.heap
 let stats t = t.stats
 
 let conceptual_tag = "@obj"
-let impl_tag cid = "@impl:" ^ string_of_int (Oid.to_int cid)
+let impl_prefix = "@impl:"
+
+let slice_names t cid =
+  match Oid.Tbl.find_opt t.names cid with
+  | Some n -> n
+  | None ->
+    let id = string_of_int (Oid.to_int cid) in
+    let n = { tag = impl_prefix ^ id; slot = "__impl:" ^ id } in
+    Oid.Tbl.replace t.names cid n;
+    n
 
 let impl_table t o =
   match Oid.Dense.find_opt t.impls o with
@@ -72,9 +95,10 @@ let member_classes t o =
 let add_impl t o cid =
   let tbl = impl_table t o in
   if not (Oid.Tbl.mem tbl cid) then begin
-    let impl = Heap.alloc t.heap ~tag:(impl_tag cid) in
+    let names = slice_names t cid in
+    let impl = Heap.alloc t.heap ~tag:names.tag in
     Heap.set_slot t.heap impl "__conceptual" (Value.Ref o);
-    Heap.set_slot t.heap o ("__impl:" ^ string_of_int (Oid.to_int cid)) (Value.Ref impl);
+    Heap.set_slot t.heap o names.slot (Value.Ref impl);
     Oid.Tbl.replace tbl cid impl;
     Oid.Dense.replace t.owners impl o;
     Stats.incr_oids t.stats;
@@ -87,7 +111,7 @@ let remove_impl t o cid =
   | None -> ()
   | Some impl ->
     Heap.free t.heap impl;
-    Heap.remove_slot t.heap o ("__impl:" ^ string_of_int (Oid.to_int cid));
+    Heap.remove_slot t.heap o (slice_names t cid).slot;
     Oid.Tbl.remove tbl cid;
     Oid.Dense.remove t.owners impl
 
@@ -239,26 +263,45 @@ let object_count t = Oid.Dense.length t.impls
 
 let rebuild ~graph ~heap ~stats =
   let t = create ~graph ~heap ~stats in
-  let impl_prefix = "@impl:" in
   Heap.iter heap (fun (cell : Heap.cell) ->
       if String.equal cell.tag conceptual_tag then begin
+        cell.tag <- conceptual_tag;
         let tbl = Oid.Tbl.create 4 in
         Oid.Dense.replace t.impls cell.oid tbl;
         Stats.incr_oids stats;
         Stats.incr_objects stats
       end);
+  (* Each distinct tag is parsed once: an implementation tag seeds the
+     class's shared names, and every cell carrying it is pointed at the
+     shared string (equal contents, so nothing is logged). *)
+  let parsed = Hashtbl.create 64 in
+  let impl_class tag =
+    match Hashtbl.find_opt parsed tag with
+    | Some r -> r
+    | None ->
+      let r =
+        if
+          String.length tag > String.length impl_prefix
+          && String.starts_with ~prefix:impl_prefix tag
+        then
+          let cid =
+            Oid.of_int
+              (int_of_string
+                 (String.sub tag (String.length impl_prefix)
+                    (String.length tag - String.length impl_prefix)))
+          in
+          let shared = (slice_names t cid).tag in
+          Some (cid, if String.equal shared tag then shared else tag)
+        else None
+      in
+      Hashtbl.replace parsed tag r;
+      r
+  in
   Heap.iter heap (fun (cell : Heap.cell) ->
-      let tag = cell.tag in
-      if
-        String.length tag > String.length impl_prefix
-        && String.sub tag 0 (String.length impl_prefix) = impl_prefix
-      then begin
-        let cid =
-          Oid.of_int
-            (int_of_string
-               (String.sub tag (String.length impl_prefix)
-                  (String.length tag - String.length impl_prefix)))
-        in
+      match impl_class cell.tag with
+      | None -> ()
+      | Some (cid, tag) -> (
+        cell.tag <- tag;
         match Heap.get_slot heap cell.oid "__conceptual" with
         | Value.Ref owner ->
           (match Oid.Dense.find_opt t.impls owner with
@@ -268,12 +311,11 @@ let rebuild ~graph ~heap ~stats =
           Stats.incr_oids stats;
           Stats.add_pointers stats 2;
           (* recount payload bytes (skip bookkeeping slots) *)
-          List.iter
+          Array.iter
             (fun (name, v) ->
-              if String.length name < 2 || String.sub name 0 2 <> "__" then
+              if not (String.starts_with ~prefix:"__" name) then
                 if not (Value.equal v Value.Null) then
                   Stats.add_data_bytes stats (Value.size_bytes v))
-            (Heap.slots heap cell.oid)
-        | _ -> failwith "Slicing.rebuild: implementation object without owner"
-      end);
+            cell.slots
+        | _ -> failwith "Slicing.rebuild: implementation object without owner"));
   t

@@ -27,7 +27,9 @@ val rebuild :
 (** Reconstruct the in-memory tables (conceptual ↔ implementation maps)
     by scanning a loaded heap: conceptual cells carry ["__impl:<cid>"]
     reference slots, implementation cells a ["__conceptual"] back-pointer.
-    Storage statistics are recomputed. *)
+    Storage statistics are recomputed. Each distinct implementation tag
+    is parsed once, and every cell carrying it is pointed at the one
+    tag string that the class's later slices share too. *)
 
 val is_object : t -> Tse_store.Oid.t -> bool
 (** The OID names a live conceptual object of this model. *)

@@ -3,7 +3,7 @@ module Metrics = Tse_obs.Metrics
 type cell = {
   oid : Oid.t;
   mutable tag : string;
-  slots : (string, Value.t) Hashtbl.t;
+  mutable slots : (string * Value.t) array;
 }
 
 (* Slot-level traffic counters, aggregated across every heap instance.
@@ -59,7 +59,7 @@ let set_logger t logger = t.logger <- logger
 let log t op = match t.logger with None -> () | Some f -> f op
 
 let install t oid tag =
-  put_cell t oid { oid; tag; slots = Hashtbl.create 4 };
+  put_cell t oid { oid; tag; slots = [||] };
   Metrics.incr m_allocs;
   log t (Alloc (oid, tag));
   oid
@@ -91,11 +91,27 @@ let set_tag t oid tag =
   (find_exn t oid).tag <- tag;
   log t (Set_tag (oid, tag))
 
+(* A cell's slots are sorted by name, so a probe is a binary search:
+   the index of [name], or [-(i + 1)] when it is absent and belongs at
+   [i]. *)
+let rec search_range slots name lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare name (fst (Array.unsafe_get slots mid)) in
+    if c = 0 then mid
+    else if c < 0 then search_range slots name lo mid
+    else search_range slots name (mid + 1) hi
+
+let search slots name = search_range slots name 0 (Array.length slots)
+
+let find_slot slots name =
+  let i = search slots name in
+  if i >= 0 then snd (Array.unsafe_get slots i) else Value.Null
+
 let get_slot t oid name =
   Metrics.incr m_reads;
-  match Hashtbl.find_opt (find_exn t oid).slots name with
-  | Some v -> v
-  | None -> Value.Null
+  find_slot (find_exn t oid).slots name
 
 (* Compiled-query fast path: one closure per (heap, slot name) reading
    straight out of the cell array (re-read through [t] each call — the
@@ -106,13 +122,22 @@ let slot_reader t name =
     Metrics.incr m_reads;
     match cell_opt t oid with
     | None -> raise Not_found
-    | Some cell -> (
-      match Hashtbl.find_opt cell.slots name with
-      | Some v -> v
-      | None -> Value.Null)
+    | Some cell -> find_slot cell.slots name
 
+(* A present slot is replaced in place; a new one is inserted into a
+   copy one longer, so a cell holds exactly its slots. *)
 let set_slot t oid name v =
-  Hashtbl.replace (find_exn t oid).slots name v;
+  let cell = find_exn t oid in
+  let s = cell.slots in
+  let i = search s name in
+  if i >= 0 then s.(i) <- (name, v)
+  else begin
+    let i = -(i + 1) and n = Array.length s in
+    let grown = Array.make (n + 1) (name, v) in
+    Array.blit s 0 grown 0 i;
+    Array.blit s i grown (i + 1) (n - i);
+    cell.slots <- grown
+  end;
   Metrics.incr m_writes;
   log t (Set_slot (oid, name, v))
 
@@ -123,30 +148,27 @@ let alloc_with t ~tag bindings =
 
 let remove_slot t oid name =
   let cell = find_exn t oid in
-  if Hashtbl.mem cell.slots name then begin
-    Hashtbl.remove cell.slots name;
+  let s = cell.slots in
+  let i = search s name in
+  if i >= 0 then begin
+    cell.slots <-
+      Array.init (Array.length s - 1) (fun j -> s.(if j < i then j else j + 1));
     Metrics.incr m_writes;
     log t (Remove_slot (oid, name))
   end
 
-let slots t oid =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (find_exn t oid).slots []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let slots t oid = Array.to_list (find_exn t oid).slots
 
 let copy_slots t ~src ~dst =
-  let from = find_exn t src in
-  Hashtbl.iter (fun k v -> set_slot t dst k v) from.slots
+  Array.iter (fun (k, v) -> set_slot t dst k v) (find_exn t src).slots
 
 let swap_identity t a b =
   let ca = find_exn t a and cb = find_exn t b in
-  let tag_a = ca.tag and slots_a = Hashtbl.copy ca.slots in
-  let assign (c : cell) tag slots =
-    c.tag <- tag;
-    Hashtbl.reset c.slots;
-    Hashtbl.iter (fun k v -> Hashtbl.replace c.slots k v) slots
-  in
-  assign ca cb.tag cb.slots;
-  assign cb tag_a slots_a;
+  let tag_a = ca.tag and slots_a = ca.slots in
+  ca.tag <- cb.tag;
+  ca.slots <- cb.slots;
+  cb.tag <- tag_a;
+  cb.slots <- slots_a;
   Metrics.incr m_swaps;
   log t (Swap (a, b))
 

@@ -16,7 +16,15 @@ type cell = {
   oid : Oid.t;
   mutable tag : string;
       (** the owning class name (or an object-model-specific tag) *)
-  slots : (string, Value.t) Hashtbl.t;
+  mutable slots : (string * Value.t) array;
+      (** strictly sorted by name ([String.compare]), one entry per slot,
+          searched by binary search. A cell with no slots holds the
+          shared empty array, and a cell with [n] slots costs
+          [1 + 4n] words beyond its 4-word record (the array and one
+          pair per slot) plus its values. Read-only outside this
+          module: every edit goes through {!set_slot},
+          {!remove_slot} or {!swap_identity}, which keep the order and
+          log the change. *)
 }
 
 type op =
@@ -75,6 +83,7 @@ val slot_reader : t -> string -> Oid.t -> Value.t
 val set_slot : t -> Oid.t -> string -> Value.t -> unit
 val remove_slot : t -> Oid.t -> string -> unit
 val slots : t -> Oid.t -> (string * Value.t) list
+(** The cell's slots in ascending name order. *)
 
 val copy_slots : t -> src:Oid.t -> dst:Oid.t -> unit
 (** Copy every slot of [src] onto [dst] (intersection-class

@@ -42,25 +42,22 @@ let unescape_slow s =
 let unescape s = if String.contains s '\\' then unescape_slow s else s
 
 let encode_cell buf (c : Heap.cell) =
-  let slots =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.slots []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
   Buffer.add_string buf "obj ";
   Codec.add_decimal buf (Oid.to_int c.oid);
   Buffer.add_char buf ' ';
   Buffer.add_string buf (escape c.tag);
   Buffer.add_char buf ' ';
-  Codec.add_decimal buf (List.length slots);
+  Codec.add_decimal buf (Array.length c.slots);
   Buffer.add_char buf '\n';
-  List.iter
+  (* the cell keeps its slots in name order, the order the image lists *)
+  Array.iter
     (fun (k, v) ->
       Buffer.add_string buf "slot ";
       Buffer.add_string buf (escape k);
       Buffer.add_char buf ' ';
       Value.encode buf v;
       Buffer.add_char buf '\n')
-    slots
+    c.slots
 
 let to_string heap =
   let buf = Buffer.create 4096 in
@@ -96,41 +93,58 @@ let fail lineno line what =
 
 let of_string s =
   let heap = Heap.create () in
-  let lines = String.split_on_char '\n' s in
+  let n = String.length s in
+  let line_end pos = Option.value (String.index_from_opt s pos '\n') ~default:n in
   let current = ref None in
   let expect_slots = ref 0 in
-  let seen_end = ref false in
-  let handle lineno line =
-    let fail what = fail lineno line what in
-    if !seen_end || String.length line = 0 then ()
-    else
-      match String.split_on_char ' ' line with
-      | [ "TSE-HEAP"; "1" ] -> ()
-      | [ "gen"; _n ] -> ()
-      | [ "obj"; oid_s; tag; nslots ] ->
-        if !expect_slots > 0 then fail "previous object truncated";
-        let oid = Oid.of_int (int_of_string oid_s) in
-        let oid = Heap.alloc_raw heap ~oid ~tag:(unescape tag) in
-        current := Some oid;
-        expect_slots := int_of_string nslots
-      | "slot" :: name :: rest ->
-        let oid =
-          match !current with
-          | Some o -> o
-          | None -> fail "slot before obj"
-        in
-        if !expect_slots <= 0 then fail "unexpected slot";
-        let payload = String.concat " " rest in
-        let v, _ = Value.decode payload 0 in
-        Heap.set_slot heap oid (unescape name) v;
-        expect_slots := !expect_slots - 1
-      | [ "end" ] ->
-        if !expect_slots > 0 then fail "truncated object";
-        seen_end := true
-      | _ -> fail "unrecognized line"
-  in
-  List.iteri (fun i line -> handle (i + 1) line) lines;
-  if not !seen_end then failwith "Snapshot: missing end marker";
+  let pos = ref 0 and lineno = ref 1 and seen_end = ref false in
+  while not !seen_end do
+    if !pos >= n then failwith "Snapshot: missing end marker";
+    let eol = line_end !pos in
+    let line = String.sub s !pos (eol - !pos) in
+    let fail what = fail !lineno line what in
+    (* where the next line starts: past this one, or past the value of a
+       slot, which is length-prefixed and may itself hold newlines *)
+    let next = ref (eol + 1) in
+    (if String.starts_with ~prefix:"slot " line then begin
+       let oid =
+         match !current with
+         | Some o -> o
+         | None -> fail "slot before obj"
+       in
+       if !expect_slots <= 0 then fail "unexpected slot";
+       let name_len =
+         match String.index_from_opt line 5 ' ' with
+         | Some i -> i - 5
+         | None -> fail "slot without a value"
+       in
+       let v, stop = Value.decode s (!pos + 5 + name_len + 1) in
+       Heap.set_slot heap oid (unescape (String.sub line 5 name_len)) v;
+       expect_slots := !expect_slots - 1;
+       if stop > eol then begin
+         let eol' = line_end stop in
+         for i = eol to eol' - 1 do
+           if s.[i] = '\n' then incr lineno
+         done;
+         next := eol' + 1
+       end
+     end
+     else
+       match String.split_on_char ' ' line with
+       | [ "" ] | [ "TSE-HEAP"; "1" ] | [ "gen"; _ ] -> ()
+       | [ "obj"; oid_s; tag; nslots ] ->
+         if !expect_slots > 0 then fail "previous object truncated";
+         let oid = Oid.of_int (int_of_string oid_s) in
+         let oid = Heap.alloc_raw heap ~oid ~tag:(unescape tag) in
+         current := Some oid;
+         expect_slots := int_of_string nslots
+       | [ "end" ] ->
+         if !expect_slots > 0 then fail "truncated object";
+         seen_end := true
+       | _ -> fail "unrecognized line");
+    pos := !next;
+    incr lineno
+  done;
   heap
 
 let of_string s =
@@ -141,11 +155,6 @@ let of_string s =
 let roundtrip_equal a b =
   let cells heap =
     Heap.fold heap ~init:[] ~f:(fun acc (c : Heap.cell) ->
-        ( Oid.to_int c.oid,
-          c.tag,
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.slots []
-          |> List.sort Stdlib.compare )
-        :: acc)
-    |> List.sort Stdlib.compare
+        (Oid.to_int c.oid, c.tag, c.slots) :: acc)
   in
   cells a = cells b

@@ -38,12 +38,15 @@ open Tse_core
 open Tse_workload
 
 (* Verbatim copy of test/test_property.ml's random_change. *)
-let random_change rng (rs : Random_schema.t) =
+let random_change ?kind rng (rs : Random_schema.t) =
   let g = Database.graph rs.db in
   let cls cid = Schema_graph.name_of g cid in
   let c1 = Random_schema.random_class rng rs in
   let c2 = Random_schema.random_class rng rs in
-  match Random.State.int rng 8 with
+  let kind =
+    match kind with Some k -> k | None -> Random.State.int rng 8
+  in
+  match kind with
   | 0 ->
     Change.Add_attribute
       {
@@ -411,6 +414,89 @@ let create_init_partial () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* insert_class I575 between C3-C4, step 17 of the old-hierarchy
+   property's change sequence at seed 763, passed the precheck and then
+   raised [Ops.Error "hide: a6 is not defined for I575$r$16"] with 20
+   classes created. The failing step was add_class's replay of C3's
+   derivation over fresh base classes: C3 showed a6 only through an is-a
+   edge the translator had drawn to another class, the replayed source
+   had no such edge, and the replayed hide of a6 raised. A replayed hide
+   now drops the properties its source does not show. The change is
+   admitted, the database stays consistent, and the view equals the
+   direct oracle's (Proposition A). *)
+let insert_class_replay () =
+  let seed = 763 in
+  let run () =
+    let rng = Random.State.make [| seed; 53 |] in
+    let rs = Random_schema.generate ~seed ~classes:8 ~objects:12 () in
+    let graph = Database.graph rs.db in
+    let tsem = Tsem.of_database rs.db in
+    ignore
+      (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
+    (* the change sequence of prop_old_hierarchy_fixed *)
+    let methods = ref [] in
+    let change_at i =
+      match i mod 10 with
+      | 8 -> begin
+        match !methods with
+        | (cls, method_name) :: rest ->
+          methods := rest;
+          Change.Delete_method { cls; method_name }
+        | [] -> random_change ~kind:2 rng rs
+      end
+      | 9 ->
+        let cid = Random_schema.random_class rng rs in
+        Change.Delete_class_2 { cls = Schema_graph.name_of graph cid }
+      | kind -> random_change ~kind rng rs
+    in
+    for i = 0 to 16 do
+      let change = change_at i in
+      match Tsem.evolve tsem ~view:"V" change with
+      | _ -> (
+        match change with
+        | Change.Add_method { cls; method_name; _ } ->
+          methods := (cls, method_name) :: !methods
+        | _ -> ())
+      | exception Change.Rejected _ -> ()
+    done;
+    (rs, tsem, change_at 17)
+  in
+  let rs, tsem, change = run () in
+  Alcotest.(check string) "the replayed change"
+    "insert_class I575 between C3-C4" (Change.to_string change);
+  let view = Tsem.evolve_checked tsem (Tsem.precheck tsem ~view:"V" change) in
+  Alcotest.(check (list string)) "consistent" [] (Database.check rs.db);
+  let twin, twin_tsem, _ = run () in
+  let direct = Direct.apply twin.db (Tsem.current twin_tsem "V") change in
+  Alcotest.(check (list string)) "S'' = S'" []
+    (Verify.diff_views (rs.db, view) (twin.db, direct))
+
+(* A database image lists one slot per line, but a string value is
+   length-prefixed and written raw, so it may hold a newline. The heap
+   decoder split the image into lines first: a name with a newline cut
+   its slot line in two, and the image of that database no longer
+   loaded ("Value.decode: truncated string"). The decoder now reads each
+   value in place and resumes after it. *)
+let newline_in_string () =
+  let uni = University.build () in
+  let objs = University.populate uni ~n:4 in
+  let o = List.hd objs in
+  Database.set_attr uni.db o "name" (Value.String "two\nlines\n");
+  let image =
+    Durable.image_to_string ~seq:7
+      ~schema:(Schema_codec.encode_graph (Database.graph uni.db))
+      ~exts:[] uni.db
+  in
+  let seq, db, _ = Durable.image_of_string image in
+  Alcotest.(check int) "seq" 7 seq;
+  Alcotest.(check string) "the value survives"
+    "two\nlines\n"
+    (match Database.get_prop db o "name" with
+    | Value.String s -> s
+    | v -> Value.to_string v);
+  Alcotest.(check string) "the database survives"
+    (Verify.db_fingerprint uni.db) (Verify.db_fingerprint db)
+
 (* The TSE_TRACE sink wrote through a buffered out_channel, which flushes
    whenever its buffer fills, mid-line. Two processes tracing to one file
    (dune runtest runs the test and regression binaries at once) then
@@ -506,6 +592,12 @@ let () =
       ( "create-init-partial",
         [ Alcotest.test_case "a raised init write leaves no object" `Quick
             create_init_partial ] );
+      ( "insert-class-replay",
+        [ Alcotest.test_case "seed 763: a replayed hide drops what is not shown"
+            `Quick insert_class_replay ] );
+      ( "newline-in-string",
+        [ Alcotest.test_case "an image with a newline in a string loads"
+            `Quick newline_in_string ] );
       ( "trace-shared-file",
         [ Alcotest.test_case "two file sinks on one file keep lines whole"
             `Quick trace_shared_file ] );

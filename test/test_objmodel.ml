@@ -101,6 +101,36 @@ let test_slicing_set_membership_exact () =
   Alcotest.(check bool) "imported added" true (Slicing.is_member m o cars.imported);
   check Alcotest.int "exactly two impls" 2 (Slicing.impl_count m o)
 
+(* A slice is one small implementation cell plus one conceptual slot
+   naming it. Populating a class with n members may add at most 32 words
+   per member to the heap and the model (55 while a cell kept its slots
+   in a hash table and every slice built its own two names), and every
+   slice of the class shares one tag and one slot-name string. *)
+let test_slicing_slice_cost () =
+  let cars, m = fresh_slicing () in
+  let n = 2_000 in
+  let objs = List.init n (fun _ -> Slicing.create_object m cars.car) in
+  let words () = Obj.reachable_words (Obj.repr (cars.heap, m)) in
+  let before = words () in
+  List.iter (fun o -> Slicing.add_impl m o cars.imported) objs;
+  let per_slice = float_of_int (words () - before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per slice <= 32" per_slice)
+    true (per_slice <= 32.);
+  let impl o = Option.get (Slicing.impl_of m o cars.imported) in
+  let tag o = (Heap.find_exn cars.heap (impl o)).tag in
+  let slot_name o =
+    fst
+      (List.find
+         (fun (_, v) -> Value.equal v (Value.Ref (impl o)))
+         (Heap.slots cars.heap o))
+  in
+  let o0 = List.hd objs in
+  Alcotest.(check bool) "every slice shares one tag string" true
+    (List.for_all (fun o -> tag o == tag o0) objs);
+  Alcotest.(check bool) "every slice shares one slot-name string" true
+    (List.for_all (fun o -> slot_name o == slot_name o0) objs)
+
 let test_intersection_single_class () =
   let cars, m = fresh_intersection () in
   let o = Intersection.create_object m cars.jeep in
@@ -209,6 +239,8 @@ let suite =
       test_slicing_storage_accounting;
     Alcotest.test_case "slicing: exact membership sync" `Quick
       test_slicing_set_membership_exact;
+    Alcotest.test_case "slicing: a slice costs one small cell" `Quick
+      test_slicing_slice_cost;
     Alcotest.test_case "intersection: single class" `Quick
       test_intersection_single_class;
     Alcotest.test_case "intersection: auto class creation (Fig 5b)" `Quick

@@ -150,7 +150,8 @@ let prop_view_independence =
    it adds a class, and walks it while the graph grows. That is sound
    because no change alters it: a sequence that runs through every
    Section 6 change leaves the signature of each pre-change view as it
-   was. *)
+   was. A change is rejected by the precheck or not at all: once it
+   passes, the translation must not raise. *)
 let prop_old_hierarchy_fixed =
   QCheck.Test.make
     ~name:"a change leaves the old view's hierarchy as it was (random)"
@@ -179,13 +180,18 @@ let prop_old_hierarchy_fixed =
         in
         let view = Tsem.current tsem "V" in
         let before = Tse_views.Generation.edges_signature graph view in
-        (match Tsem.evolve tsem ~view:"V" change with
-        | _ -> (
-          match change with
-          | Change.Add_method { cls; method_name; _ } ->
-            methods := (cls, method_name) :: !methods
-          | _ -> ())
-        | exception Change.Rejected _ -> ());
+        (match Tsem.precheck tsem ~view:"V" change with
+        | exception Change.Rejected _ -> ()
+        | checked -> (
+          match Tsem.evolve_checked tsem checked with
+          | _ -> (
+            match change with
+            | Change.Add_method { cls; method_name; _ } ->
+              methods := (cls, method_name) :: !methods
+            | _ -> ())
+          | exception Change.Rejected m ->
+            QCheck.Test.fail_reportf "%s passed the precheck, then: %s"
+              (Change.to_string change) m));
         let after = Tse_views.Generation.edges_signature graph view in
         if not (String.equal before after) then
           QCheck.Test.fail_reportf "%s moved the old hierarchy:@.%s@.%s"

@@ -182,6 +182,140 @@ let prop_value_compare_total =
     (QCheck.pair value_arb value_arb) (fun (a, b) ->
       Value.equal a b = (Value.compare a b = 0))
 
+(* The heap cell layout against a model: random sequences of the cell
+   edits run on a heap and on a map per object. After each edit every
+   cell's slots read as the model says, in strictly ascending name
+   order, and at the end the image round-trips byte for byte. *)
+module Smap = Map.Make (String)
+
+type heap_op =
+  | H_alloc of string
+  | H_alloc_with of string * (string * Value.t) list
+  | H_set of int * string * Value.t
+  | H_remove of int * string
+  | H_copy of int * int
+  | H_swap of int * int
+
+let slot_names = [ "a"; "b"; "c"; "dd"; "__impl:7"; "with space"; "" ]
+
+let heap_op_gen =
+  let open QCheck.Gen in
+  let name = oneofl slot_names and tag = oneofl [ "@obj"; "@impl:3"; "T" ] in
+  let ix = int_bound 7 in
+  frequency
+    [
+      (2, map (fun t -> H_alloc t) tag);
+      ( 1,
+        map2
+          (fun t b -> H_alloc_with (t, b))
+          tag
+          (list_size (int_bound 4) (pair name value_gen)) );
+      (6, map3 (fun i n v -> H_set (i, n, v)) ix name value_gen);
+      (3, map2 (fun i n -> H_remove (i, n)) ix name);
+      (1, map2 (fun i j -> H_copy (i, j)) ix ix);
+      (1, map2 (fun i j -> H_swap (i, j)) ix ix);
+    ]
+
+let print_heap_op = function
+  | H_alloc t -> Printf.sprintf "alloc %S" t
+  | H_alloc_with (t, b) ->
+    Printf.sprintf "alloc_with %S [%s]" t
+      (String.concat "; "
+         (List.map (fun (n, v) -> Printf.sprintf "%S=%s" n (Value.to_string v)) b))
+  | H_set (i, n, v) -> Printf.sprintf "set %d %S %s" i n (Value.to_string v)
+  | H_remove (i, n) -> Printf.sprintf "remove %d %S" i n
+  | H_copy (i, j) -> Printf.sprintf "copy %d -> %d" i j
+  | H_swap (i, j) -> Printf.sprintf "swap %d %d" i j
+
+let prop_heap_cells_match_model =
+  QCheck.Test.make ~name:"heap cells == map model, sorted, image bytes stable"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map print_heap_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) heap_op_gen))
+    (fun ops ->
+      let heap = Heap.create () in
+      (* the model: allocated oids in order, each with its tag and slots *)
+      let objs = ref [||] in
+      let model = Hashtbl.create 8 in
+      let pick i =
+        let n = Array.length !objs in
+        if n = 0 then None else Some !objs.(i mod n)
+      in
+      let alloc tag oid bindings =
+        objs := Array.append !objs [| oid |];
+        Hashtbl.replace model oid
+          (tag, List.fold_left (fun m (k, v) -> Smap.add k v m) Smap.empty bindings)
+      in
+      let apply = function
+        | H_alloc tag -> alloc tag (Heap.alloc heap ~tag) []
+        | H_alloc_with (tag, b) -> alloc tag (Heap.alloc_with heap ~tag b) b
+        | H_set (i, n, v) ->
+          Option.iter
+            (fun o ->
+              Heap.set_slot heap o n v;
+              let tag, m = Hashtbl.find model o in
+              Hashtbl.replace model o (tag, Smap.add n v m))
+            (pick i)
+        | H_remove (i, n) ->
+          Option.iter
+            (fun o ->
+              Heap.remove_slot heap o n;
+              let tag, m = Hashtbl.find model o in
+              Hashtbl.replace model o (tag, Smap.remove n m))
+            (pick i)
+        | H_copy (i, j) -> (
+          match (pick i, pick j) with
+          | Some src, Some dst ->
+            Heap.copy_slots heap ~src ~dst;
+            let _, ms = Hashtbl.find model src in
+            let tag, md = Hashtbl.find model dst in
+            Hashtbl.replace model dst
+              (tag, Smap.union (fun _ v _ -> Some v) ms md)
+          | _ -> ())
+        | H_swap (i, j) -> (
+          match (pick i, pick j) with
+          | Some a, Some b ->
+            Heap.swap_identity heap a b;
+            let ca = Hashtbl.find model a and cb = Hashtbl.find model b in
+            Hashtbl.replace model a cb;
+            Hashtbl.replace model b ca
+          | _ -> ())
+      in
+      let agrees o =
+        let tag, m = Hashtbl.find model o in
+        let cell = Heap.find_exn heap o in
+        let names = Array.map fst cell.slots in
+        let sorted = ref true in
+        for k = 1 to Array.length names - 1 do
+          if String.compare names.(k - 1) names.(k) >= 0 then sorted := false
+        done;
+        !sorted
+        && String.equal tag (Heap.tag_of heap o)
+        && List.equal
+             (fun (k, v) (k', v') -> String.equal k k' && Value.equal v v')
+             (Heap.slots heap o) (Smap.bindings m)
+        && List.for_all
+             (fun n ->
+               Value.equal (Heap.get_slot heap o n)
+                 (Option.value (Smap.find_opt n m) ~default:Value.Null))
+             slot_names
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          Array.iter
+            (fun o ->
+              if not (agrees o) then
+                QCheck.Test.fail_reportf "after %s: cell %s disagrees"
+                  (print_heap_op op) (Oid.to_string o))
+            !objs)
+        ops;
+      let image = Snapshot.to_string heap in
+      let heap' = Snapshot.of_string image in
+      Snapshot.roundtrip_equal heap heap'
+      && String.equal image (Snapshot.to_string heap'))
+
 (* [distinct_keys] is a maintained count; numeric keys share one domain,
    so [Int 3] and [Float 3.0] are one key, and [Null] is a key too. *)
 let test_ord_index_distinct_keys () =
@@ -374,7 +508,7 @@ let suite =
     Alcotest.test_case "storage accounting" `Quick test_stats;
   ]
   @ List.map Qcheck_det.to_alcotest
-      [ prop_value_roundtrip; prop_value_compare_total ]
+      [ prop_value_roundtrip; prop_value_compare_total; prop_heap_cells_match_model ]
   @ [
       Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
       Alcotest.test_case "crc32 short lengths == reference" `Quick
