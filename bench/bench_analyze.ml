@@ -72,8 +72,8 @@ let measure_schema ~reps (classes, virtuals) =
 
 (* Gate overhead: a university fixture and a fixed sequence of
    gate-relevant changes (methods to typecheck, attributes to conform),
-   timed through the full Tsem pipeline with the gate off, and the gate
-   alone timed on the same mix. *)
+   timed through the full Tsem pipeline, which runs the gate, and the
+   gate alone timed on the same mix. *)
 let gate_changes n =
   List.concat
     (List.init n (fun i ->
@@ -92,11 +92,11 @@ let gate_changes n =
          ]))
 
 (* The gate's own cost, measured directly: ns per Admission.admit call
-   on the pipeline's fixture and change mix. A differential (gate on
-   minus gate off over the whole pipeline) would sit below its own noise
-   floor — GC and scheduler jitter over milliseconds of translator work
-   swamp a microsecond gate — so the <1% claim is this direct number
-   against the measured per-change pipeline cost. *)
+   on the pipeline's fixture and change mix. A differential over the
+   whole pipeline would sit below its own noise floor — GC and scheduler
+   jitter over milliseconds of translator work swamp a microsecond gate
+   — so the <1% claim is this direct number against the measured
+   per-change pipeline cost. *)
 let measure_gate_direct ~changes =
   let u = University.build () in
   ignore (University.populate u ~n:12);
@@ -106,7 +106,6 @@ let measure_gate_direct ~changes =
       [ "Person"; "Student"; "Staff"; "TeachingStaff"; "SupportStaff";
         "TA"; "Grad"; "Grader" ]
   in
-  Admission.set_policy Admission.Enforce;
   let cs = gate_changes changes in
   let db = Tsem.db tsem in
   let ops = List.length cs in
@@ -126,7 +125,6 @@ let measure_pipeline ~changes =
       (Tsem.define_view_by_names tsem ~name:"V"
          [ "Person"; "Student"; "Staff"; "TeachingStaff"; "SupportStaff";
            "TA"; "Grad"; "Grader" ]);
-    Admission.set_policy Admission.Off;
     let cs = gate_changes changes in
     let ops = List.length cs in
     let t0 = Unix.gettimeofday () in
@@ -137,7 +135,7 @@ let measure_pipeline ~changes =
   done;
   !best
 
-let json_of rows ~smoke ~gate_changes ~off_ns ~gate_ns =
+let json_of rows ~smoke ~gate_changes ~pipeline_ns ~gate_ns =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"benchmark\": \"analyze\",\n";
@@ -158,10 +156,10 @@ let json_of rows ~smoke ~gate_changes ~off_ns ~gate_ns =
     rows;
   Buffer.add_string b "  ],\n";
   Printf.bprintf b
-    "  \"gate\": {\"changes\": %d, \"off_ns_per_change\": %.1f, \
+    "  \"gate\": {\"changes\": %d, \"pipeline_ns_per_change\": %.1f, \
      \"gate_ns_per_change\": %.1f, \"overhead_pct_direct\": %.4f},\n"
-    gate_changes off_ns gate_ns
-    (100. *. gate_ns /. off_ns);
+    gate_changes pipeline_ns gate_ns
+    (100. *. gate_ns /. pipeline_ns);
   Printf.bprintf b "  \"metrics\": {\n";
   Printf.bprintf b "    \"gate_checks\": %d,\n"
     (Metrics.find_counter "analysis.gate_checks");
@@ -191,15 +189,15 @@ let run ~smoke () =
         r.sr_classes_checked r.sr_exprs r.sr_errors r.sr_warnings)
     rows;
   let changes = if smoke then 10 else 60 in
-  let off_ns = measure_pipeline ~changes in
+  let pipeline_ns = measure_pipeline ~changes in
   let gate_ns = measure_gate_direct ~changes in
-  let overhead_direct = 100. *. gate_ns /. off_ns in
+  let overhead_direct = 100. *. gate_ns /. pipeline_ns in
   Printf.printf
-    "admission gate: %d changes  pipeline (gate off) %.1f ns/change  gate \
+    "admission gate: %d changes  pipeline %.1f ns/change  gate \
      alone %.1f ns/change = %.4f%%\n"
-    (2 * changes) off_ns gate_ns overhead_direct;
+    (2 * changes) pipeline_ns gate_ns overhead_direct;
   let json =
-    json_of rows ~smoke ~gate_changes:(2 * changes) ~off_ns ~gate_ns
+    json_of rows ~smoke ~gate_changes:(2 * changes) ~pipeline_ns ~gate_ns
   in
   let oc = open_out "BENCH_analyze.json" in
   output_string oc json;

@@ -9,13 +9,10 @@ let m_conflicts = Metrics.counter "occ.conflicts"
 let m_aborts = Metrics.counter "occ.aborts"
 let m_retries = Metrics.counter "occ.retries"
 
-type t = {
-  db : Database.t;
-  versions : int Oid.Tbl.t;  (* bumped on every committed change *)
-}
+type t = Database.t
 
 type session = {
-  mgr : t;
+  db : Database.t;
   read_set : int Oid.Tbl.t;  (* object -> version when first read *)
   (* buffered writes, newest first *)
   mutable write_log : (Oid.t * string * Value.t) list;
@@ -24,30 +21,12 @@ type session = {
 
 type conflict = { objects : Oid.t list }
 
-let version t o = Option.value (Oid.Tbl.find_opt t.versions o) ~default:0
+let db t = t
+let create db = db
 
-let bump t o = Oid.Tbl.replace t.versions o (version t o + 1)
-let db t = t.db
-
-let create db =
-  let t = { db; versions = Oid.Tbl.create 256 } in
-  Database.add_listener db ~owner:t (fun t event ->
-      match event with
-      | Database.Object_created o
-      | Database.Object_destroyed o
-      | Database.Attr_set (o, _, _)
-      | Database.Membership_delta (o, _, _) ->
-        (* a base-membership edit that changes state fires exactly one
-           delta; after an attribute write the extra bump is harmless *)
-        bump t o
-      | Database.Class_populated _ ->
-        (* only a class no session can have read yet was joined *)
-        ());
-  t
-
-let begin_session mgr =
+let begin_session db =
   Metrics.incr m_sessions;
-  { mgr; read_set = Oid.Tbl.create 16; write_log = []; active = true }
+  { db; read_set = Oid.Tbl.create 16; write_log = []; active = true }
 
 let check_active s what =
   if not s.active then
@@ -55,7 +34,7 @@ let check_active s what =
 
 let track_read s o =
   if not (Oid.Tbl.mem s.read_set o) then
-    Oid.Tbl.replace s.read_set o (version s.mgr o)
+    Oid.Tbl.replace s.read_set o (Database.object_version s.db o)
 
 let read s o name =
   check_active s "read";
@@ -67,7 +46,7 @@ let read s o name =
       s.write_log
   with
   | Some (_, _, v) -> v
-  | None -> Database.get_prop s.mgr.db o name
+  | None -> Database.get_prop s.db o name
 
 let write s o name v =
   check_active s "write";
@@ -76,7 +55,8 @@ let write s o name v =
 
 let validate s =
   Oid.Tbl.fold
-    (fun o seen acc -> if version s.mgr o <> seen then o :: acc else acc)
+    (fun o seen acc ->
+      if Database.object_version s.db o <> seen then o :: acc else acc)
     s.read_set []
 
 let commit s =
@@ -86,11 +66,10 @@ let commit s =
   | [] ->
     let writes = List.rev s.write_log in
     (* check every write before applying any, so a bad one raises with
-       nothing changed; then apply, each bumping versions via the
-       listener, which is what makes this commit visible to concurrent
-       validators *)
-    List.iter (fun (o, name, v) -> Database.check_set_attr s.mgr.db o name v) writes;
-    List.iter (fun (o, name, v) -> Database.set_attr s.mgr.db o name v) writes;
+       nothing changed; then apply, each moving the object's stamp,
+       which is what makes this commit visible to concurrent validators *)
+    List.iter (fun (o, name, v) -> Database.check_set_attr s.db o name v) writes;
+    List.iter (fun (o, name, v) -> Database.set_attr s.db o name v) writes;
     Metrics.incr m_commits;
     Ok ()
   | objects ->

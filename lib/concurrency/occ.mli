@@ -13,17 +13,18 @@
     commit then checks every buffered write before applying any (see
     {!commit}).
 
-    Object versions are maintained by listening to the database's change
-    events, so direct (non-session) updates also invalidate concurrent
-    readers — there is no way to sneak past validation. An object's
-    version moves when it is created or destroyed, when one of its
-    attributes is written, and when its membership changes
-    ([Membership_delta], which every base-membership edit that changes
-    state fires); filling a newly created class ([Class_populated])
-    moves none. *)
+    Validation reads the database's own per-object change stamps
+    ({!Tse_db.Database.object_version}), so direct (non-session) updates
+    also invalidate concurrent readers — there is no way to sneak past
+    validation. A stamp moves when the object is created or destroyed,
+    when one of its attributes is written, and when a base-membership
+    edit moves its memberships; filling a newly created class moves
+    none. *)
 
 type t
-(** The concurrency manager for one database (one per database). *)
+(** The concurrency manager for a database. It keeps nothing of its
+    own, so any number may share one database and a dropped one costs
+    nothing. *)
 
 type session
 
@@ -32,9 +33,6 @@ type conflict = {
 }
 
 val create : Tse_db.Database.t -> t
-(** Registers the version-tracking listener, held weakly by the
-    database: a dropped manager stops tracking at the next major
-    collection. *)
 
 val db : t -> Tse_db.Database.t
 (** The database the manager tracks. *)

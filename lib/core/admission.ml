@@ -5,27 +5,6 @@ module Typecheck = Tse_analysis.Typecheck
 module Analysis = Tse_analysis.Analysis
 module Metrics = Tse_obs.Metrics
 
-type policy = Enforce | Warn | Off
-
-let policy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "enforce" | "on" | "1" | "true" -> Some Enforce
-  | "warn" -> Some Warn
-  | "off" | "0" | "false" -> Some Off
-  | _ -> None
-
-let override = ref None
-
-let policy () =
-  match !override with
-  | Some p -> p
-  | None -> (
-      match Sys.getenv_opt "TSE_ANALYZE" with
-      | None -> Enforce
-      | Some s -> Option.value ~default:Enforce (policy_of_string s))
-
-let set_policy p = override := Some p
-
 let capacity_of_change change =
   match change with
   | Change.Add_attribute _ | Change.Add_class _ | Change.Insert_class _ ->
@@ -95,34 +74,29 @@ let render diags =
     (List.map (fun d -> Format.asprintf "%a" Diagnostic.pp d) diags)
 
 let admit db view change =
-  match policy () with
-  | Off -> ()
-  | (Enforce | Warn) as pol ->
-      Tse_obs.Trace.with_span
-        ~attrs:[ ("change", Change.to_string change) ]
-        "evolve.analyze"
-      @@ fun () ->
-      Metrics.incr (Metrics.counter "analysis.gate_checks");
-      Metrics.incr
-        (Metrics.counter
-           (Printf.sprintf "analysis.capacity_%s"
-              (Analysis.capacity_to_string (capacity_of_change change))));
-      let diags = check db view change in
-      let errs = List.filter Diagnostic.is_error diags in
-      let warns = List.filter Diagnostic.is_warning diags in
-      Metrics.add (Metrics.counter "analysis.gate_errors") (List.length errs);
-      Metrics.add (Metrics.counter "analysis.gate_warnings")
-        (List.length warns);
-      match (pol, errs) with
-      | Enforce, _ :: _ ->
-          Metrics.incr (Metrics.counter "analysis.gate_rejections");
-          raise
-            (Change.Rejected
-               (Printf.sprintf "static analysis rejected %s: %s"
-                  (Change.to_string change) (render errs)))
-      | _ ->
-          List.iter
-            (fun d ->
-              Tse_obs.Log.warn "analysis" "%s"
-                (Format.asprintf "%a" Diagnostic.pp d))
-            diags
+  Tse_obs.Trace.with_span
+    ~attrs:[ ("change", Change.to_string change) ]
+    "evolve.analyze"
+  @@ fun () ->
+  Metrics.incr (Metrics.counter "analysis.gate_checks");
+  Metrics.incr
+    (Metrics.counter
+       (Printf.sprintf "analysis.capacity_%s"
+          (Analysis.capacity_to_string (capacity_of_change change))));
+  let diags = check db view change in
+  let errs = List.filter Diagnostic.is_error diags in
+  let warns = List.filter Diagnostic.is_warning diags in
+  Metrics.add (Metrics.counter "analysis.gate_errors") (List.length errs);
+  Metrics.add (Metrics.counter "analysis.gate_warnings") (List.length warns);
+  match errs with
+  | _ :: _ ->
+    Metrics.incr (Metrics.counter "analysis.gate_rejections");
+    raise
+      (Change.Rejected
+         (Printf.sprintf "static analysis rejected %s: %s"
+            (Change.to_string change) (render errs)))
+  | [] ->
+    List.iter
+      (fun d ->
+        Tse_obs.Log.warn "analysis" "%s" (Format.asprintf "%a" Diagnostic.pp d))
+      diags

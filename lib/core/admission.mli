@@ -9,13 +9,10 @@
     that introduce no new expression are admitted unconditionally (the
     translator's own preconditions still apply).
 
-    The policy comes from the [TSE_ANALYZE] environment variable:
-    - ["enforce"] (the default, also any unrecognized value): a change
-      with [Error]-severity diagnostics raises {!Change.Rejected} with
-      the rendered diagnostics;
-    - ["warn"]: diagnostics are logged through [Tse_obs.Log] and the
-      change proceeds — the escape hatch;
-    - ["off"] (also ["0"], ["false"]): the gate is skipped entirely.
+    A change with [Error]-severity diagnostics raises
+    {!Change.Rejected} with the rendered diagnostics; the other
+    diagnostics are logged through [Tse_obs.Log] and the change
+    proceeds.
 
     Every gate run is wrapped in an [evolve.analyze] trace span and
     feeds the [analysis.*] counters: [gate_checks], [gate_errors],
@@ -23,17 +20,6 @@
     [capacity_{augmenting,preserving,reducing}] counter per admitted
     change (the paper Section 3 capacity classification of the change
     itself). *)
-
-type policy = Enforce | Warn | Off
-
-val policy_of_string : string -> policy option
-
-val policy : unit -> policy
-(** The active policy: the last {!set_policy}, else [TSE_ANALYZE], else
-    [Enforce]. *)
-
-val set_policy : policy -> unit
-(** Programmatic override (tests, benchmarks). *)
 
 val capacity_of_change : Change.t -> Tse_analysis.Analysis.capacity
 (** Section 3 capacity classification of a change as seen from the
@@ -46,11 +32,10 @@ val check :
   Tse_views.View_schema.t ->
   Change.t ->
   Tse_analysis.Diagnostic.t list
-(** The diagnostics the gate would act on, policy-independent. A class
+(** The diagnostics the gate acts on. A class
     name that does not resolve in the view yields no diagnostics — the
     translator rejects it with its own precondition message. *)
 
 val admit : Tse_db.Database.t -> Tse_views.View_schema.t -> Change.t -> unit
-(** Run the gate under the active policy.
-    @raise Change.Rejected under [Enforce] when {!check} reports
-    errors. *)
+(** Run the gate.
+    @raise Change.Rejected when {!check} reports errors. *)

@@ -32,30 +32,34 @@ type derived = {
   preds : (Oid.t -> bool) Oid.Tbl.t;
 }
 
+type index_kind = Hash | Ordered
+
+type index =
+  | Hash_index of Tse_store.Index.t
+  | Ordered_index of Tse_store.Ord_index.t
+
+(* One maintained attribute index: its key, its backing, and the value
+   last indexed per object, so a refresh can unindex the old one. *)
+type index_entry = {
+  ix_cid : cid;
+  ix_attr : string;
+  ix : index;
+  indexed : Value.t Oid.Tbl.t;
+}
+
 type t = {
   heap : Heap.t;
   graph : Schema_graph.t;
   model : Slicing.t;
   extents : extent Oid.Tbl.t;
-  mutable listeners : listener list;
+  mutable indexes : index_entry list;
+  (* per-object change stamps; made by the first [object_version] *)
+  mutable versions : int Oid.Tbl.t option;
   mutable derived : derived;
   mutable full_reclassify : bool;  (* oracle escape hatch *)
   mutable nonconverge_warned : bool;
   mutable nonconvergence_hook : Oid.t -> unit;
 }
-
-and event =
-  | Object_created of Oid.t
-  | Object_destroyed of Oid.t
-  | Attr_set of Oid.t * string * Value.t
-  | Membership_delta of Oid.t * cid list * cid list
-  | Class_populated of cid * Oid.Set.t
-
-(* A callback and the owner it maintains. The owner is held weakly, so a
-   derived structure the program dropped stops being notified once the
-   GC reclaims it; the callback receives the owner on each call instead
-   of capturing it, which would keep it alive. *)
-and listener = Listener : 'a Weak.t * ('a -> event -> unit) -> listener
 
 let default_nonconvergence_hook o =
   Tse_obs.Log.warn "db"
@@ -127,7 +131,8 @@ let make ~heap ~graph ~model =
     graph;
     model;
     extents = Oid.Tbl.create 64;
-    listeners = [];
+    indexes = [];
+    versions = None;
     derived = fresh_derived graph;
     full_reclassify = env_full_reclassify ();
     nonconverge_warned = false;
@@ -140,30 +145,23 @@ let create () =
   make ~heap ~graph
     ~model:(Slicing.create ~graph ~heap ~stats:(Stats.create ()))
 
-let add_listener t ~owner f =
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some owner);
-  t.listeners <- t.listeners @ [ Listener (w, f) ]
+let object_version t o =
+  let tbl =
+    match t.versions with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Oid.Tbl.create 256 in
+      t.versions <- Some tbl;
+      tbl
+  in
+  Option.value (Oid.Tbl.find_opt tbl o) ~default:0
 
-let listener_alive (Listener (w, _)) = Weak.check w 0
-
-(* Calls every live listener; true when some owner was reclaimed. *)
-let rec dispatch event dead = function
-  | [] -> dead
-  | Listener (w, f) :: rest -> (
-    match Weak.get w 0 with
-    | Some owner ->
-      f owner event;
-      dispatch event dead rest
-    | None -> dispatch event true rest)
-
-let notify t event =
-  (* filter the current list, not the one dispatched: a callback may
-     have registered a listener *)
-  if dispatch event false t.listeners then
-    t.listeners <- List.filter listener_alive t.listeners
-
-let listener_count t = List.length (List.filter listener_alive t.listeners)
+(* Nobody has read a stamp before the table exists, so nothing to move. *)
+let touch t o =
+  match t.versions with
+  | None -> ()
+  | Some tbl ->
+    Oid.Tbl.replace tbl o (1 + Option.value (Oid.Tbl.find_opt tbl o) ~default:0)
 
 let graph t = t.graph
 let heap t = t.heap
@@ -338,6 +336,76 @@ let holds t o e =
   | b -> b
   | exception Expr.Unknown_property _ -> false
   | exception Expr.Type_error _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Maintained attribute indexes                                        *)
+(* ------------------------------------------------------------------ *)
+
+let m_refreshes = Metrics.counter "query.index_refreshes"
+
+let kind_of_index = function Hash_index _ -> Hash | Ordered_index _ -> Ordered
+
+let index_add ix v o =
+  match ix with
+  | Hash_index i -> Tse_store.Index.add i v o
+  | Ordered_index i -> Tse_store.Ord_index.add i v o
+
+let index_remove ix v o =
+  match ix with
+  | Hash_index i -> Tse_store.Index.remove i v o
+  | Ordered_index i -> Tse_store.Ord_index.remove i v o
+
+(* (Re)index one object in one entry according to its current state. *)
+let refresh_index t e o =
+  Metrics.incr m_refreshes;
+  let was = Oid.Tbl.find_opt e.indexed o in
+  let now =
+    if mem_object t o && Oid.Set.mem o (extent t e.ix_cid) then
+      match get_prop t o e.ix_attr with v -> Some v | exception _ -> None
+    else None
+  in
+  match (was, now) with
+  | Some v, Some v' when Value.equal v v' -> ()
+  | _, Some v ->
+    Option.iter (fun old -> index_remove e.ix old o) was;
+    index_add e.ix v o;
+    Oid.Tbl.replace e.indexed o v
+  | Some old, None ->
+    index_remove e.ix old o;
+    Oid.Tbl.remove e.indexed o
+  | None, None -> ()
+
+let refresh_indexes t o = List.iter (fun e -> refresh_index t e o) t.indexes
+
+(* Can joining or leaving class [c] move [e]'s view of an object? Only if
+   [c] is [e]'s class (the extent test) or declares [e]'s attribute
+   locally: attribute resolution picks among the object's member classes
+   with a local definition, so no other class changes what the attribute
+   resolves to. *)
+let index_observes t e c =
+  Oid.equal c e.ix_cid
+  ||
+  match Schema_graph.find t.graph c with
+  | Some k -> Klass.has_local_prop k e.ix_attr
+  | None -> true
+
+let index t kind cid attr =
+  let same e =
+    Oid.equal e.ix_cid cid && String.equal e.ix_attr attr
+    && kind_of_index e.ix = kind
+  in
+  match List.find_opt same t.indexes with
+  | Some e -> e.ix
+  | None ->
+    let ix =
+      match kind with
+      | Hash -> Hash_index (Tse_store.Index.create ())
+      | Ordered -> Ordered_index (Tse_store.Ord_index.create ())
+    in
+    let e = { ix_cid = cid; ix_attr = attr; ix; indexed = Oid.Tbl.create 64 } in
+    Oid.Set.iter (refresh_index t e) (extent t cid);
+    t.indexes <- e :: t.indexes;
+    ix
 
 (* ------------------------------------------------------------------ *)
 (* Compiled predicate evaluation                                       *)
@@ -520,11 +588,22 @@ let run_fixpoint t ~oracle o =
     Oid.Set.iter (fun c -> extent_add t c o) added;
     Oid.Set.iter (fun c -> extent_remove t c o) removed
   end;
-  if not (Oid.Set.is_empty added && Oid.Set.is_empty removed) then
-    notify t
-      (Membership_delta (o, Oid.Set.elements added, Oid.Set.elements removed))
+  let moved = not (Oid.Set.is_empty added && Oid.Set.is_empty removed) in
+  if moved then
+    List.iter
+      (fun e ->
+        let observes = index_observes t e in
+        if Oid.Set.exists observes added || Oid.Set.exists observes removed
+        then refresh_index t e o)
+      t.indexes;
+  moved
 
-let reclassify t o = run_fixpoint t ~oracle:t.full_reclassify o
+(* Settle [o]'s memberships; true when they moved. The callers that
+   stamp the change they made ([create_object], [set_attr]) or that move
+   no stamp ([populate_class]) settle without stamping. *)
+let settle t o = run_fixpoint t ~oracle:t.full_reclassify o
+
+let reclassify t o = if settle t o then touch t o
 
 (* At a settled state an object in a select's source is a member of the
    select exactly when the predicate holds for it, so its membership is
@@ -582,9 +661,10 @@ let implied_ancestors t (k : Klass.t) =
    an ancestor the object is not yet in. With neither, the new extent is
    the whole answer and every member gains exactly [cid]: each gets the
    one slice at [cid] (the guard proved it holds every ancestor's), the
-   extent is set in one step, and one [Class_populated] announces the
-   members together. The guard checks only the ancestors the derivation
-   does not imply. *)
+   extent is set in one step, and each index decides once whether it
+   refreshes the members. The guard checks only the ancestors the
+   derivation does not imply. No class a session can have read moved,
+   so no change stamp moves either way. *)
 let populate_class t cid =
   let k = Schema_graph.find_exn t.graph cid in
   let fixpoint () =
@@ -592,7 +672,7 @@ let populate_class t cid =
     List.fold_left
       (fun acc src -> Oid.Set.union acc (extent t src))
       Oid.Set.empty (Klass.sources k)
-    |> Oid.Set.iter (reclassify t)
+    |> Oid.Set.iter (fun o -> ignore (settle t o))
   in
   let observed () =
     not (Oid.Set.is_empty (Deps.selects_on_class (deps t) cid))
@@ -613,7 +693,13 @@ let populate_class t cid =
       let e = extent_rec t cid in
       e.members <- Oid.Set.union e.members members;
       e.size <- Oid.Set.cardinal e.members;
-      notify t (Class_populated (cid, e.members))
+      (* every member gained exactly [cid], so one test per index
+         decides for all of them *)
+      List.iter
+        (fun ix ->
+          if index_observes t ix cid then
+            Oid.Set.iter (refresh_index t ix) e.members)
+        t.indexes
     end
   end
 
@@ -642,15 +728,19 @@ let check_set_attr t o name v =
 let set_attr t o name v =
   check_set_attr t o name v;
   Slicing.set_attr t.model o name v;
-  notify t (Attr_set (o, name, v));
-  if t.full_reclassify then reclassify t o
+  touch t o;
+  (* a stored-attribute write can only move indexes on that name *)
+  List.iter
+    (fun e -> if String.equal e.ix_attr name then refresh_index t e o)
+    t.indexes;
+  if t.full_reclassify then ignore (settle t o)
   else begin
     let dirty = Deps.selects_on_attr (deps t) name in
     (* an attribute no derivation predicate can observe: memberships are
        untouched, skip reclassification entirely. Otherwise only a select
        the attribute feeds can move first; if none did, nothing did. *)
     if Oid.Set.is_empty dirty then Metrics.incr m_attr_skips
-    else if Oid.Set.exists (verdict_moved t o) dirty then reclassify t o
+    else if Oid.Set.exists (verdict_moved t o) dirty then ignore (settle t o)
     else Metrics.incr m_noop_skips
   end
 
@@ -674,7 +764,8 @@ let destroy_object t o =
   if t.full_reclassify then remove_from_extents t o
   else List.iter (fun c -> extent_remove t c o) (member_classes t o);
   Slicing.destroy_object t.model o;
-  notify t (Object_destroyed o)
+  touch t o;
+  refresh_indexes t o
 
 let create_object ?(init = []) t cid =
   let k = Schema_graph.find_exn t.graph cid in
@@ -687,12 +778,11 @@ let create_object ?(init = []) t cid =
      class and its ancestors, already materialized by the object model) so
      delta maintenance starts from a consistent membership/extent pair *)
   List.iter (fun c -> extent_add t c o) (member_classes t o);
-  (* creation is announced before the init writes, so listeners never
-     observe Attr_set for an object they were not told exists *)
-  notify t (Object_created o);
+  touch t o;
+  refresh_indexes t o;
   (* classify first so attributes carried by refine slices are storable;
      each assignment re-derives select-class memberships *)
-  reclassify t o;
+  ignore (settle t o);
   (* all or nothing: a write that raises takes the new object with it,
      so no half-initialized object is left for the next commit to log *)
   (try List.iter (fun (name, v) -> set_attr t o name v) init

@@ -176,44 +176,47 @@ val compiled_binder : t -> Tse_store.Oid.t Tse_schema.Expr_compile.binder
     pre-resolved class membership tests); exposed so the query layer can
     compile value-context expressions against the same semantics. *)
 
-(** {2 Change notifications}
+(** {2 Change stamps}
 
-    Observers for derived structures (indexes, caches). Events fire after
-    the database state has changed. *)
+    What optimistic concurrency control validates against
+    ({!Tse_concurrency.Occ}). *)
 
-type event =
-  | Object_created of Tse_store.Oid.t
-  | Object_destroyed of Tse_store.Oid.t
-  | Attr_set of Tse_store.Oid.t * string * Tse_store.Value.t
-      (** object, attribute, new value *)
-  | Membership_delta of Tse_store.Oid.t * cid list * cid list
-      (** object, classes gained, classes lost — fired by a
-          reclassification, only when the membership set actually
-          changed (one that changes nothing fires nothing). Derived
-          structures (per-class indexes, extent observers) can
-          maintain themselves from the delta instead of rescanning.
-          A base-membership edit that changes state fires exactly one:
-          the base part of a membership is the upward closure of the
-          minimal base set, and two different minimal sets never have
-          the same closure. *)
-  | Class_populated of cid * Tse_store.Oid.Set.t
-      (** class, its members — fired once by {!populate_class} when it
-          fills a new class by set algebra, after every member has its
-          slice and the extent is set. Each member gained exactly the
-          class, so it stands for one [Membership_delta (o, [cid], [])]
-          per member, which that path does not fire. *)
+val object_version : t -> Tse_store.Oid.t -> int
+(** The object's change stamp. It moves once when the object is created
+    or destroyed, once per {!set_attr} (whatever memberships the write
+    moves), and once per base-membership edit or {!reclassify} that
+    moves its memberships. An edit that changes nothing moves nothing,
+    and {!populate_class} moves no stamp: only a class no reader can have
+    seen yet was joined. The table is made by the first call, so a
+    database nobody validates against keeps none. *)
 
-val add_listener : t -> owner:'a -> ('a -> event -> unit) -> unit
-(** [add_listener db ~owner f] calls [f owner ev] for every event [ev]
-    for as long as [owner] is alive. The database holds [owner] only
-    weakly: once the program drops it and the GC reclaims it, [f] is no
-    longer called and its entry is pruned at the next event. [owner]
-    must be a heap block (a record, not an int), and [f] must not
-    capture it — a closure over the owner would keep it alive for the
-    life of the database. Listeners run in registration order. *)
+(** {2 Maintained attribute indexes}
 
-val listener_count : t -> int
-(** Listeners whose owner has not been reclaimed. *)
+    GemStone-style associative access for the select operator: an index
+    on [(class, attribute)] maps attribute values to the members of the
+    class holding them. The database keeps one per [(class, attribute,
+    kind)] asked for, and refreshes it itself on object creation and
+    destruction, attribute writes, membership changes and the
+    population of a new class. A membership change refreshes an index
+    only when the object entered or left the indexed class, or a class
+    that declares the indexed attribute locally. The
+    [query.index_refreshes] counter counts per-object refreshes, builds
+    included. *)
+
+type index_kind = Hash | Ordered
+
+type index =
+  | Hash_index of Tse_store.Index.t  (** answers equality probes *)
+  | Ordered_index of Tse_store.Ord_index.t
+      (** also answers range probes *)
+(** Read-only: only the database writes a maintained index. *)
+
+val index : t -> index_kind -> cid -> string -> index
+(** The maintained index on the class's attribute with that backing:
+    built from the current extent by the first request for the key, the
+    same index afterwards. The caller checks that the attribute is a
+    stored one ({!Tse_query.Indexes.ensure} does); an object for which
+    it does not resolve is left out. *)
 
 (** {2 Schema changes}
 
@@ -233,10 +236,8 @@ val populate_class : t -> cid -> unit
     the source objects its predicate holds for (only that predicate is
     evaluated, compiled); hide and refine take the source's extent,
     refine_from the target's; union, intersect and difference are the
-    set operations. Each member gains the class, and one
-    [Class_populated (cid, members)] announces them all, with [members]
-    the new [extent t cid]; no other object is touched and no
-    [Membership_delta] fires.
+    set operations. Each member gains the class, and no other object is
+    touched.
 
     That is the whole answer only when joining the class moves no other
     membership, which two guards check once for the class:
@@ -248,9 +249,8 @@ val populate_class : t -> cid -> unit
 
     When either guard fails, or under {!full_reclassify}, every object
     of the union of the source extents runs the {!reclassify} fixpoint
-    instead, with its per-object [Membership_delta] events. Either way
-    the memberships are settled afterwards, and the translator runs no
-    further fixpoint over the members. *)
+    instead. Either way the memberships are settled afterwards, and the
+    translator runs no further fixpoint over the members. *)
 
 val derivation_order : t -> cid list
 (** Virtual classes ordered so every class follows its sources. *)

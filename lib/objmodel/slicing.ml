@@ -12,15 +12,47 @@ module Expr = Tse_schema.Expr
    All slices of one class share these two strings. *)
 type slice_names = { tag : string; slot : string }
 
+(* An object's slices: [| c0; i0; c1; i1; ... |], each class it is a
+   member of (the root aside) then its implementation object there, in
+   ascending class order. A few words per object: an empty hash table
+   alone costs 22. *)
+type slices = Oid.t array
+
+(* The pair index of [cid] in [s], or [-(i + 1)] when it is absent and
+   belongs at pair [i]. *)
+let rec slice_search (s : slices) cid lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Oid.compare cid (Array.unsafe_get s (2 * mid)) in
+    if c = 0 then mid
+    else if c < 0 then slice_search s cid lo mid
+    else slice_search s cid (mid + 1) hi
+
+let slice_index s cid = slice_search s cid 0 (Array.length s / 2)
+
+let find_impl s cid =
+  let i = slice_index s cid in
+  if i >= 0 then Some (Array.unsafe_get s ((2 * i) + 1)) else None
+
+let with_slice s i cid impl =
+  let n = Array.length s in
+  let grown = Array.make (n + 2) cid in
+  Array.blit s 0 grown 0 (2 * i);
+  grown.((2 * i) + 1) <- impl;
+  Array.blit s (2 * i) grown ((2 * i) + 2) (n - (2 * i));
+  grown
+
+let without_slice s i =
+  Array.init (Array.length s - 2) (fun j -> s.(if j < 2 * i then j else j + 2))
+
 type t = {
   graph : Schema_graph.t;
   heap : Heap.t;
   stats : Stats.t;
-  (* conceptual oid -> (cid -> impl oid); the heap back-pointers are the
+  (* conceptual oid -> its slices; the heap back-pointers are the
      persistent form, this table is the fast in-memory image. *)
-  impls : Oid.t Oid.Tbl.t Oid.Dense.t;
-  (* impl oid -> conceptual oid *)
-  owners : Oid.t Oid.Dense.t;
+  impls : slices Oid.Dense.t;
   (* cid -> the strings every slice of the class carries, built once *)
   names : slice_names Oid.Tbl.t;
 }
@@ -33,7 +65,6 @@ let create ~graph ~heap ~stats =
     heap;
     stats;
     impls = Oid.Dense.create 256;
-    owners = Oid.Dense.create 256;
     names = Oid.Tbl.create 64;
   }
 
@@ -53,15 +84,15 @@ let slice_names t cid =
     Oid.Tbl.replace t.names cid n;
     n
 
-let impl_table t o =
+let slices t o =
   match Oid.Dense.find_opt t.impls o with
-  | Some tbl -> tbl
+  | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Slicing: unknown object %s" (Oid.to_string o))
 
 let impl_of t o cid =
   match Oid.Dense.find_opt t.impls o with
   | None -> None
-  | Some tbl -> Oid.Tbl.find_opt tbl cid
+  | Some s -> find_impl s cid
 
 (* Compiled-query fast path: a flat closure reading [name] from the
    implementation object of a fixed class, with the table captures
@@ -73,47 +104,51 @@ let slot_reader t cid name =
   fun o ->
     match Oid.Dense.find_opt impls o with
     | None -> None
-    | Some tbl -> (
-      match Oid.Tbl.find_opt tbl cid with
-      | None -> None
-      | Some impl -> Some (read impl))
+    | Some s ->
+      let i = slice_index s cid in
+      if i < 0 then None else Some (read (Array.unsafe_get s ((2 * i) + 1)))
 
 let is_object t o = Oid.Dense.mem t.impls o
-let impl_count t o = Oid.Tbl.length (impl_table t o)
-let conceptual_of t impl = Oid.Dense.find_opt t.owners impl
+let impl_count t o = Array.length (slices t o) / 2
+let conceptual_of t impl =
+  if not (Heap.mem t.heap impl) then None
+  else
+    match Heap.get_slot t.heap impl "__conceptual" with
+    | Value.Ref o -> Some o
+    | _ -> None
 let is_member t o cid =
   Oid.equal cid (Schema_graph.root t.graph)
   || (match Oid.Dense.find_opt t.impls o with
      | None -> false
-     | Some tbl -> Oid.Tbl.mem tbl cid)
+     | Some s -> slice_index s cid >= 0)
 
 let member_classes t o =
-  Oid.Tbl.fold (fun cid _ acc -> cid :: acc) (impl_table t o) []
-  |> List.sort Oid.compare
+  let s = slices t o in
+  List.init (Array.length s / 2) (fun i -> s.(2 * i))
 
 (* Create the implementation object representing [o] at [cid]. *)
 let add_impl t o cid =
-  let tbl = impl_table t o in
-  if not (Oid.Tbl.mem tbl cid) then begin
+  let s = slices t o in
+  let i = slice_index s cid in
+  if i < 0 then begin
     let names = slice_names t cid in
     let impl = Heap.alloc t.heap ~tag:names.tag in
     Heap.set_slot t.heap impl "__conceptual" (Value.Ref o);
     Heap.set_slot t.heap o names.slot (Value.Ref impl);
-    Oid.Tbl.replace tbl cid impl;
-    Oid.Dense.replace t.owners impl o;
+    Oid.Dense.replace t.impls o (with_slice s (-(i + 1)) cid impl);
     Stats.incr_oids t.stats;
     Stats.add_pointers t.stats 2
   end
 
 let remove_impl t o cid =
-  let tbl = impl_table t o in
-  match Oid.Tbl.find_opt tbl cid with
-  | None -> ()
-  | Some impl ->
+  let s = slices t o in
+  let i = slice_index s cid in
+  if i >= 0 then begin
+    let impl = s.((2 * i) + 1) in
     Heap.free t.heap impl;
     Heap.remove_slot t.heap o (slice_names t cid).slot;
-    Oid.Tbl.remove tbl cid;
-    Oid.Dense.remove t.owners impl
+    Oid.Dense.replace t.impls o (without_slice s i)
+  end
 
 (* Membership closure: joining a class implies joining its ancestors
    (the root stays implicit). *)
@@ -133,28 +168,20 @@ let set_membership t o cids =
       (fun acc c -> if Oid.equal c root then acc else Oid.Set.add c acc)
       Oid.Set.empty cids
   in
-  let current =
-    Oid.Tbl.fold (fun cid _ acc -> Oid.Set.add cid acc) (impl_table t o)
-      Oid.Set.empty
-  in
+  let current = Oid.Set.of_list (member_classes t o) in
   Oid.Set.iter (fun c -> add_impl t o c) (Oid.Set.diff desired current);
   Oid.Set.iter (fun c -> remove_impl t o c) (Oid.Set.diff current desired)
 
 let create_object t cid =
   let o = Heap.alloc t.heap ~tag:conceptual_tag in
-  Oid.Dense.replace t.impls o (Oid.Tbl.create 4);
+  Oid.Dense.replace t.impls o [||];
   Stats.incr_oids t.stats;
   Stats.incr_objects t.stats;
   ensure_member t o cid;
   o
 
 let destroy_object t o =
-  let tbl = impl_table t o in
-  Oid.Tbl.iter
-    (fun _ impl ->
-      Heap.free t.heap impl;
-      Oid.Dense.remove t.owners impl)
-    tbl;
+  Array.iteri (fun j impl -> if j land 1 = 1 then Heap.free t.heap impl) (slices t o);
   Oid.Dense.remove t.impls o;
   Heap.free t.heap o
 
@@ -266,8 +293,7 @@ let rebuild ~graph ~heap ~stats =
   Heap.iter heap (fun (cell : Heap.cell) ->
       if String.equal cell.tag conceptual_tag then begin
         cell.tag <- conceptual_tag;
-        let tbl = Oid.Tbl.create 4 in
-        Oid.Dense.replace t.impls cell.oid tbl;
+        Oid.Dense.replace t.impls cell.oid [||];
         Stats.incr_oids stats;
         Stats.incr_objects stats
       end);
@@ -305,9 +331,12 @@ let rebuild ~graph ~heap ~stats =
         match Heap.get_slot heap cell.oid "__conceptual" with
         | Value.Ref owner ->
           (match Oid.Dense.find_opt t.impls owner with
-          | Some tbl -> Oid.Tbl.replace tbl cid cell.oid
+          | Some s ->
+            let i = slice_index s cid in
+            if i >= 0 then s.((2 * i) + 1) <- cell.oid
+            else
+              Oid.Dense.replace t.impls owner (with_slice s (-(i + 1)) cid cell.oid)
           | None -> failwith "Slicing.rebuild: orphan implementation object");
-          Oid.Dense.replace t.owners cell.oid owner;
           Stats.incr_oids stats;
           Stats.add_pointers stats 2;
           (* recount payload bytes (skip bookkeeping slots) *)

@@ -1,36 +1,30 @@
-(** Maintained attribute indexes.
+(** A caller's selection of the database's maintained attribute indexes.
 
     GemStone-style associative access for the select operator: an index
     on [(class, attribute)] maps attribute values to the members of the
-    class holding them, and is kept current by listening to the database's
-    change events (attribute writes, object creation/destruction,
-    reclassification and the population of a new class). Two backings share that maintenance contract:
-    [Hash] answers equality probes, [Ordered] additionally answers range
-    lookups. Section 4.2 counts such structures among the managerial
-    storage; {!overhead_bytes} reports it. *)
+    class holding them. The database keeps and refreshes the indexes
+    ({!Tse_db.Database.index}); a handle only names the ones its
+    lookups may use, so a handle that selected none makes the engine
+    scan. Two backings share the maintenance contract: [Hash] answers
+    equality probes, [Ordered] additionally answers range lookups.
+    Section 4.2 counts such structures among the managerial storage;
+    {!overhead_bytes} reports it. *)
 
 type cid = Tse_schema.Klass.cid
 
-type kind = Hash | Ordered
+type kind = Tse_db.Database.index_kind = Hash | Ordered
 
 type t
 
 val create : Tse_db.Database.t -> t
-(** Registers the maintenance listener on the database. The database
-    holds the index set weakly: once the program drops it, its
-    maintenance stops at the next major collection.
-
-    A membership change refreshes an index only when the object entered
-    or left the indexed class, or a class that declares the indexed
-    attribute locally — the only memberships that decide the extent test
-    and what the attribute resolves to. The [query.index_refreshes]
-    counter counts per-object refreshes, builds included. *)
+(** An empty selection. It registers nothing with the database. *)
 
 val ensure : ?kind:kind -> t -> cid -> string -> unit
-(** Build (or rebuild) the index on the class's attribute from the
-    current extent, and maintain it from now on. [kind] defaults to
-    [Hash]; at most one index exists per [(class, attr)] — re-ensuring
-    with a different kind rebuilds.
+(** Select the database's index on the class's attribute with that
+    backing, which the database builds from the current extent if it
+    has none yet and maintains from then on. [kind] defaults to [Hash];
+    a handle selects at most one index per [(class, attr)], so
+    re-ensuring with a different kind replaces the selection.
     @raise Invalid_argument if the attribute is not a usable stored
     attribute of the class. *)
 
@@ -63,3 +57,4 @@ val entry_count : t -> cid -> string -> int option
     {!key_cardinality} to estimate bucket sizes. *)
 
 val overhead_bytes : t -> int
+(** Bytes of the selected indexes. *)

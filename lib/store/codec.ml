@@ -2,6 +2,15 @@ exception Corrupt of string * int
 
 let fail_at pos what = raise (Corrupt (what, pos))
 
+let sharer () =
+  let seen = Hashtbl.create 64 in
+  fun s ->
+    match Hashtbl.find_opt seen s with
+    | Some shared -> shared
+    | None ->
+      Hashtbl.add seen s s;
+      s
+
 (* Digits of the non-positive [n], most significant first. [-|i|]
    exists for every int, [min_int] included, and for [n <= 0] both
    [n / 10] and [n mod 10] round toward zero, so [n mod 10] is in

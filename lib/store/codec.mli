@@ -24,6 +24,14 @@ val read_str : string -> int -> string * int
 val read_bool : string -> int -> bool * int
 val read_list : (string -> int -> 'a * int) -> string -> int -> 'a list * int
 
+val sharer : unit -> 'a -> 'a
+(** [sharer ()] is a fresh function that hands back, for each class of
+    structurally equal arguments ([compare] = 0), the first one it was
+    given. Decoders pass the slot names and tags they read through one,
+    so the cells of a decoded heap share a name the way live cells do.
+    Only for immutable values whose [compare] tells every difference
+    apart (not [0.] from [-0.]). *)
+
 val fail_at : int -> string -> 'a
 (** Raise {!Corrupt} — for composite readers built on these primitives. *)
 

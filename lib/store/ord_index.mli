@@ -1,7 +1,7 @@
 (** Ordered (range) indexes mapping attribute values to OID sets.
 
     Companion to the hash {!Index}: same (value, oid) entry model and the
-    same event-driven maintenance contract, but keys live in a balanced map
+    same maintenance by the database, but keys live in a balanced map
     whose order matches the predicate language's comparison semantics
     (numeric [Int]/[Float] keys share one ordering domain, so [3] and [3.0]
     share a bucket), enabling sargable range lookups. *)

@@ -93,6 +93,16 @@ let fail lineno line what =
 
 let of_string s =
   let heap = Heap.create () in
+  let share = Codec.sharer () and share_value = Codec.sharer () in
+  (* a repeated scalar is one value, as a constant is in a live heap; a
+     zero or NaN float is left alone, since [compare] does not tell its
+     variants apart *)
+  let shared_value v =
+    match v with
+    | Value.Int _ | Value.String _ -> share_value v
+    | Value.Float f when f <> 0. && not (Float.is_nan f) -> share_value v
+    | _ -> v
+  in
   let n = String.length s in
   let line_end pos = Option.value (String.index_from_opt s pos '\n') ~default:n in
   let current = ref None in
@@ -119,7 +129,9 @@ let of_string s =
          | None -> fail "slot without a value"
        in
        let v, stop = Value.decode s (!pos + 5 + name_len + 1) in
-       Heap.set_slot heap oid (unescape (String.sub line 5 name_len)) v;
+       Heap.set_slot heap oid
+         (share (unescape (String.sub line 5 name_len)))
+         (shared_value v);
        expect_slots := !expect_slots - 1;
        if stop > eol then begin
          let eol' = line_end stop in
@@ -135,7 +147,7 @@ let of_string s =
        | [ "obj"; oid_s; tag; nslots ] ->
          if !expect_slots > 0 then fail "previous object truncated";
          let oid = Oid.of_int (int_of_string oid_s) in
-         let oid = Heap.alloc_raw heap ~oid ~tag:(unescape tag) in
+         let oid = Heap.alloc_raw heap ~oid ~tag:(share (unescape tag)) in
          current := Some oid;
          expect_slots := int_of_string nslots
        | [ "end" ] ->

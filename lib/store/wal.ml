@@ -86,26 +86,27 @@ let add_entry buf = function
     Codec.add_str buf tag;
     Codec.add_str buf payload
 
-(* [None] for an entry that decodes but carries nothing to replay *)
-let read_entry s pos =
+(* [None] for an entry that decodes but carries nothing to replay; the
+   tags and slot names a replay stores go through [share] *)
+let read_entry share s pos =
   if pos >= String.length s then Codec.fail_at pos "eof in entry";
   match s.[pos] with
   | 'A' ->
     let o, pos = read_oid s (pos + 1) in
     let tag, pos = Codec.read_str s pos in
-    (Some (Op (Heap.Alloc (o, tag))), pos)
+    (Some (Op (Heap.Alloc (o, share tag))), pos)
   | 'F' ->
     let o, pos = read_oid s (pos + 1) in
     (Some (Op (Heap.Free o)), pos)
   | 'T' ->
     let o, pos = read_oid s (pos + 1) in
     let tag, pos = Codec.read_str s pos in
-    (Some (Op (Heap.Set_tag (o, tag))), pos)
+    (Some (Op (Heap.Set_tag (o, share tag))), pos)
   | 'S' ->
     let o, pos = read_oid s (pos + 1) in
     let name, pos = Codec.read_str s pos in
     let v, pos = Value.decode s pos in
-    (Some (Op (Heap.Set_slot (o, name, v))), pos)
+    (Some (Op (Heap.Set_slot (o, share name, v))), pos)
   | 'R' ->
     let o, pos = read_oid s (pos + 1) in
     let name, pos = Codec.read_str s pos in
@@ -286,14 +287,15 @@ type scan = {
   reason : string option;
 }
 
-let decode_payload payload =
+let decode_payload share payload =
   let seq, pos = Codec.read_int payload 0 in
-  let entries, pos = Codec.read_list read_entry payload pos in
+  let entries, pos = Codec.read_list (read_entry share) payload pos in
   if pos <> String.length payload then
     Codec.fail_at pos "trailing garbage in record";
   (seq, List.filter_map Fun.id entries)
 
 let scan_string s =
+  let share = Codec.sharer () in
   let len = String.length s in
   let rec go acc pos =
     if pos = len then (List.rev acc, pos, None)
@@ -309,7 +311,7 @@ let scan_string s =
         if Crc32.string payload <> crc then
           (List.rev acc, pos, Some "checksum mismatch")
         else
-          match decode_payload payload with
+          match decode_payload share payload with
           | seq, entries ->
             go ({ seq; entries; start_off = pos } :: acc) (pos + header_len + n)
           | exception Codec.Corrupt (what, _) ->

@@ -284,12 +284,10 @@ let post_recovery_checks st ctx =
   if not (String.equal fp_d fp_o) then
     violate st "%s: twin divergence (recovered state differs from oracle)" ctx
 
-(* A new OCC manager only for a new database value: each needless
-   [Occ.create] leaves a weakly held listener behind until the GC
-   clears it. *)
-let reattach st =
-  let db = Durable_tse.db st.t in
-  if db != Occ.db st.occ then st.occ <- Occ.create db
+(* The OCC manager follows the current database value. [Occ.create]
+   keeps nothing of its own (the stamps live in the database), so a new
+   one is free. *)
+let reattach st = st.occ <- Occ.create (Durable_tse.db st.t)
 
 let recover st ~policy ctx =
   let t0 = Trace.now_us () in

@@ -296,7 +296,6 @@ let ill_typed_changes =
 
 let test_gate_rejects_ill_typed () =
   let tsem = university_tsem () in
-  Admission.set_policy Admission.Enforce;
   List.iter
     (fun (name, change, code) ->
       match Tsem.evolve tsem ~view:"V" change with
@@ -310,7 +309,6 @@ let test_gate_rejects_ill_typed () =
 
 let test_gate_rejection_leaves_view_intact () =
   let tsem = university_tsem () in
-  Admission.set_policy Admission.Enforce;
   let v0 = (Tsem.current tsem "V").Tse_views.View_schema.version in
   (try
      ignore
@@ -321,33 +319,8 @@ let test_gate_rejection_leaves_view_intact () =
   Alcotest.(check int) "view version unchanged" v0
     (Tsem.current tsem "V").Tse_views.View_schema.version
 
-let test_gate_warn_policy_admits () =
-  let tsem = university_tsem () in
-  Admission.set_policy Admission.Warn;
-  let v =
-    Tsem.evolve tsem ~view:"V"
-      (Change.Add_method
-         { cls = "Person"; method_name = "warned"; body = Expr.attr "nope" })
-  in
-  Admission.set_policy Admission.Enforce;
-  Alcotest.(check bool) "view advanced" true
-    (v.Tse_views.View_schema.version > 0)
-
-let test_gate_off_policy_skips () =
-  let tsem = university_tsem () in
-  Admission.set_policy Admission.Off;
-  let checks0 = Tse_obs.Metrics.find_counter "analysis.gate_checks" in
-  ignore
-    (Tsem.evolve tsem ~view:"V"
-       (Change.Add_method
-          { cls = "Person"; method_name = "unchecked"; body = Expr.attr "nope" }));
-  Admission.set_policy Admission.Enforce;
-  Alcotest.(check int) "no gate check ran" checks0
-    (Tse_obs.Metrics.find_counter "analysis.gate_checks")
-
 let test_gate_counters () =
   let tsem = university_tsem () in
-  Admission.set_policy Admission.Enforce;
   let checks0 = Tse_obs.Metrics.find_counter "analysis.gate_checks" in
   let rejections0 = Tse_obs.Metrics.find_counter "analysis.gate_rejections" in
   let aug0 = Tse_obs.Metrics.find_counter "analysis.capacity_augmenting" in
@@ -373,7 +346,6 @@ let test_gate_counters () =
 
 let test_gate_well_typed_changes_admitted () =
   let tsem = university_tsem () in
-  Admission.set_policy Admission.Enforce;
   let v =
     Tsem.evolve tsem ~view:"V"
       (Change.Add_method
@@ -391,20 +363,6 @@ let test_gate_well_typed_changes_admitted () =
     (v.Tse_views.View_schema.version >= 2);
   Alcotest.(check (list string)) "evolved schema analyzer-clean" []
     (error_codes (Analysis.analyze (Database.graph (Tsem.db tsem))))
-
-let test_policy_of_string () =
-  let pol = function
-    | Some Admission.Enforce -> "enforce"
-    | Some Admission.Warn -> "warn"
-    | Some Admission.Off -> "off"
-    | None -> "none"
-  in
-  Alcotest.(check string) "enforce" "enforce"
-    (pol (Admission.policy_of_string "enforce"));
-  Alcotest.(check string) "warn" "warn" (pol (Admission.policy_of_string "Warn"));
-  Alcotest.(check string) "off" "off" (pol (Admission.policy_of_string "off"));
-  Alcotest.(check string) "garbage" "none"
-    (pol (Admission.policy_of_string "banana"))
 
 (* ---------------- report plumbing ---------------- *)
 
@@ -632,15 +590,10 @@ let suite =
       test_gate_rejects_ill_typed;
     Alcotest.test_case "gate rejection leaves the view intact" `Quick
       test_gate_rejection_leaves_view_intact;
-    Alcotest.test_case "warn policy admits with diagnostics" `Quick
-      test_gate_warn_policy_admits;
-    Alcotest.test_case "off policy skips the gate" `Quick
-      test_gate_off_policy_skips;
     Alcotest.test_case "gate feeds the analysis.* counters" `Quick
       test_gate_counters;
     Alcotest.test_case "well-typed changes pass the gate" `Quick
       test_gate_well_typed_changes_admitted;
-    Alcotest.test_case "TSE_ANALYZE parsing" `Quick test_policy_of_string;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
     Alcotest.test_case "diagnostic ordering" `Quick test_diagnostic_ordering;
     Alcotest.test_case "report renderings are byte-stable" `Quick

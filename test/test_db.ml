@@ -403,35 +403,6 @@ let test_nonconvergence_hook () =
   ignore (Database.create_object db u.person ~init:[]);
   check Alcotest.int "hook is one-shot" 1 !fired
 
-let test_create_event_order () =
-  let u = uni () in
-  let db = u.db in
-  let log = ref [] in
-  Database.add_listener db ~owner:log (fun log ev -> log := ev :: !log);
-  let o =
-    Database.create_object db u.person
-      ~init:[ ("name", Value.String "n"); ("age", Value.Int 3) ]
-  in
-  let events = List.rev !log in
-  (match events with
-  | Database.Object_created o' :: _ ->
-    Alcotest.(check bool) "creation announced first" true (Oid.equal o o')
-  | _ -> Alcotest.fail "first event was not Object_created");
-  (* no listener may see a write to an object it has not been told exists *)
-  let created = ref false in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Database.Object_created _ -> created := true
-      | Database.Attr_set _ ->
-        Alcotest.(check bool) "Attr_set after Object_created" true !created
-      | _ -> ())
-    events;
-  Alcotest.(check bool) "init writes were observed" true
-    (List.exists
-       (function Database.Attr_set _ -> true | _ -> false)
-       events)
-
 let test_membership_delta_events () =
   let u = uni () in
   let db = u.db in
@@ -439,217 +410,95 @@ let test_membership_delta_events () =
     Tse_algebra.Ops.select db ~name:"Senior" ~src:u.person
       Expr.(attr "age" >= int 65)
   in
-  let deltas = ref [] in
-  Database.add_listener db ~owner:deltas (fun deltas ev ->
-      match ev with
-      | Database.Membership_delta (o, a, r) -> deltas := (o, a, r) :: !deltas
-      | _ -> ());
   let p = Database.create_object db u.person ~init:[ ("age", Value.Int 30) ] in
-  check Alcotest.int "no spurious delta" 0 (List.length !deltas);
+  Alcotest.(check bool) "below the threshold: no member" false
+    (Oid.Set.mem p (Database.extent db senior));
   Database.set_attr db p "age" (Value.Int 70);
-  (match !deltas with
-  | [ (o, [ a ], []) ] ->
-    Alcotest.(check bool) "joined Senior" true
-      (Oid.equal o p && Oid.equal a senior)
-  | _ -> Alcotest.fail "expected one join delta");
   Alcotest.(check bool) "extent maintained by delta" true
     (Oid.Set.mem p (Database.extent db senior));
-  deltas := [];
   Database.set_attr db p "age" (Value.Int 40);
-  (match !deltas with
-  | [ (o, [], [ r ]) ] ->
-    Alcotest.(check bool) "left Senior" true (Oid.equal o p && Oid.equal r senior)
-  | _ -> Alcotest.fail "expected one leave delta");
   Alcotest.(check bool) "extent pruned by delta" false
     (Oid.Set.mem p (Database.extent db senior));
-  (* the oracle escape hatch fires the same deltas *)
+  (* the oracle escape hatch leaves the same extents *)
   Database.set_full_reclassify db true;
-  deltas := [];
   Database.set_attr db p "age" (Value.Int 80);
-  check Alcotest.int "oracle delta" 1 (List.length !deltas);
+  Alcotest.(check bool) "oracle extent" true
+    (Oid.Set.mem p (Database.extent db senior));
   Alcotest.(check (list string)) "consistent" [] (Database.check db)
 
-(* The event stream is a contract for derived structures (indexes,
-   caches): creation is announced before any init write is visible, and
-   each logical change fires exactly one event — one Membership_delta
-   even when a write crosses several class predicates at once or edits
-   a base membership, one Class_populated per newly populated class. *)
-let test_event_exactly_once () =
-  let u = uni () in
-  let db = u.db in
-  let sixty =
-    Tse_algebra.Ops.select db ~name:"SixtyPlus" ~src:u.person
-      Expr.(attr "age" >= int 60)
-  in
-  let sixty_five =
-    Tse_algebra.Ops.select db ~name:"SixtyFivePlus" ~src:u.person
-      Expr.(attr "age" >= int 65)
-  in
-  let events = ref [] in
-  Database.add_listener db ~owner:events (fun events ev ->
-      events := ev :: !events);
-  let count p = List.length (List.filter p (List.rev !events)) in
-  let n_created () =
-    count (function Database.Object_created _ -> true | _ -> false)
-  in
-  let n_deltas () =
-    count (function Database.Membership_delta _ -> true | _ -> false)
-  in
-  let p =
-    Database.create_object db u.person
-      ~init:[ ("name", Value.String "p"); ("age", Value.Int 30) ]
-  in
-  check Alcotest.int "one Object_created" 1 (n_created ());
-  check Alcotest.int "creation below thresholds: no delta" 0 (n_deltas ());
-  (* Object_created strictly precedes every init Attr_set *)
-  let seen_create = ref false in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Database.Object_created _ -> seen_create := true
-      | Database.Attr_set _ ->
-        Alcotest.(check bool) "no write before creation event" true
-          !seen_create
-      | _ -> ())
-    (List.rev !events);
-  (* one write crossing both predicates: exactly one delta, both gains *)
-  events := [];
-  Database.set_attr db p "age" (Value.Int 70);
-  check Alcotest.int "threshold write: one delta" 1 (n_deltas ());
-  (match
-     List.find_opt
-       (function Database.Membership_delta _ -> true | _ -> false)
-       !events
-   with
-  | Some (Database.Membership_delta (o, added, removed)) ->
-    Alcotest.(check bool) "delta names the object" true (Oid.equal o p);
-    Alcotest.(check bool) "gained both selects" true
-      (List.exists (Oid.equal sixty) added
-      && List.exists (Oid.equal sixty_five) added);
-    check Alcotest.int "nothing lost" 0 (List.length removed)
-  | _ -> Alcotest.fail "expected a membership delta");
-  (* a write that changes no membership fires no delta *)
-  events := [];
-  Database.set_attr db p "age" (Value.Int 75);
-  check Alcotest.int "same side of both predicates: no delta" 0 (n_deltas ());
-  (* each base-membership edit fires exactly one Membership_delta, which
-     names the base class gained or lost *)
-  let staff_delta gained =
-    match
-      List.filter
-        (function Database.Membership_delta _ -> true | _ -> false)
-        !events
-    with
-    | [ Database.Membership_delta (o, added, removed) ] ->
-      Alcotest.(check bool) "base delta names the object" true (Oid.equal o p);
-      Alcotest.(check bool) "base delta moves Staff" true
-        (List.exists (Oid.equal u.staff) (if gained then added else removed))
-    | evs ->
-      Alcotest.failf "base edit: expected one delta, saw %d" (List.length evs)
-  in
-  events := [];
-  Database.add_base_membership db p u.staff;
-  staff_delta true;
-  events := [];
-  Database.remove_base_membership db p u.staff;
-  staff_delta false;
-  (* populating a new class: exactly one Class_populated naming the class
-     and its whole new extent, and no per-object delta. The oracle mode
-     runs the fixpoint instead: one delta per member, gaining exactly the
-     class, and no Class_populated. *)
-  ignore
-    (Database.create_object db u.student
-       ~init:[ ("name", Value.String "s"); ("age", Value.Int 20) ]);
-  ignore
-    (Database.create_object db u.grad
-       ~init:[ ("name", Value.String "g"); ("age", Value.Int 24) ]);
-  let populates new_class =
-    events := [];
-    let cid = new_class () in
-    let populated =
-      List.filter_map
-        (function
-          | Database.Class_populated (c, members) -> Some (c, members)
-          | _ -> None)
-        !events
+(* The change stamp optimistic sessions validate against: each logical
+   change moves it exactly once — a write that crosses several class
+   predicates at once included — a change that changes nothing moves
+   nothing, and populating a new class moves no object's stamp. The
+   same holds for the incremental engine and the full-fixpoint oracle. *)
+let test_object_version_stamps () =
+  let stamps full =
+    let u = uni () in
+    let db = u.db in
+    Database.set_full_reclassify db full;
+    let mode = if full then "oracle: " else "engine: " in
+    let add_select name threshold =
+      ignore
+        (Tse_algebra.Ops.select db ~name ~src:u.person
+           Expr.(attr "age" >= int threshold))
     in
-    let members = Database.extent db cid in
-    if Database.full_reclassify db then begin
-      check Alcotest.int "oracle: no Class_populated" 0 (List.length populated);
-      let deltas =
-        List.filter_map
-          (function
-            | Database.Membership_delta (o, added, removed) ->
-              Some (o, added, removed)
-            | _ -> None)
-          !events
-      in
-      check Alcotest.int "oracle: one delta per member"
-        (Oid.Set.cardinal members) (List.length deltas);
-      List.iter
-        (fun (o, added, removed) ->
-          Alcotest.(check bool) "delta names a member" true
-            (Oid.Set.mem o members);
-          Alcotest.(check bool) "gains exactly the new class" true
-            (List.equal Oid.equal added [ cid ]);
-          check Alcotest.int "loses nothing" 0 (List.length removed))
-        deltas
-    end
-    else begin
-      check Alcotest.int "one Class_populated" 1 (List.length populated);
-      let c, announced = List.hd populated in
-      Alcotest.(check bool) "names the new class" true (Oid.equal c cid);
-      Alcotest.(check bool) "announces the whole extent" true
-        (Oid.Set.equal announced members);
-      check Alcotest.int "no Membership_delta" 0 (n_deltas ())
-    end;
-    Oid.Set.cardinal members
+    add_select "SixtyPlus" 60;
+    add_select "SixtyFivePlus" 65;
+    let version = Database.object_version db in
+    let moved what o before by =
+      check Alcotest.int (mode ^ what) (before + by) (version o)
+    in
+    let witness = Database.create_object db u.person ~init:[] in
+    check Alcotest.int (mode ^ "created before the first read: 0") 0
+      (version witness);
+    let p =
+      Database.create_object db u.person
+        ~init:[ ("name", Value.String "p"); ("age", Value.Int 30) ]
+    in
+    moved "create + two init writes" p 0 3;
+    let q = Database.create_object db u.person ~init:[ ("age", Value.Int 70) ] in
+    moved "create + an init write that joins two selects" q 0 2;
+    let v = version p in
+    Database.set_attr db p "age" (Value.Int 70);
+    moved "a write that joins two selects" p v 1;
+    let v = version p in
+    Database.set_attr db p "age" (Value.Int 75);
+    moved "a write that moves no membership" p v 1;
+    let v = version p in
+    Database.add_base_membership db p u.staff;
+    moved "a base edit" p v 1;
+    Database.add_base_membership db p u.staff;
+    moved "a no-op base edit" p v 1;
+    let v = version p in
+    Database.remove_base_membership db p u.staff;
+    moved "a base removal" p v 1;
+    Database.remove_base_membership db p u.staff;
+    moved "a no-op base removal" p v 1;
+    check Alcotest.int (mode ^ "others untouched") 0 (version witness);
+    ignore
+      (Database.create_object db u.student
+         ~init:[ ("name", Value.String "s"); ("age", Value.Int 20) ]);
+    let all () = List.map (fun o -> (o, version o)) (Database.objects db) in
+    let before = all () in
+    let young =
+      Tse_algebra.Ops.select db ~name:"Young" ~src:u.person
+        Expr.(attr "age" < int 25)
+    in
+    ignore
+      (Tse_algebra.Ops.refine db ~name:"Nicknamed"
+         ~props:[ Prop.stored ~origin:(Oid.of_int 0) "nickname" Value.TString ]
+         ~src:u.student);
+    check Alcotest.bool (mode ^ "populated") false
+      (Oid.Set.is_empty (Database.extent db young));
+    Alcotest.(check bool) (mode ^ "populating moves no stamp") true
+      (before = all ());
+    let v = version p in
+    Database.destroy_object db p;
+    moved "destroy" p v 1;
+    Alcotest.(check (list string)) (mode ^ "consistent") [] (Database.check db)
   in
-  check Alcotest.int "refine populates every student" 2
-    (populates (fun () ->
-         Tse_algebra.Ops.refine db ~name:"Nicknamed"
-           ~props:[ Prop.stored ~origin:(Oid.of_int 0) "nickname" Value.TString ]
-           ~src:u.student));
-  check Alcotest.int "select populates the matching persons only" 2
-    (populates (fun () ->
-         Tse_algebra.Ops.select db ~name:"Young" ~src:u.person
-           Expr.(attr "age" < int 25)));
-  Alcotest.(check (list string)) "consistent" [] (Database.check db)
-
-(* Listeners belong to an owner the database holds weakly. *)
-type counter = { mutable calls : int }
-
-let test_listener_dropped_owner () =
-  let u = uni () in
-  let db = u.db in
-  let calls = ref 0 in
-  let holder = ref (Some { calls = 0 }) in
-  (* registered out of line, so no stack slot keeps the owner *)
-  let register () =
-    Database.add_listener db ~owner:(Option.get !holder) (fun owner _ ->
-        owner.calls <- owner.calls + 1;
-        incr calls)
-  in
-  register ();
-  let n0 = Database.listener_count db in
-  ignore (Database.create_object db u.person ~init:[]);
-  Alcotest.(check bool) "called while the owner lives" true (!calls > 0);
-  holder := None;
-  Gc.full_major ();
-  let before = !calls in
-  ignore (Database.create_object db u.person ~init:[]);
-  check Alcotest.int "not called once the owner is collected" before !calls;
-  check Alcotest.int "entry pruned" (n0 - 1) (Database.listener_count db)
-
-let test_listener_reachable_owner () =
-  let u = uni () in
-  let db = u.db in
-  let owner = { calls = 0 } in
-  Database.add_listener db ~owner (fun owner _ -> owner.calls <- owner.calls + 1);
-  Gc.compact ();
-  Gc.full_major ();
-  ignore (Database.create_object db u.person ~init:[]);
-  Alcotest.(check bool) "still called after compaction" true (owner.calls > 0)
+  stamps false;
+  stamps true
 
 (* The planner reads [extent_size] as a maintained count, never a walk.
    Every path that mutates an extent must keep that count exact; [check]
@@ -846,16 +695,10 @@ let suite =
       test_select_chain_matches_oracle;
     Alcotest.test_case "nonconvergence hook fires once" `Quick
       test_nonconvergence_hook;
-    Alcotest.test_case "creation event precedes init writes" `Quick
-      test_create_event_order;
     Alcotest.test_case "membership deltas drive extents" `Quick
       test_membership_delta_events;
-    Alcotest.test_case "events fire exactly once per change" `Quick
-      test_event_exactly_once;
-    Alcotest.test_case "dropped listener owner stops being called" `Quick
-      test_listener_dropped_owner;
-    Alcotest.test_case "reachable listener owner survives compaction" `Quick
-      test_listener_reachable_owner;
+    Alcotest.test_case "object version moves once per change" `Quick
+      test_object_version_stamps;
     Alcotest.test_case "extent counts maintained on every path" `Quick
       test_extent_counts_maintained;
     Alcotest.test_case "stale twins match the oracle" `Quick

@@ -437,12 +437,6 @@ let prechecked_rejections =
       { cls = "Person"; method_name = "m"; body = Tse_schema.Expr.attr "nope" };
   ]
 
-let with_enforced_admission f =
-  let module Admission = Tse_core.Admission in
-  let saved = Admission.policy () in
-  Admission.set_policy Admission.Enforce;
-  Fun.protect ~finally:(fun () -> Admission.set_policy saved) f
-
 let wal_counts t =
   let s = Durable.wal_stats (Durable_tse.durable t) in
   (s.Wal.bytes_framed, s.Wal.fsyncs)
@@ -451,7 +445,6 @@ let wal_counts t =
    keeps the handle: the same database value, in the pre-evolution
    state, before and after a close/reopen. *)
 let test_precheck_rejection_logs_nothing () =
-  with_enforced_admission @@ fun () ->
   let dir, t = setup () in
   let pre_fp = twin_fingerprint [] in
   let db = Durable_tse.db t in
@@ -484,18 +477,15 @@ let test_rejection_keeps_derived_structures () =
   let occ = Occ.create db in
   let idx = Indexes.create db in
   Indexes.ensure idx person "age";
-  with_enforced_admission (fun () ->
-      List.iter
-        (fun c -> ignore (Durable_tse.evolve t ~view c))
-        prechecked_rejections);
+  List.iter (fun c -> ignore (Durable_tse.evolve t ~view c)) prechecked_rejections;
   check Alcotest.bool "same database value" true (Durable_tse.db t == db);
   let ann =
     List.find
       (fun o -> Value.equal (Database.get_prop db o "age") (Value.Int 30))
       (Database.objects db)
   in
-  (* a reader that saw ann conflicts with a later write: the OCC
-     listener still tracks versions *)
+  (* a reader that saw ann conflicts with a later write: the database
+     still moves its change stamps *)
   let reader = Occ.begin_session occ in
   ignore (Occ.read reader ann "age");
   let writer = Occ.begin_session occ in
@@ -599,7 +589,6 @@ let test_evolution_takes_one_fsync () =
 (* The admission gate runs once per change on the durable path: a
    prechecked change is not admitted a second time when it is applied. *)
 let test_durable_gate_checks_once () =
-  with_enforced_admission @@ fun () ->
   let _dir, t = setup () in
   let checks () = Metrics.find_counter "analysis.gate_checks" in
   let attempt changes =

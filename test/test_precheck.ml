@@ -85,20 +85,12 @@ let outcome f =
   | exception Change.Rejected m -> `Rejected m
   | exception e -> `Failed (Printexc.to_string e)
 
-let with_policy policy f =
-  let saved = Admission.policy () in
-  Admission.set_policy policy;
-  Fun.protect ~finally:(fun () -> Admission.set_policy saved) f
-
 (* Two twins step through one random history. At each step [t1] is
    prechecked, [t2] evolved; then [t1] evolves too, so the twins stay
-   identical. The admission gate is on for even seeds and off for odd
-   ones, so validate alone must also be complete. *)
+   identical. *)
 let prop_precheck_matches_translator =
   QCheck.Test.make ~name:"precheck is pure and agrees with the translator"
     ~count:60 Test_property.seed_arb (fun seed ->
-      let policy = if seed mod 2 = 0 then Admission.Enforce else Admission.Off in
-      with_policy policy @@ fun () ->
       let rng = Random.State.make [| seed; 31 |] in
       let mk () =
         let rs = Random_schema.generate ~seed ~classes:8 ~objects:16 () in
