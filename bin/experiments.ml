@@ -213,12 +213,15 @@ let fig11 () =
   let _c3 = reg "C3" [ v; csub ] in
   ignore (Database.create_object db c1 ~init:[]);
   ignore (Database.create_object db csub ~init:[]);
-  let commons = Macros.common_sub db ~v ~sub:csub ~sup:csup ~sub':csub in
+  let tsem = Tsem.of_database db in
+  let w =
+    Tsem.define_view_by_names tsem ~name:"W" [ "V"; "Csup"; "Csub"; "C1"; "C2"; "C3" ]
+  in
+  let commons =
+    Macros.common_sub (Macros.assume_deleted db w ~sup:csup ~sub:csub) v
+  in
   Printf.printf "commonSub(V, Csub, minus Csup-Csub) = {%s}\n"
     (String.concat ", " (List.map (Schema_graph.name_of g) commons));
-  let tsem = Tsem.of_database db in
-  ignore
-    (Tsem.define_view_by_names tsem ~name:"W" [ "V"; "Csup"; "Csub"; "C1"; "C2"; "C3" ]);
   let v1 =
     Tsem.evolve tsem ~view:"W"
       (Change.Delete_edge { sup = "Csup"; sub = "Csub"; connected_to = None })

@@ -5,6 +5,15 @@ module Typecheck = Tse_analysis.Typecheck
 module Analysis = Tse_analysis.Analysis
 module Metrics = Tse_obs.Metrics
 
+let m_gate_checks = Metrics.counter "analysis.gate_checks"
+let m_gate_errors = Metrics.counter "analysis.gate_errors"
+let m_gate_warnings = Metrics.counter "analysis.gate_warnings"
+let m_gate_rejections = Metrics.counter "analysis.gate_rejections"
+
+let m_augmenting = Metrics.counter "analysis.capacity_augmenting"
+let m_preserving = Metrics.counter "analysis.capacity_preserving"
+let m_reducing = Metrics.counter "analysis.capacity_reducing"
+
 let capacity_of_change change =
   match change with
   | Change.Add_attribute _ | Change.Add_class _ | Change.Insert_class _ ->
@@ -78,19 +87,20 @@ let admit db view change =
     ~attrs:[ ("change", Change.to_string change) ]
     "evolve.analyze"
   @@ fun () ->
-  Metrics.incr (Metrics.counter "analysis.gate_checks");
+  Metrics.incr m_gate_checks;
   Metrics.incr
-    (Metrics.counter
-       (Printf.sprintf "analysis.capacity_%s"
-          (Analysis.capacity_to_string (capacity_of_change change))));
+    (match capacity_of_change change with
+    | Analysis.Augmenting -> m_augmenting
+    | Analysis.Preserving -> m_preserving
+    | Analysis.Reducing -> m_reducing);
   let diags = check db view change in
   let errs = List.filter Diagnostic.is_error diags in
   let warns = List.filter Diagnostic.is_warning diags in
-  Metrics.add (Metrics.counter "analysis.gate_errors") (List.length errs);
-  Metrics.add (Metrics.counter "analysis.gate_warnings") (List.length warns);
+  Metrics.add m_gate_errors (List.length errs);
+  Metrics.add m_gate_warnings (List.length warns);
   match errs with
   | _ :: _ ->
-    Metrics.incr (Metrics.counter "analysis.gate_rejections");
+    Metrics.incr m_gate_rejections;
     raise
       (Change.Rejected
          (Printf.sprintf "static analysis rejected %s: %s"

@@ -4,56 +4,109 @@ module Klass = Tse_schema.Klass
 module Schema_graph = Tse_schema.Schema_graph
 module Type_info = Tse_schema.Type_info
 module Database = Tse_db.Database
+module View_schema = Tse_views.View_schema
 
 type cid = Klass.cid
 
-let without_edge db ~sup ~sub =
-  let g = Schema_graph.copy (Database.graph db) in
-  Schema_graph.remove_edge g ~sup ~sub;
-  g
+type t = {
+  graph : Schema_graph.t;
+  view : View_schema.t;
+  sub : cid;
+  sup_versions : Oid.Set.t;
+  sub_versions : Oid.Set.t;
+}
 
-let common_sub db ~v ~sub ~sup ~sub' =
-  let g' = without_edge db ~sup ~sub:sub' in
-  let commons =
-    Oid.Set.inter (Schema_graph.descendants g' v) (Schema_graph.descendants g' sub)
+(* The class plus its principal-source chain: the thread along which the
+   translator derives "the same view class, one version earlier". *)
+let version_lineage graph cid =
+  let rec go acc c =
+    let acc = Oid.Set.add c acc in
+    match (Schema_graph.find_exn graph c).Klass.kind with
+    | Klass.Base -> acc
+    | Klass.Virtual d ->
+      let next =
+        match d with
+        | Klass.Select (s, _) | Klass.Hide (_, s) | Klass.Refine (_, s) -> s
+        | Klass.Refine_from { target; _ } -> target
+        | Klass.Union (a, _) | Klass.Intersect (a, _) | Klass.Difference (a, _)
+          -> a
+      in
+      if Oid.Set.mem next acc then acc else go acc next
   in
-  (* greatest elements: drop any class with an ancestor in the set *)
-  Oid.Set.elements
-    (Oid.Set.filter
-       (fun c ->
-         not
-           (Oid.Set.exists
-              (fun d ->
-                (not (Oid.equal c d))
-                && Schema_graph.is_strict_ancestor g' ~anc:d ~desc:c)
-              commons))
-       commons)
+  go Oid.Set.empty cid
 
-let find_properties db ~w ~sup ~sub =
-  let g = Database.graph db in
-  let g' = without_edge db ~sup ~sub in
-  let still_inherited name uid =
-    List.exists
-      (fun (p : Prop.t) -> p.uid = uid)
-      (match Type_info.find g' w name with
-      | Some (Type_info.Single p) -> [ p ]
-      | Some (Type_info.Conflict ps) -> ps
-      | None -> [])
+let assume_deleted db view ~sup ~sub =
+  let graph = Database.graph db in
+  {
+    graph;
+    view;
+    sub;
+    sup_versions = version_lineage graph sup;
+    sub_versions = version_lineage graph sub;
+  }
+
+let reaches h a b =
+  let seen = ref Oid.Set.empty in
+  let rec go c =
+    Oid.equal c b
+    || List.exists
+         (fun d ->
+           (not (Oid.Set.mem c h.sup_versions && Oid.Set.mem d h.sub_versions))
+           && (not (Oid.Set.mem d !seen))
+           &&
+           (seen := Oid.Set.add d !seen;
+            go d))
+         (Schema_graph.subs h.graph c)
   in
-  Type_info.full_type g w
-  |> List.concat_map (fun (name, entry) ->
+  (not (Oid.equal a b)) && go a
+
+(* the greatest elements: those no other one reaches *)
+let greatest h cs =
+  List.filter (fun d -> not (List.exists (fun d' -> reaches h d' d) cs)) cs
+
+let below h v = List.filter (reaches h v) (View_schema.classes h.view)
+
+let common_sub h v = greatest h (List.filter (reaches h h.sub) (below h v))
+
+let restore_set h v =
+  greatest h
+    (List.filter (fun d -> not (Oid.Set.mem d h.sub_versions)) (below h v))
+
+(* Uppermost providers within the view of the property identified by
+   [uid]: view classes exposing it with no view member above them doing
+   so. *)
+let view_providers h ~name ~uid =
+  let has c =
+    match Type_info.find h.graph c name with
+    | Some (Type_info.Single p) -> p.Prop.uid = uid
+    | Some (Type_info.Conflict ps) ->
+      List.exists (fun (p : Prop.t) -> p.Prop.uid = uid) ps
+    | None -> false
+  in
+  let holders = List.filter has (View_schema.classes h.view) in
+  List.filter
+    (fun c ->
+      not
+        (List.exists
+           (fun other -> Schema_graph.is_strict_ancestor h.graph ~anc:other ~desc:c)
+           holders))
+    holders
+
+let find_properties h w =
+  Type_info.full_type h.graph w
+  |> List.filter_map (fun (name, entry) ->
          let candidates =
            match entry with
            | Type_info.Single p -> [ p ]
            | Type_info.Conflict ps -> ps
          in
-         (* a property is lost iff no candidate with its identity survives
-            the edge removal *)
-         if
-           List.exists (fun (p : Prop.t) -> still_inherited name p.uid) candidates
-         then []
-         else [ name ])
-  |> List.sort String.compare
+         let survives (p : Prop.t) =
+           match view_providers h ~name ~uid:p.Prop.uid with
+           | [] -> true
+           | providers ->
+             List.exists (fun c -> Oid.equal c w || reaches h c w) providers
+         in
+         if List.exists survives candidates then None else Some name)
 
 let origin_classes db cid =
   let g = Database.graph db in

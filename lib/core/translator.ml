@@ -77,13 +77,41 @@ let finish ctx =
 let make_ctx db view =
   { db; view; edges = Generation.edges (Database.graph db) view; mapping = ref [] }
 
+(* The propagation walk of Sections 6.1-6.5: the view subclasses below
+   [root], depth first in the old hierarchy, each class once. [root] is
+   replaced by [root']; [build ~tmp sub] makes the new class for [sub],
+   reached from [tmp], or answers [None] to stop the walk there. *)
+let propagate ctx ~root ~root' build =
+  map_add ctx ~old_cid:root ~new_cid:root';
+  let rec walk tmp =
+    List.iter
+      (fun sub ->
+        if mapped ctx sub = None then
+          match build ~tmp sub with
+          | Some sub' ->
+            map_add ctx ~old_cid:sub ~new_cid:sub';
+            walk sub
+          | None -> ())
+      (Generation.subs_of ctx.edges tmp)
+  in
+  walk root
+
+(* C_sup's view ancestors in topological order, then C_sup: the classes
+   whose extents the added or deleted edge feeds (Sections 6.5, 6.6). *)
+let super_chain ctx csup =
+  let graph = Database.graph ctx.db in
+  let ancs =
+    Oid.Set.inter (Schema_graph.ancestors graph csup) (View_schema.class_set ctx.view)
+  in
+  List.filter (fun c -> Oid.Set.mem c ancs) (Schema_graph.topo_order graph) @ [ csup ]
+
 (* ------------------------------------------------------------------ *)
 (* 6.1 / 6.3: add_attribute, add_method                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared skeleton: refine C with the new property, then propagate to the
-   subclasses within the view via inheritance-refine, stopping where a
-   local same-named property overrides (Section 6.1.2). *)
+(* Refine C with the new property, then propagate to the subclasses
+   within the view via inheritance-refine, stopping where a same-named
+   property is already visible (Section 6.1.2). *)
 let add_property db view ~cls_name ~prop_name ~mk_prop =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
@@ -92,28 +120,15 @@ let add_property db view ~cls_name ~prop_name ~mk_prop =
     Ops.refine db ~name:(Ops.primed_name db (Schema_graph.name_of graph cls))
       ~props:[ mk_prop () ] ~src:cls
   in
-  map_add ctx ~old_cid:cls ~new_cid:c';
-  let rec walk tmp =
-    List.iter
-      (fun sub ->
-        if mapped ctx sub = None then
-          if Type_info.has_prop graph sub prop_name then
-            (* a same-named property is already visible here — locally
-               defined or inherited along another path — and overrides:
-               propagation stops (Section 6.1.2) *)
-            ()
-          else begin
-            let sub' =
-              Ops.refine_from db
-                ~name:(Ops.primed_name db (Schema_graph.name_of graph sub))
-                ~src:(map_or_id ctx tmp) ~prop_name ~target:sub
-            in
-            map_add ctx ~old_cid:sub ~new_cid:sub';
-            walk sub
-          end)
-      (Generation.subs_of ctx.edges tmp)
-  in
-  walk cls;
+  propagate ctx ~root:cls ~root':c' (fun ~tmp sub ->
+      (* a same-named property visible here, locally defined or inherited
+         along another path, overrides *)
+      if Type_info.has_prop graph sub prop_name then None
+      else
+        Some
+          (Ops.refine_from db
+             ~name:(Ops.primed_name db (Schema_graph.name_of graph sub))
+             ~src:(map_or_id ctx tmp) ~prop_name ~target:sub));
   stitch ctx;
   finish ctx
 
@@ -138,36 +153,16 @@ let delete_property db view ~cls_name ~prop_name =
       (fun (p : Prop.t) -> Some p.uid <> deleted_uid)
       suppressed
   in
+  let hide c =
+    Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph c))
+      ~props:[ prop_name ] ~src:c
+  in
   (* hide the property from cls and its view subclasses, stopping where a
      different local definition overrides it *)
-  let rec walk tmp =
-    List.iter
-      (fun sub ->
-        if mapped ctx sub = None then begin
-          let k = Schema_graph.find_exn graph sub in
-          let overriding =
-            match Klass.local_prop k prop_name with
-            | Some p -> Some p.Prop.uid <> deleted_uid
-            | None -> false
-          in
-          if not overriding then begin
-            let sub' =
-              Ops.hide db
-                ~name:(Ops.primed_name db (Schema_graph.name_of graph sub))
-                ~props:[ prop_name ] ~src:sub
-            in
-            map_add ctx ~old_cid:sub ~new_cid:sub';
-            walk sub
-          end
-        end)
-      (Generation.subs_of ctx.edges tmp)
-  in
-  let cls' =
-    Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph cls))
-      ~props:[ prop_name ] ~src:cls
-  in
-  map_add ctx ~old_cid:cls ~new_cid:cls';
-  walk cls;
+  propagate ctx ~root:cls ~root':(hide cls) (fun ~tmp:_ sub ->
+      match Klass.local_prop (Schema_graph.find_exn graph sub) prop_name with
+      | Some p when Some p.Prop.uid <> deleted_uid -> None
+      | Some _ | None -> Some (hide sub));
   (* restore the suppressed attribute, if any (Section 6.2.2) *)
   (match suppressed with
   | [] -> ()
@@ -216,30 +211,10 @@ let add_edge db view ~sup_name ~sub_name =
       Ops.refine db ~name:(Ops.primed_name db (Schema_graph.name_of graph w))
         ~props ~src:w
   in
-  let rec walk_subs tmp =
-    List.iter
-      (fun sub ->
-        if mapped ctx sub = None then begin
-          let sub' = refine_with sub in
-          map_add ctx ~old_cid:sub ~new_cid:sub';
-          walk_subs sub
-        end)
-      (Generation.subs_of ctx.edges tmp)
-  in
-  let csub' = refine_with csub in
-  map_add ctx ~old_cid:csub ~new_cid:csub';
-  walk_subs csub;
+  propagate ctx ~root:csub ~root':(refine_with csub) (fun ~tmp:_ sub ->
+      Some (refine_with sub));
   (* phase 2: the extent of C_sub flows into C_sup and its superclasses
      (top-down so each union classifies beneath the previous one) *)
-  let super_chain =
-    let ancs =
-      Oid.Set.inter (Schema_graph.ancestors graph csup) (View_schema.class_set view)
-    in
-    let in_order =
-      List.filter (fun c -> Oid.Set.mem c ancs) (Schema_graph.topo_order graph)
-    in
-    in_order @ [ csup ]
-  in
   List.iter
     (fun v ->
       if not (Schema_graph.is_strict_ancestor graph ~anc:v ~desc:csub) then begin
@@ -250,7 +225,7 @@ let add_edge db view ~sup_name ~sub_name =
         in
         map_add ctx ~old_cid:v ~new_cid:v'
       end)
-    super_chain;
+    (super_chain ctx csup);
   stitch ctx;
   (* the new is-a relationship itself *)
   let new_sup = map_or_id ctx csup and new_sub = map_or_id ctx csub in
@@ -262,184 +237,67 @@ let add_edge db view ~sup_name ~sub_name =
 (* 6.6: delete_edge                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The class plus its principal-source chain: Select/Hide/Refine follow
-   their source, Refine_from its target, and the binary operators their
-   first operand — the thread along which the translator derives "the same
-   view class, one version earlier". *)
-let version_lineage graph cid =
-  let rec go acc c =
-    let acc = Oid.Set.add c acc in
-    match (Schema_graph.find_exn graph c).Klass.kind with
-    | Klass.Base -> acc
-    | Klass.Virtual d ->
-      let next =
-        match d with
-        | Klass.Select (s, _) | Klass.Hide (_, s) | Klass.Refine (_, s) -> s
-        | Klass.Refine_from { target; _ } -> target
-        | Klass.Union (a, _) | Klass.Intersect (a, _) | Klass.Difference (a, _)
-          -> a
-      in
-      if Oid.Set.mem next acc then acc else go acc next
-  in
-  go Oid.Set.empty cid
-
-(* Global descendant reachability that avoids the deleted edge — the
-   "assuming the edge has been deleted" hypothetical of Section 6.6. It
-   must run on the global graph, not on the generated view hierarchy:
-   transitive reduction erases the redundant-but-vital direct edges of
-   Figure 11's diamond. An edge (x, y) is treated as deleted when x is a
-   version of the edge's superclass end and y a version of its subclass
-   end: such an edge is the deleted relationship itself, possibly wearing
-   an older name. Every other path — through another view class, or
-   through an unrelated global class outside the view — is a different
-   is-a relationship and stays open; the previous whole-source-lineage
-   exclusion wrongly closed those alternate routes, which is what the
-   Proposition B replays pinned. *)
-let reaches_avoiding graph ~esup ~esub ~blocked ~sub_versions a b =
-  let seen = ref Oid.Set.empty in
-  let rec go c =
-    Oid.equal c b
-    || List.exists
-         (fun d ->
-           (not (Oid.equal c esup && Oid.equal d esub))
-           && (not (Oid.Set.mem d !seen))
-           && (not (Oid.Set.mem d sub_versions && Oid.Set.mem c blocked))
-           &&
-           (seen := Oid.Set.add d !seen;
-            go d))
-         (Schema_graph.subs graph c)
-  in
-  (not (Oid.equal a b)) && go a
-
-(* The avoiding-reachability test for the deletion of view edge
-   (esup, esub), with the blocked version sets precomputed. *)
-let deleted_edge_avoiding graph ~esup ~esub =
-  let sub_versions = version_lineage graph esub in
-  let blocked = version_lineage graph esup in
-  reaches_avoiding graph ~esup ~esub ~blocked ~sub_versions
-
-(* Uppermost providers within the view of the property identified by
-   [uid]: view classes exposing it with no view member above them doing
-   so. *)
-let view_providers graph view ~name ~uid =
-  let has c =
-    match Type_info.find graph c name with
-    | Some (Type_info.Single p) -> p.Prop.uid = uid
-    | Some (Type_info.Conflict ps) ->
-      List.exists (fun (p : Prop.t) -> p.Prop.uid = uid) ps
-    | None -> false
-  in
-  List.filter
-    (fun c ->
-      has c
-      && not
-           (List.exists
-              (fun other ->
-                (not (Oid.equal other c))
-                && has other
-                && Schema_graph.is_strict_ancestor graph ~anc:other ~desc:c)
-              (View_schema.classes view)))
-    (View_schema.classes view)
-
-(* findProperties: the properties [w] inherits only through the deleted
-   edge — no uppermost provider still reaches [w] once the edge is gone. *)
-let view_find_properties db view ~esup ~esub w =
-  let graph = Database.graph db in
-  let avoiding = deleted_edge_avoiding graph ~esup ~esub in
-  Type_info.full_type graph w
-  |> List.filter_map (fun (name, entry) ->
-         let candidates =
-           match entry with
-           | Type_info.Single p -> [ p ]
-           | Type_info.Conflict ps -> ps
-         in
-         let survives (p : Prop.t) =
-           let providers = view_providers graph view ~name ~uid:p.Prop.uid in
-           List.exists (fun c -> Oid.equal c w || avoiding c w) providers
-           (* a property with no in-view provider comes from outside the
-              view (or is local): it cannot be lost by the edge *)
-           || providers = []
-         in
-         if List.exists survives candidates then None else Some name)
-
 let delete_edge db view ~sup_name ~sub_name ~connected_to =
   let ctx = make_ctx db view in
   let graph = Database.graph db in
   let csup = resolve view sup_name and csub = resolve view sub_name in
   let upper = Option.map (resolve view) connected_to in
-  (* phase A: superclasses of C_sup lose C_sub's instances, except those
-     still visible through other paths (the commonSub correction) *)
-  let avoiding = deleted_edge_avoiding graph ~esup:csup ~esub:csub in
-  (* the reattachment class and its ancestors get C_sub back through the
-     new edge, so they keep its instances *)
-  let reattached v =
+  let deleted = Macros.assume_deleted db view ~sup:csup ~sub:csub in
+  (* phase A: C_sup and its view ancestors, bottom-up, lose C_sub's
+     instances except those a view class still below them keeps
+     ([Macros.restore_set]). A class that still reaches C_sub, or that
+     gets it back through the reattachment edge, keeps them all. *)
+  let keeps_sub v =
+    Macros.reaches deleted v csub
+    ||
     match upper with
     | Some u -> Schema_graph.is_ancestor_or_self graph ~anc:v ~desc:u
     | None -> false
   in
-  let still_super_without_edge v = avoiding v csub || reattached v in
-  let common_sub_view v =
-    let commons =
-      List.filter
-        (fun d -> avoiding v d && avoiding csub d)
-        (View_schema.classes view)
-    in
-    List.filter
-      (fun d ->
-        not
-          (List.exists
-             (fun d' -> (not (Oid.equal d d')) && avoiding d' d)
-             commons))
-      commons
-  in
-  let super_chain =
-    let ancs =
-      Oid.Set.inter (Schema_graph.ancestors graph csup) (View_schema.class_set view)
-    in
-    let in_order =
-      List.filter (fun c -> Oid.Set.mem c ancs) (Schema_graph.topo_order graph)
-    in
-    in_order @ [ csup ]
-  in
   List.iter
     (fun v ->
-      if not (still_super_without_edge v) then begin
+      if not (keeps_sub v) then begin
         let vname = Schema_graph.name_of graph v in
-        let still_visible = common_sub_view v in
+        let restore d =
+          if Macros.reaches deleted csub d then d
+          else
+            Ops.intersect db ~name:(Ops.fresh_name db (vname ^ "$x"))
+              (map_or_id ctx d) csub
+        in
+        let kept = Macros.restore_set deleted v in
         let d = Ops.difference db ~name:(Ops.fresh_name db (vname ^ "$diff")) v csub in
         let v' =
-          match still_visible with
+          match List.map restore kept with
           | [] ->
             (* nothing to restore: v' is just the difference, under v's
                primed name *)
             Schema_graph.rename graph d (Ops.primed_name db vname);
             d
-          | xs ->
+          | x :: xs ->
             let x =
               List.fold_left
                 (fun acc c ->
                   Ops.union db ~name:(Ops.fresh_name db (vname ^ "$x")) acc c)
-                (List.hd xs) (List.tl xs)
+                x xs
             in
             Ops.union db ~name:(Ops.primed_name db vname) d x
         in
         map_add ctx ~old_cid:v ~new_cid:v'
       end)
-    super_chain;
+    (List.rev (super_chain ctx csup));
   (* phase B: subclasses of C_sub lose the properties inherited only
      through the deleted edge *)
-  let subs_chain = Generation.descendants_in_view graph view csub in
   List.iter
     (fun w ->
-      let y = view_find_properties db view ~esup:csup ~esub:csub w in
-      if y <> [] then begin
+      match Macros.find_properties deleted w with
+      | [] -> ()
+      | y ->
         let w' =
           Ops.hide db ~name:(Ops.primed_name db (Schema_graph.name_of graph w))
             ~props:y ~src:w
         in
-        map_add ctx ~old_cid:w ~new_cid:w'
-      end)
-    subs_chain;
+        map_add ctx ~old_cid:w ~new_cid:w')
+    (Generation.descendants_in_view graph view csub);
   stitch ctx ~except:[ (csup, csub) ];
   (* reattachment when C_sub would be left disconnected in the view *)
   (match upper with

@@ -272,41 +272,11 @@ let topo_order t =
   assert (List.length order = size t);
   order
 
-let paths_down t ~src ~dst =
-  let rec walk c path =
-    let path = c :: path in
-    if Oid.equal c dst then [ List.rev path ]
-    else List.concat_map (fun sub -> walk sub path) (subs t c)
-  in
-  walk src []
-
 let is_redundant_edge t ~sup ~sub =
   List.exists
     (fun mid ->
       (not (Oid.equal mid sub)) && is_strict_ancestor t ~anc:mid ~desc:sub)
     (subs t sup)
-
-let copy t =
-  let t' =
-    { classes = Oid.Tbl.create (size t); names = Hashtbl.copy t.names;
-      declared = Hashtbl.copy t.declared; gen = t.gen; root = t.root;
-      anc_cache = Oid.Tbl.create 64; desc_cache = Oid.Tbl.create 64;
-      version = t.version; edited = Oid.Tbl.copy t.edited;
-      removed = Oid.Tbl.copy t.removed }
-  in
-  Oid.Tbl.iter
-    (fun cid (k : Klass.t) ->
-      Oid.Tbl.replace t'.classes cid
-        {
-          Klass.cid = k.cid;
-          name = k.name;
-          kind = k.kind;
-          local_props = k.local_props;
-          supers = k.supers;
-          subs = k.subs;
-        })
-    t.classes;
-  t'
 
 let install t (k : Klass.t) =
   Oid.Gen.mark_used t.gen k.cid;

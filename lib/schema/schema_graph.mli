@@ -117,18 +117,9 @@ val subclasses_within : t -> cid -> in_set:Tse_store.Oid.Set.t -> cid list
 val topo_order : t -> cid list
 (** Every class after all of its superclasses. *)
 
-val paths_down : t -> src:cid -> dst:cid -> cid list list
-(** All generalization paths from ancestor [src] down to descendant [dst],
-    each path listed from [src] to [dst] inclusive. Used by the
-    [findProperties] macro (Section 6.6.2, footnote 17). *)
-
 val is_redundant_edge : t -> sup:cid -> sub:cid -> bool
 (** [true] when [sub] would remain a descendant of [sup] through some other
     path if the direct edge were removed. *)
-
-val copy : t -> t
-(** Deep copy (fresh class records, same cids). The direct-modification
-    oracle and Proposition B checks mutate copies. *)
 
 (** {2 Catalog loading} *)
 

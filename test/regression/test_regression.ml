@@ -17,9 +17,9 @@
    path. Each seed is now asserted to replay Clean — a reappearance of
    either bug fails this suite.
 
-   The replay duplicates test/test_property.ml's prop_view_independence
-   body (including its random_change generator) verbatim: this binary is
-   a separate executable and must stay in sync with it by hand.
+   The replay runs the body of test/test_property.ml's
+   prop_view_independence, from the shared test kit (test/kit), so a seed
+   draws the same changes in both binaries.
 
    The static analyzer runs over every replayed schema and its
    diagnostics are recorded: the corpus demonstrates the historical bug
@@ -29,59 +29,16 @@
    Setting PROPB_SWEEP=N additionally replays seeds 0..N-1 and asserts
    zero disagreements — the 10k-seed sweep of the acceptance criterion:
 
-     PROPB_SWEEP=10000 dune exec test/regression/test_regression.exe *)
+     PROPB_SWEEP=10000 dune exec test/regression/test_regression.exe
+
+   DELETE_EDGE_SWEEP=N likewise runs the old-hierarchy change sequence
+   from seeds 0..N-1 (see delete_edge_restore below). *)
 
 open Tse_store
 open Tse_schema
 open Tse_db
 open Tse_core
 open Tse_workload
-
-(* Verbatim copy of test/test_property.ml's random_change. *)
-let random_change ?kind rng (rs : Random_schema.t) =
-  let g = Database.graph rs.db in
-  let cls cid = Schema_graph.name_of g cid in
-  let c1 = Random_schema.random_class rng rs in
-  let c2 = Random_schema.random_class rng rs in
-  let kind =
-    match kind with Some k -> k | None -> Random.State.int rng 8
-  in
-  match kind with
-  | 0 ->
-    Change.Add_attribute
-      {
-        cls = cls c1;
-        def =
-          Change.attr (Printf.sprintf "n%d" (Random.State.int rng 1000)) Value.TInt;
-      }
-  | 1 -> begin
-    match Random_schema.random_attr rng rs c1 with
-    | Some a -> Change.Delete_attribute { cls = cls c1; attr_name = a }
-    | None -> Change.Delete_class { cls = cls c1 }
-  end
-  | 2 ->
-    Change.Add_method
-      {
-        cls = cls c1;
-        method_name = Printf.sprintf "m%d" (Random.State.int rng 1000);
-        body = Expr.int 1;
-      }
-  | 3 -> Change.Add_edge { sup = cls c1; sub = cls c2 }
-  | 4 -> Change.Delete_edge { sup = cls c1; sub = cls c2; connected_to = None }
-  | 5 ->
-    Change.Add_class
-      {
-        cls = Printf.sprintf "N%d" (Random.State.int rng 1000);
-        connected_to = Some (cls c1);
-      }
-  | 6 -> Change.Delete_class { cls = cls c1 }
-  | _ ->
-    Change.Insert_class
-      {
-        cls = Printf.sprintf "I%d" (Random.State.int rng 1000);
-        sup = cls c1;
-        sub = cls c2;
-      }
 
 type outcome =
   | Clean  (** Proposition B held *)
@@ -91,32 +48,10 @@ type outcome =
   | Crashed of string  (** evolve raised something besides [Rejected] *)
 
 let replay seed =
-  let rng = Random.State.make [| seed; 23 |] in
-  let rs = Random_schema.generate ~seed ~classes:10 ~objects:20 () in
-  let tsem = Tsem.of_database rs.db in
-  let names = Random_schema.class_names rs in
-  let half = List.filteri (fun i _ -> i mod 2 = 0) names in
-  ignore (Tsem.define_view_by_names tsem ~name:"MINE" names);
-  ignore (Tsem.define_view_by_names tsem ~name:"OTHER" half);
-  let before = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
-  let outcome =
-    match
-      for _ = 1 to 5 do
-        try ignore (Tsem.evolve tsem ~view:"MINE" (random_change rng rs))
-        with Change.Rejected _ -> ()
-      done
-    with
-    | () ->
-      let after = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
-      let issues =
-        (if String.equal before after then []
-         else [ "OTHER view fingerprint changed" ])
-        @ Database.check rs.db
-      in
-      if issues = [] then Clean else Violation issues
-    | exception e -> Crashed (Printexc.to_string e)
-  in
-  (rs, outcome)
+  match Testkit.view_independence seed with
+  | rs, [] -> (Some rs, Clean)
+  | rs, issues -> (Some rs, Violation issues)
+  | exception e -> (None, Crashed (Printexc.to_string e))
 
 let pp_outcome = function
   | Clean -> "clean"
@@ -154,23 +89,34 @@ let expect_clean seed () =
       seed
       (String.concat "; " issues)
   | Crashed msg -> Alcotest.failf "seed %d crashed: %s" seed msg);
-  analyze_replayed_schema seed rs
+  Option.iter (analyze_replayed_schema seed) rs
 
-(* The full-corpus sweep of the acceptance criterion, gated behind
-   PROPB_SWEEP so `dune runtest` stays fast. *)
-let sweep n () =
+(* What the old-hierarchy change sequence from [seed] did wrong, if
+   anything: a step that left the database inconsistent, or that passed
+   the precheck and then raised. *)
+let sequence_fault seed =
+  Option.map
+    (fun (i, msg) -> Printf.sprintf "step %d: %s" i msg)
+    (Testkit.run_sequence seed)
+
+(* A sweep of seeds 0..n-1, asserting that [fault] finds nothing. *)
+let sweep ~fault n () =
   let bad = ref [] in
   for seed = 0 to n - 1 do
-    match replay seed with
-    | _, Clean -> ()
-    | _, outcome -> bad := (seed, pp_outcome outcome) :: !bad
+    Option.iter (fun what -> bad := (seed, what) :: !bad) (fault seed)
   done;
   List.iter
     (fun (seed, what) -> Printf.printf "seed %d: %s\n" seed what)
     (List.rev !bad);
-  Alcotest.(check int)
-    (Printf.sprintf "disagreements over %d seeds" n)
-    0 (List.length !bad)
+  Alcotest.(check int) (Printf.sprintf "bad seeds of %d" n) 0 (List.length !bad)
+
+(* A sweep runs only when its variable names a seed count, so that
+   `dune runtest` stays fast. *)
+let gated_sweep var ~fault =
+  match Option.bind (Sys.getenv_opt var) int_of_string_opt with
+  | Some n when n > 0 ->
+    [ Alcotest.test_case (Printf.sprintf "%s: %d seeds" var n) `Slow (sweep ~fault n) ]
+  | Some _ | None -> []
 
 (* Listener leak. Index sets used to be held by the database they
    maintain for its whole life, so every set a program created and
@@ -426,49 +372,57 @@ let create_init_partial () =
 let insert_class_replay () =
   let seed = 763 in
   let run () =
-    let rng = Random.State.make [| seed; 53 |] in
-    let rs = Random_schema.generate ~seed ~classes:8 ~objects:12 () in
-    let graph = Database.graph rs.db in
-    let tsem = Tsem.of_database rs.db in
-    ignore
-      (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
-    (* the change sequence of prop_old_hierarchy_fixed *)
-    let methods = ref [] in
-    let change_at i =
-      match i mod 10 with
-      | 8 -> begin
-        match !methods with
-        | (cls, method_name) :: rest ->
-          methods := rest;
-          Change.Delete_method { cls; method_name }
-        | [] -> random_change ~kind:2 rng rs
-      end
-      | 9 ->
-        let cid = Random_schema.random_class rng rs in
-        Change.Delete_class_2 { cls = Schema_graph.name_of graph cid }
-      | kind -> random_change ~kind rng rs
-    in
+    let s = Testkit.sequence seed in
     for i = 0 to 16 do
-      let change = change_at i in
-      match Tsem.evolve tsem ~view:"V" change with
-      | _ -> (
-        match change with
-        | Change.Add_method { cls; method_name; _ } ->
-          methods := (cls, method_name) :: !methods
-        | _ -> ())
-      | exception Change.Rejected _ -> ()
+      match Testkit.step s (Testkit.change_at s i) with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "step %d: %s" i m
     done;
-    (rs, tsem, change_at 17)
+    (s, Testkit.change_at s 17)
   in
-  let rs, tsem, change = run () in
+  let s, change = run () in
   Alcotest.(check string) "the replayed change"
     "insert_class I575 between C3-C4" (Change.to_string change);
-  let view = Tsem.evolve_checked tsem (Tsem.precheck tsem ~view:"V" change) in
-  Alcotest.(check (list string)) "consistent" [] (Database.check rs.db);
-  let twin, twin_tsem, _ = run () in
-  let direct = Direct.apply twin.db (Tsem.current twin_tsem "V") change in
+  let view = Tsem.evolve_checked s.tsem (Tsem.precheck s.tsem ~view:"V" change) in
+  Alcotest.(check (list string)) "consistent" [] (Database.check s.rs.db);
+  let twin, _ = run () in
+  let direct = Direct.apply twin.rs.db (Tsem.current twin.tsem "V") change in
   Alcotest.(check (list string)) "S'' = S'" []
-    (Verify.diff_views (rs.db, view) (twin.db, direct))
+    (Verify.diff_views (s.rs.db, view) (twin.rs.db, direct))
+
+(* delete_edge phase A. Removing C_sub's instances from C_sup and its
+   view ancestors, the translator restored to each such class v only the
+   view classes below both v and C_sub (commonSub). A view subclass of v
+   that held C_sub's objects through a class outside the view lost them
+   from v', and the replacement hierarchy then hung that subclass below
+   the shrunken v'. Seed 20 met it at step 9, delete_class_2 C0
+   ("extent(C6') not a subset of extent(C0'')"); seeds 151 and 1385 at a
+   plain delete_edge (steps 24 and 14). v' now gets back every greatest
+   view class d below it once the edge is gone, as d ∩ C_sub unless d is
+   below C_sub. Each whole 30-step sequence stays consistent. *)
+let delete_edge_restore seed () =
+  match sequence_fault seed with
+  | None -> ()
+  | Some what -> Alcotest.failf "seed %d, %s" seed what
+
+(* Seed 20's failing step also equals the direct oracle (Proposition A). *)
+let delete_edge_restore_direct () =
+  let run () =
+    let s = Testkit.sequence 20 in
+    for i = 0 to 8 do
+      ignore (Testkit.step s (Testkit.change_at s i))
+    done;
+    (s, Testkit.change_at s 9)
+  in
+  let s, change = run () in
+  Alcotest.(check string) "the replayed change" "delete_class_2 C0"
+    (Change.to_string change);
+  let view = Tsem.evolve s.tsem ~view:"V" change in
+  Alcotest.(check (list string)) "consistent" [] (Database.check s.rs.db);
+  let twin, _ = run () in
+  let direct = Direct.apply twin.rs.db (Tsem.current twin.tsem "V") change in
+  Alcotest.(check (list string)) "S'' = S'" []
+    (Verify.diff_views (s.rs.db, view) (twin.rs.db, direct))
 
 (* A database image lists one slot per line, but a string value is
    length-prefixed and written raw, so it may hold a newline. The heap
@@ -563,16 +517,26 @@ let () =
         (expect_clean 3153);
     ]
   in
-  let sweep_cases =
-    match int_of_string_opt (try Sys.getenv "PROPB_SWEEP" with Not_found -> "")
-    with
-    | Some n when n > 0 ->
-      [ Alcotest.test_case (Printf.sprintf "sweep %d seeds" n) `Slow (sweep n) ]
-    | Some _ | None -> []
-  in
   Alcotest.run "tse-regression"
     [
-      ("proposition-b-corpus", corpus @ sweep_cases);
+      ( "proposition-b-corpus",
+        corpus
+        @ gated_sweep "PROPB_SWEEP" ~fault:(fun seed ->
+              match replay seed with
+              | _, Clean -> None
+              | _, outcome -> Some (pp_outcome outcome)) );
+      ( "delete-edge-restore",
+        List.map
+          (fun seed ->
+            Alcotest.test_case
+              (Printf.sprintf "seed %d: every step leaves the database consistent" seed)
+              `Quick (delete_edge_restore seed))
+          [ 20; 151; 1385 ]
+        @ [
+            Alcotest.test_case "seed 20: delete_class_2 C0 equals the direct oracle"
+              `Quick delete_edge_restore_direct;
+          ]
+        @ gated_sweep "DELETE_EDGE_SWEEP" ~fault:sequence_fault );
       ( "listener-leak",
         [ Alcotest.test_case "dropped index sets stop maintaining" `Quick
             listener_leak ] );

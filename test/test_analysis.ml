@@ -556,7 +556,7 @@ let prop_reachable_schemas_clean =
       ignore
         (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
       for _ = 1 to 5 do
-        try ignore (Tsem.evolve tsem ~view:"V" (Test_property.random_change rng rs))
+        try ignore (Tsem.evolve tsem ~view:"V" (Testkit.random_change rng rs))
         with Change.Rejected _ | Invalid_argument _ | Failure _ ->
           (* translator precondition rejections — either way the
              schema we are left with must still analyze clean *)

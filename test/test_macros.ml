@@ -27,16 +27,28 @@ let diamond () =
   let d = reg "D" [] [ c1 ] in
   (db, g, v, csup, csub, c1, c2, d)
 
+(* the hypothetical for a view holding every class of [db] *)
+let deleted db ~sup ~sub =
+  let g = Database.graph db in
+  let all =
+    List.filter
+      (fun c -> not (Oid.equal c (Schema_graph.root g)))
+      (Schema_graph.cids g)
+  in
+  Macros.assume_deleted db
+    (Tse_views.View_schema.make ~name:"ALL" ~version:0 g all)
+    ~sup ~sub
+
 let test_common_sub_basic () =
   let db, g, v, csup, csub, _, _, _ = diamond () in
-  let commons = Macros.common_sub db ~v ~sub:csub ~sup:csup ~sub':csub in
+  let commons = Macros.common_sub (deleted db ~sup:csup ~sub:csub) v in
   check Alcotest.(list string) "greatest common subclasses" [ "C1"; "C2" ]
     (names g commons)
 
 let test_common_sub_greatest_only () =
   (* D (under C1) is common too, but not GREATEST: only C1/C2 returned *)
   let db, g, v, csup, csub, _, _, d = diamond () in
-  let commons = Macros.common_sub db ~v ~sub:csub ~sup:csup ~sub':csub in
+  let commons = Macros.common_sub (deleted db ~sup:csup ~sub:csub) v in
   Alcotest.(check bool) "D excluded" false
     (List.mem (Schema_graph.name_of g d) (names g commons))
 
@@ -50,21 +62,21 @@ let test_common_sub_empty_when_no_other_path () =
   let csup = reg "Csup" [ v ] in
   let csub = reg "Csub" [ csup ] in
   check Alcotest.int "no survivors" 0
-    (List.length (Macros.common_sub db ~v ~sub:csub ~sup:csup ~sub':csub))
+    (List.length (Macros.common_sub (deleted db ~sup:csup ~sub:csub) v))
 
 let test_find_properties_only_through_edge () =
   let db, _, _, csup, csub, _, _, _ = diamond () in
   (* properties reaching Csub only through Csup-Csub: mid (from Csup);
      top survives via... no — Csub's only super is Csup, so top is lost
      too; low is local and stays *)
-  let y = Macros.find_properties db ~w:csub ~sup:csup ~sub:csub in
+  let y = Macros.find_properties (deleted db ~sup:csup ~sub:csub) csub in
   check Alcotest.(list string) "lost properties" [ "mid"; "top" ] y
 
 let test_find_properties_keeps_multipath () =
   let db, _, _, csup, csub, c1, _, _ = diamond () in
   (* for C1, 'top' survives via the direct V edge and 'low' via the intact
      Csub-C1 edge; only 'mid' arrived exclusively through Csup-Csub *)
-  let y = Macros.find_properties db ~w:c1 ~sup:csup ~sub:csub in
+  let y = Macros.find_properties (deleted db ~sup:csup ~sub:csub) c1 in
   check Alcotest.(list string) "only mid is lost" [ "mid" ]
     (List.sort String.compare y)
 

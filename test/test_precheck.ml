@@ -25,7 +25,7 @@ let state tsem =
     Schema_graph.version (Database.graph db),
     Oid.Gen.count (Heap.gen (Database.heap db)) )
 
-(* Test_property.random_change plus the shapes that are rejected by
+(* Testkit.random_change plus the shapes that are rejected by
    design: a stale attribute name, a self edge, a cyclic edge, a name
    already taken, and a partition over an undefined attribute. *)
 let gen_change rng (rs : Random_schema.t) tsem step =
@@ -77,7 +77,7 @@ let gen_change rng (rs : Random_schema.t) tsem step =
       }
   | 6 -> Change.Insert_class { cls = pick names; sup = cls; sub = pick names }
   | 7 -> Change.Coalesce_classes { a = cls; b = pick names; as_name = pick names }
-  | _ -> Test_property.random_change rng rs
+  | _ -> Testkit.random_change rng rs
 
 let outcome f =
   match f () with

@@ -9,58 +9,9 @@ open Tse_db
 open Tse_core
 open Tse_workload
 
-(* -------------------------------------------------------------- *)
-(* Generators                                                      *)
-(* -------------------------------------------------------------- *)
-
+(* Seeds; the change generators are in test/kit, shared with the
+   regression binary. *)
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000)
-
-(* A random primitive change that is *plausible* for the given schema —
-   it may still be rejected; rejection must then agree across oracles.
-   [kind] (0-7) fixes which change it is instead of drawing it. *)
-let random_change ?kind rng (rs : Random_schema.t) =
-  let g = Database.graph rs.db in
-  let cls cid = Schema_graph.name_of g cid in
-  let c1 = Random_schema.random_class rng rs in
-  let c2 = Random_schema.random_class rng rs in
-  let kind =
-    match kind with Some k -> k | None -> Random.State.int rng 8
-  in
-  match kind with
-  | 0 ->
-    Change.Add_attribute
-      {
-        cls = cls c1;
-        def = Change.attr (Printf.sprintf "n%d" (Random.State.int rng 1000)) Value.TInt;
-      }
-  | 1 -> begin
-    match Random_schema.random_attr rng rs c1 with
-    | Some a -> Change.Delete_attribute { cls = cls c1; attr_name = a }
-    | None -> Change.Delete_class { cls = cls c1 }
-  end
-  | 2 ->
-    Change.Add_method
-      {
-        cls = cls c1;
-        method_name = Printf.sprintf "m%d" (Random.State.int rng 1000);
-        body = Expr.int 1;
-      }
-  | 3 -> Change.Add_edge { sup = cls c1; sub = cls c2 }
-  | 4 -> Change.Delete_edge { sup = cls c1; sub = cls c2; connected_to = None }
-  | 5 ->
-    Change.Add_class
-      {
-        cls = Printf.sprintf "N%d" (Random.State.int rng 1000);
-        connected_to = Some (cls c1);
-      }
-  | 6 -> Change.Delete_class { cls = cls c1 }
-  | _ ->
-    Change.Insert_class
-      {
-        cls = Printf.sprintf "I%d" (Random.State.int rng 1000);
-        sup = cls c1;
-        sub = cls c2;
-      }
 
 (* -------------------------------------------------------------- *)
 (* Properties                                                      *)
@@ -92,7 +43,7 @@ let prop_tse_equals_direct =
              view_names)
       in
       let v1 = mk_view rs1 and v2 = mk_view rs2 in
-      let change = random_change rng rs1 in
+      let change = Testkit.random_change rng rs1 in
       let r1 =
         match Translator.apply rs1.db v1 change with
         | v -> Ok v
@@ -128,70 +79,28 @@ let prop_tse_equals_direct =
 let prop_view_independence =
   QCheck.Test.make
     ~name:"other views keep their fingerprints (Proposition B, random)"
-    ~count:25 seed_arb (fun seed ->
-      let rng = Random.State.make [| seed; 23 |] in
-      let rs = Random_schema.generate ~seed ~classes:10 ~objects:20 () in
-      let tsem = Tsem.of_database rs.db in
-      let names = Random_schema.class_names rs in
-      let half = List.filteri (fun i _ -> i mod 2 = 0) names in
-      ignore (Tsem.define_view_by_names tsem ~name:"MINE" names);
-      ignore (Tsem.define_view_by_names tsem ~name:"OTHER" half);
-      let before = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
-      let applied = ref 0 in
-      for _ = 1 to 5 do
-        match Tsem.evolve tsem ~view:"MINE" (random_change rng rs) with
-        | _ -> incr applied
-        | exception Change.Rejected _ -> ()
-      done;
-      let after = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
-      String.equal before after && Database.check rs.db = [])
+    ~count:25 seed_arb (fun seed -> snd (Testkit.view_independence seed) = [])
 
 (* The translator reads the old view's generated hierarchy once, before
    it adds a class, and walks it while the graph grows. That is sound
    because no change alters it: a sequence that runs through every
    Section 6 change leaves the signature of each pre-change view as it
    was. A change is rejected by the precheck or not at all: once it
-   passes, the translation must not raise. *)
+   passes, the translation must not raise, and it must leave the
+   database consistent. *)
 let prop_old_hierarchy_fixed =
   QCheck.Test.make
     ~name:"a change leaves the old view's hierarchy as it was (random)"
     ~count:25 seed_arb (fun seed ->
-      let rng = Random.State.make [| seed; 53 |] in
-      let rs = Random_schema.generate ~seed ~classes:8 ~objects:12 () in
-      let graph = Database.graph rs.db in
-      let tsem = Tsem.of_database rs.db in
-      ignore
-        (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
-      let methods = ref [] in
+      let s = Testkit.sequence seed in
+      let graph = Database.graph s.rs.db in
       for i = 0 to 29 do
-        let change =
-          match i mod 10 with
-          | 8 -> begin
-            match !methods with
-            | (cls, method_name) :: rest ->
-              methods := rest;
-              Change.Delete_method { cls; method_name }
-            | [] -> random_change ~kind:2 rng rs
-          end
-          | 9 ->
-            let cid = Random_schema.random_class rng rs in
-            Change.Delete_class_2 { cls = Schema_graph.name_of graph cid }
-          | kind -> random_change ~kind rng rs
-        in
-        let view = Tsem.current tsem "V" in
+        let change = Testkit.change_at s i in
+        let view = Tsem.current s.tsem "V" in
         let before = Tse_views.Generation.edges_signature graph view in
-        (match Tsem.precheck tsem ~view:"V" change with
-        | exception Change.Rejected _ -> ()
-        | checked -> (
-          match Tsem.evolve_checked tsem checked with
-          | _ -> (
-            match change with
-            | Change.Add_method { cls; method_name; _ } ->
-              methods := (cls, method_name) :: !methods
-            | _ -> ())
-          | exception Change.Rejected m ->
-            QCheck.Test.fail_reportf "%s passed the precheck, then: %s"
-              (Change.to_string change) m));
+        (match Testkit.step s change with
+        | Ok () -> ()
+        | Error m -> QCheck.Test.fail_report m);
         let after = Tse_views.Generation.edges_signature graph view in
         if not (String.equal before after) then
           QCheck.Test.fail_reportf "%s moved the old hierarchy:@.%s@.%s"
@@ -209,7 +118,7 @@ let prop_updatability_preserved =
       ignore
         (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
       for _ = 1 to 6 do
-        try ignore (Tsem.evolve tsem ~view:"V" (random_change rng rs))
+        try ignore (Tsem.evolve tsem ~view:"V" (Testkit.random_change rng rs))
         with Change.Rejected _ -> ()
       done;
       Verify.all_updatable rs.db (Tsem.current tsem "V"))
@@ -231,7 +140,7 @@ let prop_history_monotone =
       in
       record ();
       for _ = 1 to 4 do
-        (try ignore (Tsem.evolve tsem ~view:"V" (random_change rng rs))
+        (try ignore (Tsem.evolve tsem ~view:"V" (Testkit.random_change rng rs))
          with Change.Rejected _ -> ());
         record ()
       done;
@@ -320,7 +229,7 @@ let prop_catalog_roundtrip =
       ignore
         (Tsem.define_view_by_names tsem ~name:"V" (Random_schema.class_names rs));
       for _ = 1 to 4 do
-        try ignore (Tsem.evolve tsem ~view:"V" (random_change rng rs))
+        try ignore (Tsem.evolve tsem ~view:"V" (Testkit.random_change rng rs))
         with Change.Rejected _ -> ()
       done;
       let text = Tse_views.Catalog.to_string ~history:(Tsem.history tsem) rs.db in
@@ -742,8 +651,8 @@ let prop_resolution_equals_member_scan =
           | 1 ->
             Change.Add_method
               { cls = cls (); method_name = pick (); body = Expr.int i }
-          | 2 -> random_change ~kind:3 rng rs
-          | _ -> random_change rng rs
+          | 2 -> Testkit.random_change ~kind:3 rng rs
+          | _ -> Testkit.random_change rng rs
         in
         (match Tsem.evolve tsem ~view:"V" change with
         | _ -> ()

@@ -865,7 +865,7 @@ let prop_maintained_equals_fresh =
                 | _ -> ()))))
       in
       for _ = 1 to 6 do
-        (match Tsem.evolve tsem ~view:"V" (Test_property.random_change rng rs) with
+        (match Tsem.evolve tsem ~view:"V" (Testkit.random_change rng rs) with
         | v ->
           let members = v.Tse_views.View_schema.members in
           index_some (fst (List.nth members (Random.State.int rng (List.length members))))

@@ -24,7 +24,7 @@ let view = "V"
 
 (* ---------------- the version catches every mutation ---------------- *)
 
-(* Test_property.random_change plus renames and partitions, which only
+(* Testkit.random_change plus renames and partitions, which only
    the translator can express (the direct twin rejects partitions). *)
 let mixed_change rng (rs : Random_schema.t) step =
   let g = Database.graph rs.db in
@@ -41,7 +41,7 @@ let mixed_change rng (rs : Random_schema.t) step =
         into_true = Printf.sprintf "P%dt" step;
         into_false = Printf.sprintf "P%df" step;
       }
-  | _ -> Test_property.random_change rng rs
+  | _ -> Testkit.random_change rng rs
 
 (* Applies [change], rejected or not (a rejection mid-translation may
    already have touched the schema), and fails if the encoded schema

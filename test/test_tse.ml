@@ -381,21 +381,24 @@ let test_common_sub_fig11 () =
   let c1 = reg "C1" [ v; csub ] in
   let c2 = reg "C2" [ v; csub ] in
   let c3 = reg "C3" [ v; csub ] in
-  let commons = Macros.common_sub db ~v ~sub:csub ~sup:csup ~sub':csub in
+  let o1 = Database.create_object db c1 ~init:[] in
+  let o2 = Database.create_object db c2 ~init:[] in
+  let o3 = Database.create_object db c3 ~init:[] in
+  let osub = Database.create_object db csub ~init:[] in
+  let tsem = Tsem.of_database db in
+  let w =
+    Tsem.define_view_by_names tsem ~name:"W"
+      [ "V"; "Csup"; "Csub"; "C1"; "C2"; "C3" ]
+  in
+  let commons =
+    Macros.common_sub (Macros.assume_deleted db w ~sup:csup ~sub:csub) v
+  in
   check
     Alcotest.(list string)
     "commonSub returns C1 C2 C3"
     [ "C1"; "C2"; "C3" ]
     (List.sort String.compare (List.map (Schema_graph.name_of g) commons));
   (* end-to-end: instances of C1..C3 stay visible in V after the change *)
-  let o1 = Database.create_object db c1 ~init:[] in
-  let o2 = Database.create_object db c2 ~init:[] in
-  let o3 = Database.create_object db c3 ~init:[] in
-  let osub = Database.create_object db csub ~init:[] in
-  let tsem = Tsem.of_database db in
-  ignore
-    (Tsem.define_view_by_names tsem ~name:"W"
-       [ "V"; "Csup"; "Csub"; "C1"; "C2"; "C3" ]);
   let v1 =
     Tsem.evolve tsem ~view:"W"
       (Change.Delete_edge { sup = "Csup"; sub = "Csub"; connected_to = None })
