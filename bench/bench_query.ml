@@ -181,7 +181,7 @@ let run ~smoke () =
   let hash_ex = check "hash-index plan" scan_pred scan_rows in
   let range_ex = check "range-index plan" sel_pred sel_rows in
   (match hash_ex.Engine.ex_plan with
-  | Engine.Index_lookup { kind = Engine.Hash; _ } -> ()
+  | Engine.Index_lookup { kind = Indexes.Hash; _ } -> ()
   | p ->
     Format.printf "FAIL: expected hash index plan, got %a@." Engine.pp_plan p;
     exit 1);

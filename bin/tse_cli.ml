@@ -278,19 +278,22 @@ let cmd_stats rest =
   | _ -> failwith "usage: stats [json]"
 
 let cmd_index s rest =
-  let build kind kname cls attr vname =
+  let build kind cls attr vname =
     let v = find_view s vname in
     let cid = View_schema.cid_of_exn v cls in
     Tse_query.Indexes.ensure ~kind s.indexes cid attr;
-    Printf.printf "%s index built on %s.%s (%d bytes overhead)\n" kname cls
-      attr
+    (* an ordered index answers a hash request, so say what was built *)
+    Printf.printf "%s index built on %s.%s (%d bytes overhead)\n"
+      (match Tse_query.Indexes.kind_of s.indexes cid attr with
+      | Some Tse_query.Indexes.Ordered -> "range"
+      | Some Tse_query.Indexes.Hash | None -> "hash")
+      cls attr
       (Tse_query.Indexes.overhead_bytes s.indexes)
   in
   match words rest with
-  | [ cls; attr; "in"; vname ] ->
-    build Tse_query.Indexes.Hash "hash" cls attr vname
+  | [ cls; attr; "in"; vname ] -> build Tse_query.Indexes.Hash cls attr vname
   | [ "range"; cls; attr; "in"; vname ] ->
-    build Tse_query.Indexes.Ordered "range" cls attr vname
+    build Tse_query.Indexes.Ordered cls attr vname
   | _ -> failwith "usage: index [range] CLASS ATTR in VIEW"
 
 let cmd_populate s rest =

@@ -106,21 +106,14 @@ let rec apply db view change =
       | Some s -> [ resolve view s ]
     in
     let cid = Schema_graph.register_base graph ~name:cls ~props:[] ~supers in
-    let view' = View_schema.copy view in
-    View_schema.add_class view' ~as_name:cls graph cid;
-    view'
+    View_schema.add_class view ~as_name:cls graph cid
   | Change.Delete_class { cls } ->
-    let cid = resolve view cls in
-    let view' = View_schema.copy view in
-    View_schema.remove_class view' cid;
-    view'
+    View_schema.remove_class view (resolve view cls)
   | Change.Rename_class { old_name; new_name } ->
     let cid = resolve view old_name in
     if View_schema.cid_of view new_name <> None then
       rejected "rename_class: %s already names a class in the view" new_name;
-    let view' = View_schema.copy view in
-    View_schema.rename view' cid new_name;
-    view'
+    View_schema.rename view cid new_name
   | Change.Partition_class _ | Change.Coalesce_classes _ ->
     (* the Section 9 extensions have no destructive counterpart in the
        ORION taxonomy; the oracle cannot express them *)
@@ -146,6 +139,4 @@ let rec apply db view change =
         List.iter
           (fun sup -> Schema_graph.remove_edge g ~sup ~sub:cdel)
           (Schema_graph.supers g cdel));
-    let view' = View_schema.copy view in
-    View_schema.remove_class view' cdel;
-    view'
+    View_schema.remove_class view cdel

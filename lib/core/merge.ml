@@ -26,17 +26,17 @@ let merge_views tsem v1 v2 ~new_name =
   | None -> ());
   let graph = Tse_db.Database.graph (Tsem.db tsem) in
   let collisions = name_collisions v1 v2 in
-  let merged = View_schema.make ~name:new_name ~version:0 graph [] in
   let local v cid =
     match View_schema.local_name v cid with
     | Some n -> n
     | None -> Tse_schema.Schema_graph.name_of graph cid
   in
-  let add_from (v : View_schema.t) =
-    List.iter
-      (fun cid ->
+  let add_from merged (v : View_schema.t) =
+    List.fold_left
+      (fun merged cid ->
         (* identical classes (same global class) appear once *)
-        if not (View_schema.mem merged cid) then begin
+        if View_schema.mem merged cid then merged
+        else begin
           let name = local v cid in
           let name =
             if List.mem name collisions then
@@ -51,10 +51,13 @@ let merge_views tsem v1 v2 ~new_name =
           in
           View_schema.add_class merged ~as_name:(uniquify name 2) graph cid
         end)
-      (View_schema.classes v)
+      merged (View_schema.classes v)
   in
-  add_from v1;
-  add_from v2;
+  let merged =
+    add_from
+      (add_from (View_schema.make ~name:new_name ~version:0 graph []) v1)
+      v2
+  in
   History.register (Tsem.history tsem) merged;
   merged
 

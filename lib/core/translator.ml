@@ -71,8 +71,7 @@ let finish ctx =
   List.fold_left
     (fun view (old_cid, new_cid) ->
       View_schema.substitute view ~old_cid ~new_cid)
-    (View_schema.copy ctx.view)
-    !(ctx.mapping)
+    ctx.view !(ctx.mapping)
 
 let make_ctx db view =
   { db; view; edges = Generation.edges (Database.graph db) view; mapping = ref [] }
@@ -393,19 +392,14 @@ let add_class db view ~cls_name ~connected_to =
         Schema_graph.add_edge graph ~sup:csup ~sub:cadd;
       cadd
   in
-  let view' = View_schema.copy view in
-  View_schema.add_class view' ~as_name:cls_name graph cadd;
-  view'
+  View_schema.add_class view ~as_name:cls_name graph cadd
 
 (* ------------------------------------------------------------------ *)
 (* 6.8 / 6.9: delete_class, insert_class, delete_class_2                *)
 (* ------------------------------------------------------------------ *)
 
 let delete_class _db view ~cls_name =
-  let cid = resolve view cls_name in
-  let view' = View_schema.copy view in
-  View_schema.remove_class view' cid;
-  view'
+  View_schema.remove_class view (resolve view cls_name)
 
 (* ------------------------------------------------------------------ *)
 (* Preconditions                                                        *)
@@ -529,10 +523,7 @@ let rec apply db view change =
     add_class db view ~cls_name:cls ~connected_to
   | Change.Delete_class { cls } -> delete_class db view ~cls_name:cls
   | Change.Rename_class { old_name; new_name } ->
-    let cid = resolve view old_name in
-    let view' = View_schema.copy view in
-    View_schema.rename view' cid new_name;
-    view'
+    View_schema.rename view (resolve view old_name) new_name
   | Change.Partition_class { cls; predicate; into_true; into_false } ->
     (* Section 9 extension, object-preserving form: the partitions are two
        complementary select classes below the original *)
@@ -546,10 +537,9 @@ let rec apply db view change =
         ~name:(Ops.fresh_name db into_false)
         ~src:cid (Expr.Not predicate)
     in
-    let view' = View_schema.copy view in
-    View_schema.add_class view' ~as_name:into_true graph ctrue;
-    View_schema.add_class view' ~as_name:into_false graph cfalse;
-    view'
+    View_schema.add_class
+      (View_schema.add_class view ~as_name:into_true graph ctrue)
+      ~as_name:into_false graph cfalse
   | Change.Coalesce_classes { a; b; as_name } ->
     let graph = Database.graph db in
     let ca = resolve view a and cb = resolve view b in
@@ -557,11 +547,9 @@ let rec apply db view change =
       try Ops.union db ~name:(Ops.fresh_name db as_name) ca cb
       with Ops.Error m -> rejected "coalesce_classes: %s" m
     in
-    let view' = View_schema.copy view in
-    View_schema.remove_class view' ca;
-    View_schema.remove_class view' cb;
-    View_schema.add_class view' ~as_name graph fused;
-    view'
+    View_schema.add_class
+      (View_schema.remove_class (View_schema.remove_class view ca) cb)
+      ~as_name graph fused
   | Change.Insert_class { cls; sup; sub } ->
     (* Section 6.9.1: add_class + add_edge *)
     let view = apply db view (Change.Add_class { cls; connected_to = Some sup }) in

@@ -21,7 +21,7 @@ let history t = t.history
 
 let define_view t ~name ?(complete_closure = true) cids =
   let view = View_schema.make ~name ~version:0 (Database.graph t.db) cids in
-  if complete_closure then ignore (Closure.complete t.db view);
+  let view = if complete_closure then fst (Closure.complete t.db view) else view in
   History.register t.history view;
   view
 

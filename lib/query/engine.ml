@@ -2,15 +2,14 @@ module Oid = Tse_store.Oid
 module Value = Tse_store.Value
 module Expr = Tse_schema.Expr
 module Database = Tse_db.Database
+module Index = Tse_store.Index
 module Metrics = Tse_obs.Metrics
 module Trace = Tse_obs.Trace
 
 type cid = Tse_schema.Klass.cid
 
-type index_kind = Hash | Range
-
 type plan =
-  | Index_lookup of { attr : string; kind : index_kind; residual : bool }
+  | Index_lookup of { attr : string; kind : Indexes.kind; residual : bool }
   | Range_scan of { attr : string; residual : bool }
   | Extent_scan
 
@@ -29,19 +28,18 @@ let m_pushdowns = Metrics.counter "query.pushdowns"
 
 type access =
   | A_eq of {
-      a_cls : cid;
       a_depth : int;
       a_attr : string;
-      a_kind : Indexes.kind;
+      a_index : Index.t;
       a_value : Value.t;
       a_consumed : Compile.fact list;
     }
   | A_range of {
-      a_cls : cid;
       a_depth : int;
       a_attr : string;
-      a_lo : Tse_store.Ord_index.bound option;
-      a_hi : Tse_store.Ord_index.bound option;
+      a_index : Index.t;
+      a_lo : Index.bound option;
+      a_hi : Index.bound option;
       a_consumed : Compile.fact list;
     }
   | A_scan
@@ -83,22 +81,19 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
     List.filter_map
       (fun (c : Compile.fact) ->
         match c.c_sarg with
-        | Some (Compile.Sarg_eq (a, v)) -> begin
-          match Indexes.kind_of indexes cls a with
-          | Some kind ->
-            Some
+        | Some (Compile.Sarg_eq (a, v)) ->
+          Option.map
+            (fun ix ->
               ( avg_bucket a,
                 A_eq
                   {
-                    a_cls = cls;
                     a_depth = depth;
                     a_attr = a;
-                    a_kind = kind;
+                    a_index = ix;
                     a_value = v;
                     a_consumed = [ c ];
-                  } )
-          | None -> None
-        end
+                  } ))
+            (Indexes.find indexes cls a)
         | _ -> None)
       conjs
   in
@@ -109,16 +104,17 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
     List.filter_map
       (fun (c : Compile.fact) ->
         match c.c_sarg with
-        | Some (Compile.Sarg_cmp (a, _, _))
-          when Indexes.kind_of indexes cls a = Some Indexes.Ordered ->
-          Some a
+        | Some (Compile.Sarg_cmp (a, _, _)) -> (
+          match Indexes.find indexes cls a with
+          | Some ix when Index.kind ix = Indexes.Ordered -> Some (a, ix)
+          | _ -> None)
         | _ -> None)
       conjs
-    |> List.sort_uniq String.compare
+    |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
   in
   let ranges =
     List.filter_map
-      (fun a ->
+      (fun (a, ix) ->
         let lo = ref None and hi = ref None and consumed = ref [] in
         List.iter
           (fun (c : Compile.fact) ->
@@ -137,24 +133,16 @@ let level_candidates ~key_cardinality indexes (cls, depth, conjs) =
           conjs;
         if !lo = None && !hi = None then None
         else
-          let pop =
-            match Indexes.entry_count indexes cls a with
-            | Some n -> n
-            | None -> Stdlib.max_int
-          in
+          let pop = Index.cardinal ix in
           (* crude textbook selectivity: 1/2 per open side, 1/4 boxed *)
-          let est =
-            if pop = Stdlib.max_int then pop
-            else if !lo <> None && !hi <> None then pop / 4
-            else pop / 2
-          in
+          let est = if !lo <> None && !hi <> None then pop / 4 else pop / 2 in
           Some
             ( est,
               A_range
                 {
-                  a_cls = cls;
                   a_depth = depth;
                   a_attr = a;
+                  a_index = ix;
                   a_lo = !lo;
                   a_hi = !hi;
                   a_consumed = !consumed;
@@ -192,13 +180,8 @@ let choose_access ?scan_cost ?key_cardinality db indexes cid compiled =
   | _ -> A_scan
 
 let plan_of_access residual = function
-  | A_eq { a_attr; a_kind; _ } ->
-    Index_lookup
-      {
-        attr = a_attr;
-        kind = (match a_kind with Indexes.Hash -> Hash | Indexes.Ordered -> Range);
-        residual;
-      }
+  | A_eq { a_attr; a_index; _ } ->
+    Index_lookup { attr = a_attr; kind = Index.kind a_index; residual }
   | A_range { a_attr; _ } -> Range_scan { attr = a_attr; residual }
   | A_scan -> Extent_scan
 
@@ -230,7 +213,7 @@ let residual_eval cs o =
 
 type run = {
   r_plan : plan;  (* the plan that actually ran *)
-  r_index : (cid * string) option;  (* the probed index *)
+  r_index : (string * Index.t) option;  (* the probed index *)
   r_depth : int;
   r_scanned : int;
   r_candidates : Oid.Set.t;
@@ -248,33 +231,30 @@ let execute db indexes cid compiled =
       r_residual = compiled.Compile.cp_conjuncts;
     }
   in
-  let probe access cls depth attr consumed = function
-    | None -> (* index dropped concurrently: scan *) scan ()
-    | Some bucket ->
-      (* an ancestor probe overshoots the queried extent; intersecting
-         back both restricts it and discharges every pushed predicate *)
-      let candidates =
-        if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
-        else bucket
-      in
-      let residual = residual_conjuncts compiled consumed in
-      {
-        r_plan = plan_of_access (residual <> []) access;
-        r_index = Some (cls, attr);
-        r_depth = depth;
-        r_scanned = Oid.Set.cardinal candidates;
-        r_candidates = candidates;
-        r_residual = residual;
-      }
+  let probe access depth attr ix consumed bucket =
+    (* an ancestor probe overshoots the queried extent; intersecting
+       back both restricts it and discharges every pushed predicate *)
+    let candidates =
+      if depth > 0 then Oid.Set.inter bucket (Database.extent db cid)
+      else bucket
+    in
+    let residual = residual_conjuncts compiled consumed in
+    {
+      r_plan = plan_of_access (residual <> []) access;
+      r_index = Some (attr, ix);
+      r_depth = depth;
+      r_scanned = Oid.Set.cardinal candidates;
+      r_candidates = candidates;
+      r_residual = residual;
+    }
   in
   match choose_access db indexes cid compiled with
   | A_scan -> scan ()
-  | A_eq { a_cls; a_depth; a_attr; a_value; a_consumed; _ } as access ->
-    probe access a_cls a_depth a_attr a_consumed
-      (Indexes.lookup indexes a_cls a_attr a_value)
-  | A_range { a_cls; a_depth; a_attr; a_lo; a_hi; a_consumed } as access ->
-    probe access a_cls a_depth a_attr a_consumed
-      (Indexes.range_lookup indexes a_cls a_attr ~lo:a_lo ~hi:a_hi)
+  | A_eq { a_depth; a_attr; a_index; a_value; a_consumed; _ } as access ->
+    probe access a_depth a_attr a_index a_consumed (Index.lookup a_index a_value)
+  | A_range { a_depth; a_attr; a_index; a_lo; a_hi; a_consumed; _ } as access ->
+    probe access a_depth a_attr a_index a_consumed
+      (Index.range a_index ~lo:a_lo ~hi:a_hi)
 
 type explain = {
   ex_plan : plan;  (* the plan that actually ran *)
@@ -303,7 +283,7 @@ let plan db indexes cid pred = fst (choose db indexes cid pred)
 
 (* One instrumented core: every select goes through here so the explain
    numbers and the registry counters describe the execution that really
-   happened (including the dropped-index fallback to a scan). *)
+   happened. *)
 let select_explain db indexes cid pred =
   Metrics.incr m_selects;
   Trace.with_span "query.select" @@ fun () ->
@@ -323,10 +303,8 @@ let select_explain db indexes cid pred =
   Metrics.add m_rows_returned returned;
   ( {
       ex_plan = r.r_plan;
-      chosen_index = Option.map snd r.r_index;
-      key_cardinality =
-        Option.bind r.r_index (fun (cls, attr) ->
-            Indexes.key_cardinality indexes cls attr);
+      chosen_index = Option.map fst r.r_index;
+      key_cardinality = Option.map (fun (_, ix) -> Index.distinct_keys ix) r.r_index;
       conjunct_order =
         List.map
           (fun (c : Compile.conjunct) -> c.c_fact.c_expr)
@@ -351,7 +329,7 @@ let count db indexes cid pred =
       (fun o n -> if residual_eval r.r_residual o then n + 1 else n)
       r.r_candidates 0
 
-let kind_name = function Hash -> "hash" | Range -> "range"
+let kind_name = function Indexes.Hash -> "hash" | Indexes.Ordered -> "range"
 
 let pp_plan ppf = function
   | Index_lookup { attr; kind; residual } ->

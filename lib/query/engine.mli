@@ -12,12 +12,11 @@
 
 type cid = Tse_schema.Klass.cid
 
-type index_kind = Hash | Range
-
 type plan =
-  | Index_lookup of { attr : string; kind : index_kind; residual : bool }
+  | Index_lookup of { attr : string; kind : Indexes.kind; residual : bool }
       (** answered by an equality probe of the index on [attr];
-          [residual] when remaining conjuncts are checked per candidate *)
+          [residual] when remaining conjuncts are checked per candidate;
+          {!pp_plan} prints an [Ordered] [kind] as [range] *)
   | Range_scan of { attr : string; residual : bool }
       (** answered by a key-interval walk of the ordered index on
           [attr] *)
@@ -55,8 +54,7 @@ val count : Tse_db.Database.t -> Indexes.t -> cid -> Tse_schema.Expr.t -> int
     Counts [query.rows_scanned] only: no [query.selects], no span. *)
 
 type explain = {
-  ex_plan : plan;  (** the plan that actually ran (a concurrently dropped
-                       index degrades to [Extent_scan]) *)
+  ex_plan : plan;  (** the plan that actually ran *)
   chosen_index : string option;  (** indexed attribute used, if any *)
   key_cardinality : int option;
       (** distinct keys in the chosen index at execution time *)

@@ -44,22 +44,16 @@ let is_closed db view = missing db view = []
 
 let complete db view =
   let graph = Database.graph db in
-  let added = ref [] in
-  let rec fix () =
-    match missing db view with
-    | [] -> ()
-    | violations ->
-      let progressed = ref false in
-      List.iter
-        (fun (_, _, cname) ->
+  let rec fix view added =
+    let view', added' =
+      List.fold_left
+        (fun (view, added) (_, _, cname) ->
           match Schema_graph.find_by_name graph cname with
           | Some k when not (View_schema.mem view k.cid) ->
-            View_schema.add_class view graph k.cid;
-            added := k.cid :: !added;
-            progressed := true
-          | Some _ | None -> ())
-        violations;
-      if !progressed then fix ()
+            (View_schema.add_class view graph k.cid, k.cid :: added)
+          | Some _ | None -> (view, added))
+        (view, added) (missing db view)
+    in
+    if added' == added then (view, List.rev added) else fix view' added'
   in
-  fix ();
-  List.rev !added
+  fix view []

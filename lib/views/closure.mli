@@ -13,7 +13,7 @@ val missing :
 
 val is_closed : Tse_db.Database.t -> View_schema.t -> bool
 
-val complete : Tse_db.Database.t -> View_schema.t -> cid list
-(** Add each missing domain class to the view (transitively); returns the
-    classes added. Unknown domain-class names are reported via
-    {!missing} but skipped here. *)
+val complete : Tse_db.Database.t -> View_schema.t -> View_schema.t * cid list
+(** The view with each missing domain class added (transitively),
+    together with the classes added. Unknown domain-class names are
+    reported via {!missing} but skipped here. *)

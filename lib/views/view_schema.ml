@@ -6,7 +6,7 @@ type cid = Tse_schema.Klass.cid
 type t = {
   view_name : string;
   version : int;
-  mutable members : (cid * string) list;
+  members : (cid * string) list;
 }
 
 let check_members members =
@@ -58,8 +58,11 @@ let rename t cid name =
   | Some other when not (Oid.equal other cid) ->
     invalid_arg (Printf.sprintf "View_schema.rename: name %s taken" name)
   | Some _ | None -> ());
-  t.members <-
-    List.map (fun (c, n) -> if Oid.equal c cid then (c, name) else (c, n)) t.members
+  {
+    t with
+    members =
+      List.map (fun (c, n) -> if Oid.equal c cid then (c, name) else (c, n)) t.members;
+  }
 
 let add_class t ?as_name graph cid =
   if mem t cid then invalid_arg "View_schema.add_class: already in view";
@@ -69,10 +72,10 @@ let add_class t ?as_name graph cid =
   (match cid_of t name with
   | Some _ -> invalid_arg (Printf.sprintf "View_schema.add_class: name %s taken" name)
   | None -> ());
-  t.members <- t.members @ [ (cid, name) ]
+  { t with members = t.members @ [ (cid, name) ] }
 
 let remove_class t cid =
-  t.members <- List.filter (fun (c, _) -> not (Oid.equal c cid)) t.members
+  { t with members = List.filter (fun (c, _) -> not (Oid.equal c cid)) t.members }
 
 let substitute t ~old_cid ~new_cid =
   {
@@ -84,4 +87,3 @@ let substitute t ~old_cid ~new_cid =
   }
 
 let with_version t version = { t with version }
-let copy t = { t with members = t.members }

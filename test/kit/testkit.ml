@@ -73,6 +73,15 @@ let view_independence seed =
     try ignore (Tsem.evolve tsem ~view:"MINE" (random_change rng rs))
     with Change.Rejected _ -> ()
   done;
+  (* then a delete_class_2, drawn from a stream of its own so the five
+     draws above keep their meaning for every pinned seed *)
+  (let cid = Random_schema.random_class (Random.State.make [| seed; 29 |]) rs in
+   try
+     ignore
+       (Tsem.evolve tsem ~view:"MINE"
+          (Change.Delete_class_2
+             { cls = Schema_graph.name_of (Database.graph rs.db) cid }))
+   with Change.Rejected _ -> ());
   let after = Verify.view_fingerprint rs.db (Tsem.current tsem "OTHER") in
   let issues =
     (if String.equal before after then [] else [ "OTHER view fingerprint changed" ])

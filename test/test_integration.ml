@@ -125,10 +125,17 @@ let test_evolve_then_merge_then_persist () =
 let test_view_class_rename_is_local () =
   (* renaming inside a view never leaks to the global schema or others *)
   let u, tsem = fixture () in
-  let v = Tsem.define_view_by_names tsem ~name:"VS" [ "Person"; "Student" ] in
-  View_schema.rename v u.student "Pupil";
+  let v0 = Tsem.define_view_by_names tsem ~name:"VS" [ "Person"; "Student" ] in
+  let v =
+    Tsem.evolve tsem ~view:"VS"
+      (Change.Rename_class { old_name = "Student"; new_name = "Pupil" })
+  in
   check Alcotest.string "global name intact" "Student"
     (Schema_graph.name_of (Database.graph u.db) u.student);
+  check (Alcotest.option Alcotest.string) "the old version keeps its name"
+    (Some "Student") (View_schema.local_name v0 u.student);
+  check (Alcotest.option Alcotest.string) "the new version renames"
+    (Some "Pupil") (View_schema.local_name v u.student);
   (* changes can now be addressed via the local name *)
   let v1 =
     Tsem.evolve tsem ~view:"VS"

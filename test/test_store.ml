@@ -83,7 +83,7 @@ let test_heap_swap_identity () =
   check vpp "b lost y" Value.Null (Heap.get_slot h b "y")
 
 let test_index () =
-  let idx = Index.create () in
+  let idx = Index.create Index.Hash in
   let o1 = Oid.of_int 1 and o2 = Oid.of_int 2 in
   Index.add idx (Value.Int 30) o1;
   Index.add idx (Value.Int 30) o2;
@@ -97,7 +97,11 @@ let test_index () =
   check Alcotest.int "lookup 30 after remove" 1
     (Oid.Set.cardinal (Index.lookup idx (Value.Int 30)));
   check Alcotest.int "lookup missing" 0
-    (Oid.Set.cardinal (Index.lookup idx (Value.Int 99)))
+    (Oid.Set.cardinal (Index.lookup idx (Value.Int 99)));
+  check Alcotest.int "lookup 30.0 finds 30" 1
+    (Oid.Set.cardinal (Index.lookup idx (Value.Float 30.0)));
+  check Alcotest.int "lookup 30.5 finds nothing" 0
+    (Oid.Set.cardinal (Index.lookup idx (Value.Float 30.5)))
 
 let test_snapshot_roundtrip () =
   let h = Heap.create () in
@@ -316,56 +320,68 @@ let prop_heap_cells_match_model =
       Snapshot.roundtrip_equal heap heap'
       && String.equal image (Snapshot.to_string heap'))
 
-(* [distinct_keys] is a maintained count; numeric keys share one domain,
-   so [Int 3] and [Float 3.0] are one key, and [Null] is a key too. *)
-let test_ord_index_distinct_keys () =
-  let idx = Ord_index.create () in
+(* [distinct_keys] is a maintained count in either backing; numeric keys
+   share one domain, so [Int 3] and [Float 3.0] are one key, and [Null] is
+   a key too. A hash index rebuilt as ordered keeps its entries. *)
+let test_index_distinct_keys () =
   let o = Oid.of_int in
-  let counts what ~keys ~entries =
-    check Alcotest.int (what ^ ": distinct keys") keys
-      (Ord_index.distinct_keys idx);
-    check Alcotest.int (what ^ ": entries") entries (Ord_index.cardinal idx)
-  in
-  counts "empty" ~keys:0 ~entries:0;
-  Ord_index.add idx (Value.Int 3) (o 1);
-  counts "add" ~keys:1 ~entries:1;
-  Ord_index.add idx (Value.Float 3.0) (o 2);
-  counts "3.0 shares the key of 3" ~keys:1 ~entries:2;
-  Ord_index.add idx (Value.Int 3) (o 1);
-  counts "duplicate add" ~keys:1 ~entries:2;
-  Ord_index.add idx Value.Null (o 3);
-  Ord_index.add idx Value.Null (o 4);
-  counts "null keys" ~keys:2 ~entries:4;
-  Ord_index.add idx (Value.Int 5) (o 1);
-  counts "second numeric key" ~keys:3 ~entries:5;
-  Ord_index.remove idx (Value.Int 5) (o 2);
-  counts "remove an absent oid" ~keys:3 ~entries:5;
-  Ord_index.remove idx (Value.Int 7) (o 1);
-  counts "remove under an absent key" ~keys:3 ~entries:5;
-  Ord_index.remove idx (Value.Float 3.0) (o 1);
-  counts "remove one of two oids" ~keys:3 ~entries:4;
-  Ord_index.remove idx (Value.Int 3) (o 2);
-  counts "remove the last oid of a key" ~keys:2 ~entries:3;
-  Ord_index.remove idx Value.Null (o 3);
-  Ord_index.remove idx Value.Null (o 4);
-  counts "remove the last null" ~keys:1 ~entries:1;
-  Ord_index.clear idx;
-  counts "clear" ~keys:0 ~entries:0;
-  Ord_index.add idx (Value.Int 3) (o 1);
-  counts "add after clear" ~keys:1 ~entries:1;
-  let built =
-    Ord_index.of_seq
-      (List.to_seq
-         [
-           (Value.Int 3, o 1);
-           (Value.Float 3.0, o 2);
-           (Value.Null, o 3);
-           (Value.Null, o 3);
-           (Value.String "a", o 4);
-         ])
-  in
-  check Alcotest.int "of_seq: distinct keys" 3 (Ord_index.distinct_keys built);
-  check Alcotest.int "of_seq: entries" 4 (Ord_index.cardinal built)
+  List.iter
+    (fun kind ->
+      let idx = Index.create kind in
+      let counts what ~keys ~entries =
+        let what =
+          Printf.sprintf "%s (%s)" what
+            (match kind with Index.Hash -> "hash" | Index.Ordered -> "ordered")
+        in
+        check Alcotest.int (what ^ ": distinct keys") keys
+          (Index.distinct_keys idx);
+        check Alcotest.int (what ^ ": entries") entries (Index.cardinal idx)
+      in
+      counts "empty" ~keys:0 ~entries:0;
+      Index.add idx (Value.Int 3) (o 1);
+      counts "add" ~keys:1 ~entries:1;
+      Index.add idx (Value.Float 3.0) (o 2);
+      counts "3.0 shares the key of 3" ~keys:1 ~entries:2;
+      Index.add idx (Value.Int 3) (o 1);
+      counts "duplicate add" ~keys:1 ~entries:2;
+      Index.add idx Value.Null (o 3);
+      Index.add idx Value.Null (o 4);
+      counts "null keys" ~keys:2 ~entries:4;
+      Index.add idx (Value.Int 5) (o 1);
+      counts "second numeric key" ~keys:3 ~entries:5;
+      Index.remove idx (Value.Int 5) (o 2);
+      counts "remove an absent oid" ~keys:3 ~entries:5;
+      Index.remove idx (Value.Int 7) (o 1);
+      counts "remove under an absent key" ~keys:3 ~entries:5;
+      Index.remove idx (Value.Float 3.0) (o 1);
+      counts "remove one of two oids" ~keys:3 ~entries:4;
+      Index.remove idx (Value.Int 3) (o 2);
+      counts "remove the last oid of a key" ~keys:2 ~entries:3;
+      Index.remove idx Value.Null (o 3);
+      Index.remove idx Value.Null (o 4);
+      counts "remove the last null" ~keys:1 ~entries:1)
+    [ Index.Hash; Index.Ordered ];
+  let idx = Index.create Index.Hash in
+  List.iter
+    (fun (v, oid) -> Index.add idx v oid)
+    [
+      (Value.Int 3, o 1);
+      (Value.Float 3.0, o 2);
+      (Value.Null, o 3);
+      (Value.Null, o 3);
+      (Value.String "a", o 4);
+      (Value.Float 2.5, o 5);
+    ];
+  Index.make_ordered idx;
+  Alcotest.(check bool) "rebuilt as ordered" true (Index.kind idx = Index.Ordered);
+  check Alcotest.int "rebuilt: distinct keys" 4 (Index.distinct_keys idx);
+  check Alcotest.int "rebuilt: entries" 5 (Index.cardinal idx);
+  check Alcotest.int "rebuilt: 3 .. 3.0 by range" 2
+    (Oid.Set.cardinal
+       (Index.range idx ~lo:(Some (Value.Float 3.0, true))
+          ~hi:(Some (Value.Int 3, true))));
+  check Alcotest.int "rebuilt: below 3" 1
+    (Oid.Set.cardinal (Index.range idx ~lo:None ~hi:(Some (Value.Int 3, false))))
 
 (* --- byte-exact codecs: CRC-32, decimal fields, WAL records ------------- *)
 
@@ -502,7 +518,7 @@ let suite =
     Alcotest.test_case "heap identity swap" `Quick test_heap_swap_identity;
     Alcotest.test_case "hash index" `Quick test_index;
     Alcotest.test_case "ordered index distinct-key count" `Quick
-      test_ord_index_distinct_keys;
+      test_index_distinct_keys;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot malformed input" `Quick test_snapshot_malformed;
     Alcotest.test_case "storage accounting" `Quick test_stats;

@@ -22,13 +22,16 @@ let test_view_basics () =
   Alcotest.(check bool) "not mem" false (View_schema.mem v u.grad);
   check (Alcotest.option Alcotest.string) "local name" (Some "Student")
     (View_schema.local_name v u.student);
-  View_schema.rename v u.student "Pupil";
+  let v' = View_schema.rename v u.student "Pupil" in
   check
     (Alcotest.option (Alcotest.testable Oid.pp Oid.equal))
-    "renamed lookup" (Some u.student) (View_schema.cid_of v "Pupil");
-  Alcotest.(check bool) "old name free" true (View_schema.cid_of v "Student" = None);
+    "renamed lookup" (Some u.student) (View_schema.cid_of v' "Pupil");
+  Alcotest.(check bool) "old name free" true (View_schema.cid_of v' "Student" = None);
+  check
+    (Alcotest.option (Alcotest.testable Oid.pp Oid.equal))
+    "the renamed view is a new value" (Some u.student) (View_schema.cid_of v "Student");
   (try
-     View_schema.rename v u.person "Pupil";
+     ignore (View_schema.rename v' u.person "Pupil");
      Alcotest.fail "expected name clash"
    with Invalid_argument _ -> ())
 
@@ -84,7 +87,7 @@ let test_type_closure () =
     check Alcotest.string "attr" "advisor" attr;
     check Alcotest.string "domain" "Staff" cname
   | _ -> Alcotest.fail "expected exactly one violation");
-  let added = Closure.complete u.db v in
+  let v, added = Closure.complete u.db v in
   check Alcotest.int "one class added" 1 (List.length added);
   Alcotest.(check bool) "closed now" true (Closure.is_closed u.db v);
   Alcotest.(check bool) "Staff pulled in" true (View_schema.mem v u.staff)
