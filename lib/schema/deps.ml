@@ -3,13 +3,29 @@ module Oid = Tse_store.Oid
 type t = {
   attr_selects : (string, Oid.Set.t) Hashtbl.t;
   class_selects : Oid.Set.t Oid.Tbl.t;
+  (* class -> its direct superclasses and the classes derived from it:
+     the other classes whose membership can follow its own *)
+  follows : Oid.Set.t Oid.Tbl.t;
 }
 
 let selects_on_attr t name =
   Option.value (Hashtbl.find_opt t.attr_selects name) ~default:Oid.Set.empty
 
-let selects_on_class t cid =
-  Option.value (Oid.Tbl.find_opt t.class_selects cid) ~default:Oid.Set.empty
+let find tbl cid = Option.value (Oid.Tbl.find_opt tbl cid) ~default:Oid.Set.empty
+let selects_on_class t cid = find t.class_selects cid
+
+(* A membership moves another one in three ways, as the fixpoint
+   reclassifies: a select observes the class, a class derives from it,
+   or a superclass held only through it follows it. *)
+let classes_moved_by_attr t name =
+  let rec close acc = function
+    | [] -> acc
+    | c :: rest when Oid.Set.mem c acc -> close acc rest
+    | c :: rest ->
+      let next = Oid.Set.union (selects_on_class t c) (find t.follows c) in
+      close (Oid.Set.add c acc) (Oid.Set.elements next @ rest)
+  in
+  close Oid.Set.empty (Oid.Set.elements (selects_on_attr t name))
 
 (* A predicate reads a property by NAME; resolution may land on a stored
    slot or on a method whose body reads further properties. The schema
@@ -34,12 +50,9 @@ let compute g =
          (Option.value (Hashtbl.find_opt attr_selects name)
             ~default:Oid.Set.empty))
   in
-  let add_class c cid =
-    Oid.Tbl.replace class_selects c
-      (Oid.Set.add cid
-         (Option.value (Oid.Tbl.find_opt class_selects c)
-            ~default:Oid.Set.empty))
-  in
+  let add_to tbl c cid = Oid.Tbl.replace tbl c (Oid.Set.add cid (find tbl c)) in
+  let add_class = add_to class_selects in
+  let follows = Oid.Tbl.create 32 in
   (* free attrs and referenced class names of a predicate, closed through
      method bodies *)
   let closure pred =
@@ -62,6 +75,9 @@ let compute g =
   in
   List.iter
     (fun (k : Klass.t) ->
+      List.iter (fun s -> add_to follows s k.cid) (Klass.sources k);
+      Oid.Tbl.replace follows k.cid
+        (List.fold_left (Fun.flip Oid.Set.add) (find follows k.cid) k.supers);
       match k.kind with
       | Klass.Virtual (Klass.Select (_, pred)) ->
         let attrs, cnames = closure pred in
@@ -83,4 +99,4 @@ let compute g =
           cnames
       | Klass.Base | Klass.Virtual _ -> ())
     (Schema_graph.classes g);
-  { attr_selects; class_selects }
+  { attr_selects; class_selects; follows }

@@ -26,3 +26,11 @@ val selects_on_attr : t -> string -> Tse_store.Oid.Set.t
 val selects_on_class : t -> Klass.cid -> Tse_store.Oid.Set.t
 (** Select classes whose predicate verdict may change for an object when
     that object's membership of the given class changes. *)
+
+val classes_moved_by_attr : t -> string -> Tse_store.Oid.Set.t
+(** Classes whose membership of an object may change, in either
+    direction, when the named stored attribute of the object is written:
+    the selects the attribute feeds, closed under the classes observing
+    a moved class ({!selects_on_class}), the classes derived from one
+    and its superclasses. Conservative; a class the object holds through
+    its base memberships never moves, whatever this says. *)

@@ -495,7 +495,7 @@ let test_rejection_keeps_derived_structures () =
   check Alcotest.bool "stale reader conflicts" true
     (Result.is_error (Occ.commit reader));
   (* the index followed the committed write *)
-  let hits v = Option.get (Indexes.lookup idx person "age" (Value.Int v)) in
+  let hits v = Index.lookup (Option.get (Indexes.find idx person "age")) (Value.Int v) in
   check Alcotest.bool "new key indexed" true (Oid.Set.mem ann (hits 31));
   check Alcotest.bool "old key dropped" false (Oid.Set.mem ann (hits 30));
   Durable_tse.commit t;
